@@ -22,10 +22,9 @@ type InferOptions struct {
 	TextColumns []string
 	// Kinds forces the named columns to exact kinds, bypassing inference
 	// entirely for them. A column forced Numeric whose cells do not parse is
-	// an error. Remote oracle workers use this to reconstruct a dataset with
-	// the sender's schema, so string columns whose values happen to look
-	// numeric (e.g. "-1"/"1" class labels) do not silently change type in
-	// transit.
+	// an error. A reader that knows the writer's schema uses this so string
+	// columns whose values happen to look numeric (e.g. "-1"/"1" class
+	// labels) do not silently change type on the way back in.
 	Kinds map[string]Kind
 	// ChunkSize sets the rows-per-chunk capacity of the parsed dataset's
 	// columns; 0 means DefaultChunkSize. Chunk size affects only

@@ -58,6 +58,26 @@ func TestReadCSVNumericWithNulls(t *testing.T) {
 	}
 }
 
+// TestReadCSVKindsPinSchema checks InferOptions.Kinds: a label column whose
+// values all look numeric stays Categorical when pinned, and a column pinned
+// Numeric refuses a cell that does not parse.
+func TestReadCSVKindsPinSchema(t *testing.T) {
+	csv := "target,x\n-1,1.5\n1,2\n-1,NA\n"
+	d, err := ReadCSV(strings.NewReader(csv), InferOptions{Kinds: map[string]Kind{"target": Categorical, "x": Numeric}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Column("target").Kind != Categorical || d.Str("target", 0) != "-1" {
+		t.Fatalf("pinned target came back %v", d.Column("target").Kind)
+	}
+	if d.Column("x").Kind != Numeric || !d.IsNull("x", 2) {
+		t.Fatalf("pinned x came back %v", d.Column("x").Kind)
+	}
+	if _, err := ReadCSV(strings.NewReader("x\n1\nfoo\n"), InferOptions{Kinds: map[string]Kind{"x": Numeric}}); err == nil {
+		t.Error("non-numeric cell accepted in a column pinned Numeric")
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(""), InferOptions{}); err == nil {
 		t.Error("empty input accepted")

@@ -12,18 +12,33 @@
 // the fleet opens one connection per worker and serializes on it):
 //
 //	frame    := length(uint32 BE) payload
-//	request  := version(1) msgScore(1) fingerprint(uint64 BE)
-//	            ncols(uint16 BE) {kind(1) nameLen(uint16 BE) name}* csv...
+//	request  := version(1) msgScore(1) fingerprint(uint64 BE) table
+//	table    := rows(uint32 BE) ncols(uint16 BE) column*
+//	column   := kind(1) nameLen(uint16 BE) name nullBitmap cells
+//	cells    := rows × float64 bits (uint64 BE)                 numeric
+//	          | rows × (len(uvarint) bytes)                     categorical, text
 //	response := version(1) status(1) scoreBits(uint64 BE) attempts(uint32 BE) errmsg...
 //
-// The dataset travels as CSV (dataset.WriteCSV), whose shortest-round-trip
-// float formatting reproduces every numeric bit pattern on the far side.
-// The schema block pins each column to the sender's exact kind, because CSV
-// type inference alone would silently re-type string columns whose values
-// look numeric (e.g. "-1"/"1" class labels) — the worker decodes with
-// dataset.InferOptions.Kinds so the reconstructed dataset is the one the
-// client scored. The fingerprint rides alongside so fault injection and
-// worker-side logging can key on the dataset identity without re-hashing.
+// The table is the dataset's columnar storage written out as it is: column
+// kinds travel natively, numeric cells as their exact bit patterns, string
+// cells as raw bytes, and every cell's NULL bit in a bitmap of ceil(rows/8)
+// bytes (bit i&7 of byte i>>3 set = NULL). Cells under a NULL bit travel
+// too, so the worker rebuilds the client's columns cell for cell (at the
+// default chunk size: the fingerprint does not depend on the chunk layout).
+// Nothing is formatted or parsed, and nothing is lost: a string that reads
+// "NA" stays a string, a "\r\n" inside a cell stays two bytes.
+//
+// The request carries the client's fingerprint of the dataset, and the
+// worker recomputes it over the decoded cells before scoring. A table that
+// does not decode, or decodes to a different dataset, is answered with a
+// permanent failure — the same bytes would fail the same way on a retry —
+// so a codec bug or version skew can never be scored as if it were the
+// client's dataset. The fingerprint also lets fault injection and
+// worker-side logging key on dataset identity without re-hashing.
+//
+// Decoding is bounded by the frame: every length is checked against the
+// bytes present before anything is allocated, and a frame is at most
+// maxFrameSize bytes.
 //
 // Status codes classify the outcome exactly like pipeline.ScoreResult:
 // statusScore and statusDeterministic carry trustworthy scores;
@@ -33,7 +48,6 @@
 package remote
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,12 +59,16 @@ import (
 )
 
 const (
-	protocolVersion = 1
+	protocolVersion = 2
 	msgScore        = 1
 
 	// maxFrameSize bounds a frame payload so a corrupt or hostile length
 	// prefix cannot force an arbitrary allocation.
 	maxFrameSize = 64 << 20
+
+	// requestHeaderSize covers version, message, fingerprint and the table
+	// header (rows, ncols).
+	requestHeaderSize = 2 + 8 + 4 + 2
 
 	statusScore         = 0
 	statusDeterministic = 1
@@ -62,14 +80,20 @@ const (
 // dropped rather than resynchronized.
 var errProtocol = errors.New("remote: protocol error")
 
-// writeFrame sends one length-prefixed payload as a single Write, so
-// network-level fault injection observes whole frames.
-func writeFrame(w io.Writer, payload []byte) error {
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
-	return err
+// errTable marks a request whose header is sound but whose table does not
+// decode; the worker answers it with a permanent failure.
+var errTable = errors.New("remote: malformed table")
+
+// newFrame returns an empty frame buffer with room for the length prefix
+// and the given payload capacity.
+func newFrame(payloadCap int) []byte { return make([]byte, 4, 4+payloadCap) }
+
+// sealFrame writes the payload length into the frame's prefix. Senders
+// write the sealed frame with a single Write, so network-level fault
+// injection observes whole frames.
+func sealFrame(frame []byte) []byte {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	return frame
 }
 
 // readFrame receives one length-prefixed payload.
@@ -89,70 +113,233 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// encodeRequest builds a score-request frame payload: header, fingerprint,
-// the dataset's column schema, and its CSV serialization. The payload is a
-// pure function of the dataset, so the fleet encodes it once per evaluation
-// and every retried or hedged dispatch reuses the bytes.
+// encodeRequest builds a sealed score-request frame: header, fingerprint
+// and the dataset's table. The frame is a pure function of the dataset, so
+// the fleet encodes it once per evaluation and every retried or hedged
+// dispatch reuses the bytes.
 func encodeRequest(d *dataset.Dataset) ([]byte, error) {
-	var csv bytes.Buffer
-	if err := d.WriteCSV(&csv); err != nil {
-		return nil, err
+	rows, cols := d.NumRows(), d.Columns()
+	if len(cols) > math.MaxUint16 || uint64(rows) > math.MaxUint32 {
+		return nil, fmt.Errorf("remote: dataset of %d columns × %d rows does not fit a frame", len(cols), rows)
 	}
-	names := d.ColumnNames()
-	buf := make([]byte, 0, 12+8*len(names)+csv.Len())
+	bitmap := (rows + 7) / 8
+	size := requestHeaderSize
+	for _, c := range cols {
+		if len(c.Name) > math.MaxUint16 {
+			return nil, fmt.Errorf("remote: column name of %d bytes does not fit a frame", len(c.Name))
+		}
+		size += 3 + len(c.Name) + bitmap
+		if c.Kind == dataset.Numeric {
+			size += 8 * rows
+			continue
+		}
+		for i := 0; i < c.NumChunks(); i++ {
+			for _, s := range c.Chunk(i).Strs {
+				size += uvarintLen(len(s)) + len(s)
+			}
+		}
+	}
+	if size > maxFrameSize {
+		return nil, fmt.Errorf("remote: dataset needs a %d-byte frame, over the %d-byte limit", size, maxFrameSize)
+	}
+
+	buf := newFrame(size)
 	buf = append(buf, protocolVersion, msgScore)
 	buf = binary.BigEndian.AppendUint64(buf, d.Fingerprint())
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(names)))
-	for _, name := range names {
-		buf = append(buf, byte(d.Column(name).Kind))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(name)))
-		buf = append(buf, name...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(rows))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(cols)))
+	for _, c := range cols {
+		buf = append(buf, byte(c.Kind))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(c.Name)))
+		buf = append(buf, c.Name...)
+		buf = append(buf, make([]byte, bitmap)...)
+		mask := buf[len(buf)-bitmap:]
+		for i := 0; i < c.NumChunks(); i++ {
+			v := c.Chunk(i)
+			for j, null := range v.Null {
+				if null {
+					r := v.Start + j
+					mask[r>>3] |= 1 << (r & 7)
+				}
+			}
+		}
+		for i := 0; i < c.NumChunks(); i++ {
+			v := c.Chunk(i)
+			if c.Kind == dataset.Numeric {
+				for _, x := range v.Nums {
+					buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(x))
+				}
+				continue
+			}
+			for _, s := range v.Strs {
+				buf = binary.AppendUvarint(buf, uint64(len(s)))
+				buf = append(buf, s...)
+			}
+		}
 	}
-	return append(buf, csv.Bytes()...), nil
+	return sealFrame(buf), nil
 }
 
-// decodeRequest splits a score-request payload into the fingerprint, the
-// schema (as kind-forcing decode options), and the CSV bytes.
-func decodeRequest(payload []byte) (fp uint64, opts dataset.InferOptions, csv []byte, err error) {
-	if len(payload) < 12 || payload[0] != protocolVersion || payload[1] != msgScore {
-		return 0, opts, nil, fmt.Errorf("%w: bad score request header", errProtocol)
+// uvarintLen is the encoded size of n as a uvarint.
+func uvarintLen(n int) int {
+	size := 1
+	for ; n >= 0x80; n >>= 7 {
+		size++
 	}
-	fp = binary.BigEndian.Uint64(payload[2:])
-	ncols := int(binary.BigEndian.Uint16(payload[10:]))
-	rest := payload[12:]
-	opts.Kinds = make(map[string]dataset.Kind, ncols)
-	for i := 0; i < ncols; i++ {
-		if len(rest) < 3 {
-			return 0, opts, nil, fmt.Errorf("%w: truncated schema block", errProtocol)
-		}
-		kind := dataset.Kind(rest[0])
-		n := int(binary.BigEndian.Uint16(rest[1:]))
-		if len(rest) < 3+n {
-			return 0, opts, nil, fmt.Errorf("%w: truncated schema block", errProtocol)
-		}
-		opts.Kinds[string(rest[3:3+n])] = kind
-		rest = rest[3+n:]
-	}
-	return fp, opts, rest, nil
+	return size
 }
 
-// parseRequestFingerprint extracts the fingerprint from a fully framed
-// request as written by writeFrame, without consuming it. It exists for
-// network-level fault injection, which keys faults on dataset identity.
+// decodeRequest checks a score-request payload's header and splits it into
+// the client's fingerprint and the undecoded table. A bad header is a
+// protocol error: the peer does not speak this version.
+func decodeRequest(payload []byte) (fp uint64, table []byte, err error) {
+	if len(payload) < 10 || payload[0] != protocolVersion || payload[1] != msgScore {
+		return 0, nil, fmt.Errorf("%w: bad score request header", errProtocol)
+	}
+	return binary.BigEndian.Uint64(payload[2:]), payload[10:], nil
+}
+
+// tableReader consumes a table front to back; the first short read sticks
+// as its error, and every later read returns nothing.
+type tableReader struct {
+	b   []byte
+	err error
+}
+
+func (r *tableReader) bytes(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.b) {
+		r.err = fmt.Errorf("%w: truncated", errTable)
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *tableReader) uint16() int {
+	if b := r.bytes(2); b != nil {
+		return int(binary.BigEndian.Uint16(b))
+	}
+	return 0
+}
+
+func (r *tableReader) uint32() int {
+	if b := r.bytes(4); b != nil {
+		return int(binary.BigEndian.Uint32(b))
+	}
+	return 0
+}
+
+// decodeTable rebuilds the dataset a table describes. Every length is
+// checked against the bytes present before the cells it covers are
+// allocated: each column's NULL bitmap bounds the row count.
+func decodeTable(table []byte) (*dataset.Dataset, error) {
+	r := &tableReader{b: table}
+	rows, ncols := r.uint32(), r.uint16()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if ncols == 0 && rows != 0 {
+		return nil, fmt.Errorf("%w: %d rows without columns", errTable, rows)
+	}
+	d := dataset.New()
+	for c := 0; c < ncols; c++ {
+		var kind dataset.Kind
+		if b := r.bytes(1); b != nil {
+			kind = dataset.Kind(b[0])
+		}
+		name := string(r.bytes(r.uint16()))
+		mask := r.bytes((rows + 7) / 8)
+		if r.err != nil {
+			return nil, r.err
+		}
+		var err error
+		switch kind {
+		case dataset.Numeric:
+			raw := r.bytes(8 * rows)
+			if r.err != nil {
+				return nil, r.err
+			}
+			nums := make([]float64, rows)
+			for i := range nums {
+				nums[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
+			}
+			err = d.AddNumericColumn(name, nums, expandNulls(mask, rows))
+		case dataset.Categorical, dataset.Text:
+			strs, serr := decodeStrings(r, rows)
+			if serr != nil {
+				return nil, serr
+			}
+			if kind == dataset.Categorical {
+				err = d.AddCategoricalColumn(name, strs, expandNulls(mask, rows))
+			} else {
+				err = d.AddTextColumn(name, strs, expandNulls(mask, rows))
+			}
+		default:
+			return nil, fmt.Errorf("%w: column %q has unknown kind %d", errTable, name, kind)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", errTable, err)
+		}
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", errTable, len(r.b))
+	}
+	return d, nil
+}
+
+// decodeStrings reads rows length-prefixed strings. A first pass checks
+// every length against the bytes present; the cells then share one string
+// allocation, sliced at the same offsets.
+func decodeStrings(r *tableReader, rows int) ([]string, error) {
+	src := r.b
+	n := 0
+	for i := 0; i < rows; i++ {
+		l, k := binary.Uvarint(src[n:])
+		if k <= 0 || l > uint64(len(src)-n-k) {
+			return nil, fmt.Errorf("%w: string cell %d truncated", errTable, i)
+		}
+		n += k + int(l)
+	}
+	blob := string(r.bytes(n))
+	strs := make([]string, rows)
+	off := 0
+	for i := range strs {
+		l, k := binary.Uvarint(src[off:])
+		off += k
+		strs[i] = blob[off : off+int(l)]
+		off += int(l)
+	}
+	return strs, nil
+}
+
+// expandNulls unpacks a NULL bitmap into one flag per row.
+func expandNulls(mask []byte, rows int) []bool {
+	null := make([]bool, rows)
+	for i := range null {
+		null[i] = mask[i>>3]&(1<<(i&7)) != 0
+	}
+	return null
+}
+
+// parseRequestFingerprint extracts the fingerprint from a sealed request
+// frame, without consuming it. It exists for network-level fault
+// injection, which keys faults on dataset identity.
 func parseRequestFingerprint(frame []byte) (uint64, bool) {
-	if len(frame) < 4+12 {
+	if len(frame) < 4+10 {
 		return 0, false
 	}
 	if int(binary.BigEndian.Uint32(frame)) != len(frame)-4 {
 		return 0, false
 	}
-	if frame[4] != protocolVersion || frame[5] != msgScore {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(frame[6:]), true
+	fp, _, err := decodeRequest(frame[4:])
+	return fp, err == nil
 }
 
-// encodeResponse flattens a ScoreResult into a response payload.
+// encodeResponse flattens a ScoreResult into a sealed response frame.
 func encodeResponse(res pipeline.ScoreResult) []byte {
 	status := byte(statusScore)
 	msg := ""
@@ -166,13 +353,12 @@ func encodeResponse(res pipeline.ScoreResult) []byte {
 	case res.Deterministic:
 		status = statusDeterministic
 	}
-	buf := make([]byte, 14+len(msg))
-	buf[0] = protocolVersion
-	buf[1] = status
-	binary.BigEndian.PutUint64(buf[2:], math.Float64bits(res.Score))
-	binary.BigEndian.PutUint32(buf[10:], uint32(res.Attempts))
-	copy(buf[14:], msg)
-	return buf
+	buf := newFrame(14 + len(msg))
+	buf = append(buf, protocolVersion, status)
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(res.Score))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(res.Attempts))
+	buf = append(buf, msg...)
+	return sealFrame(buf)
 }
 
 // decodeResponse rebuilds the ScoreResult a worker sent. Remote failures

@@ -74,7 +74,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Score: math.NaN(), Err: errors.New("bad config"), Attempts: 1},
 	}
 	for i, want := range cases {
-		got, err := decodeResponse(encodeResponse(want))
+		got, err := decodeResponse(encodeResponse(want)[4:])
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -96,28 +96,28 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 
 	d := flagData(0.5)
-	payload, err := encodeRequest(d)
+	frame, err := encodeRequest(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var framed bytes.Buffer
-	if err := writeFrame(&framed, payload); err != nil {
-		t.Fatal(err)
-	}
-	fp, ok := parseRequestFingerprint(framed.Bytes())
+	fp, ok := parseRequestFingerprint(frame)
 	if !ok || fp != d.Fingerprint() {
 		t.Fatalf("parseRequestFingerprint = %x, %v, want %x", fp, ok, d.Fingerprint())
 	}
-	fp2, opts, csv, err := decodeRequest(payload)
+	payload, err := readFrame(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp2, table, err := decodeRequest(payload)
 	if err != nil || fp2 != d.Fingerprint() {
 		t.Fatalf("decodeRequest = %x, %v, want %x", fp2, err, d.Fingerprint())
 	}
-	if opts.Kinds["flag"] != dataset.Numeric {
-		t.Fatalf("schema lost in transit: %v", opts.Kinds)
-	}
-	back, err := dataset.ReadCSV(bytes.NewReader(csv), opts)
+	back, err := decodeTable(table)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if back.Column("x").Kind != dataset.Numeric {
+		t.Fatalf("kind lost in transit: %v", back.Column("x").Kind)
 	}
 	if back.Fingerprint() != d.Fingerprint() {
 		t.Fatalf("round-tripped fingerprint %x, want %x", back.Fingerprint(), d.Fingerprint())
@@ -126,22 +126,21 @@ func TestProtocolRoundTrip(t *testing.T) {
 
 // TestProtocolSchemaPinsStringKinds is the regression test for the sentiment
 // scenario's panic: a string column whose every value parses as a float must
-// come back Categorical/Text on the worker side, not silently re-typed
-// Numeric by CSV inference.
+// come back Categorical/Text on the worker side, never re-typed Numeric.
 func TestProtocolSchemaPinsStringKinds(t *testing.T) {
 	d := dataset.New()
 	if err := d.AddCategoricalColumn("target", []string{"-1", "1", "-1"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := encodeRequest(d)
+	frame, err := encodeRequest(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, opts, csv, err := decodeRequest(payload)
+	_, table, err := decodeRequest(frame[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := dataset.ReadCSV(bytes.NewReader(csv), opts)
+	back, err := decodeTable(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,8 +427,8 @@ func TestNetFaultInjectorDeterministicRecovery(t *testing.T) {
 }
 
 func TestFleetRejectsUndecodableDataset(t *testing.T) {
-	// A worker that never gets a valid dataset: the client sends CSV the
-	// worker cannot parse — simulated by a scorer-side permanent error.
+	// A worker that cannot score the dataset it was sent answers with a
+	// permanent error, which the client must not retry into a success.
 	sys := &pipeline.TryFunc{SystemName: "perm", Try: func(context.Context, *dataset.Dataset) pipeline.ScoreResult {
 		return pipeline.ScoreResult{Score: math.NaN(), Err: errors.New("unsupported schema")}
 	}}

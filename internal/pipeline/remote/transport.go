@@ -15,7 +15,7 @@ import (
 // default. Tests and chaos suites substitute fault-injecting dialers.
 type DialFunc func(ctx context.Context, network, addr string) (net.Conn, error)
 
-// payloadKey carries a pre-encoded request payload through the per-worker
+// payloadKey carries a pre-encoded request frame through the per-worker
 // wrapper stack, so one evaluation hedged or retried across workers
 // serializes the dataset exactly once.
 type payloadKey struct{}
@@ -98,7 +98,7 @@ func (t *transport) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset)
 	// serialized, and the AfterFunc above expires the connection deadline on
 	// cancellation, which unblocks the write/read from under the lock.
 	//lint:ignore lockorder round trips on the persistent conn must serialize, and the ctx AfterFunc deadline interrupts the blocked I/O
-	if err := writeFrame(conn, req); err != nil {
+	if _, err := conn.Write(req); err != nil {
 		t.drop(conn)
 		return transientFailure(0, "send to "+t.addr, err)
 	}

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -9,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/pipeline"
 )
 
@@ -67,34 +65,41 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) {
 		if err != nil {
 			return // peer closed, deadline expired, or garbage framing
 		}
-		fp, opts, csv, err := decodeRequest(payload)
+		fp, table, err := decodeRequest(payload)
 		if err != nil {
 			w.logf("remote worker: %s: %v", conn.RemoteAddr(), err)
 			return
 		}
-		res := w.score(ctx, opts, csv)
-		if err := writeFrame(conn, encodeResponse(res)); err != nil {
+		res := w.score(ctx, fp, table)
+		if _, err := conn.Write(encodeResponse(res)); err != nil {
 			w.logf("remote worker: %s: reply for %016x: %v", conn.RemoteAddr(), fp, err)
 			return
 		}
 	}
 }
 
-// score decodes the dataset with the sender's schema and evaluates it. A
-// payload that does not parse is a permanent failure — retrying the same
-// bytes cannot help. A scorer panic is likewise answered as a permanent
-// failure instead of killing the worker process: one poisoned dataset must
-// not take the whole fleet member down.
-func (w *Worker) score(ctx context.Context, opts dataset.InferOptions, csv []byte) (res pipeline.ScoreResult) {
+// score decodes the table, checks it against the client's fingerprint and
+// evaluates it. A table that does not decode, or decodes to a dataset with
+// another fingerprint, is a permanent failure — retrying the same bytes
+// cannot help, and scoring it would score a dataset the client never sent.
+// A scorer panic is likewise answered as a permanent failure instead of
+// killing the worker process: one poisoned dataset must not take the whole
+// fleet member down.
+func (w *Worker) score(ctx context.Context, fp uint64, table []byte) (res pipeline.ScoreResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.logf("remote worker: scorer panic: %v", r)
 			res = pipeline.ScoreResult{Score: math.NaN(), Err: fmt.Errorf("remote worker: scorer panic: %v", r)}
 		}
 	}()
-	d, err := dataset.ReadCSV(bytes.NewReader(csv), opts)
+	d, err := decodeTable(table)
 	if err != nil {
+		w.logf("remote worker: request %016x: %v", fp, err)
 		return pipeline.ScoreResult{Score: math.NaN(), Err: err}
+	}
+	if got := d.Fingerprint(); got != fp {
+		w.logf("remote worker: request %016x decoded to %016x", fp, got)
+		return pipeline.ScoreResult{Score: math.NaN(), Err: fmt.Errorf("%w: cells fingerprint %016x, request claims %016x", errTable, got, fp)}
 	}
 	return w.System.TryMalfunctionScore(ctx, d)
 }
