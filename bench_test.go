@@ -418,7 +418,7 @@ func BenchmarkFingerprintIncremental(b *testing.B) {
 func BenchmarkTransformApply(b *testing.B) {
 	benchSubstrate(b, func(b *testing.B, d *dataset.Dataset, rows int) {
 		_ = d.Fingerprint() // warm the source digests
-		_ = d.Stats("n0")   // warm the stats the transform fits on
+		_ = d.Rollup("n0")  // warm the chunk moments the transform gates on
 		tr := &transform.Winsorize{Profile: &profile.DomainNumeric{Attr: "n0", Lo: 0.1, Hi: 0.9}}
 		rng := rand.New(rand.NewSource(1))
 		b.ResetTimer()

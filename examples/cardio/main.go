@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	dataprism "repro"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -21,10 +20,9 @@ func main() {
 	fmt.Printf("failing dataset:  1-recall = %.3f\n", sc.System.MalfunctionScore(sc.Fail))
 	fmt.Printf("threshold tau = %.2f\n\n", sc.Tau)
 
-	lo, hi := stats.MinMax(sc.Fail.NumericValues("height"))
-	plo, phi := stats.MinMax(sc.Pass.NumericValues("height"))
-	fmt.Printf("height range, failing: [%.1f, %.1f] (inches!)\n", lo, hi)
-	fmt.Printf("height range, passing: [%.1f, %.1f] (cm)\n\n", plo, phi)
+	fr, pr := sc.Fail.Rollup("height"), sc.Pass.Rollup("height")
+	fmt.Printf("height range, failing: [%.1f, %.1f] (inches!)\n", fr.Min(), fr.Max())
+	fmt.Printf("height range, passing: [%.1f, %.1f] (cm)\n\n", pr.Min(), pr.Max())
 
 	e := &dataprism.Explainer{System: sc.System, Tau: sc.Tau, Options: &sc.Options, Seed: 4}
 	res, err := e.ExplainGreedy(sc.Pass, sc.Fail)
@@ -34,8 +32,8 @@ func main() {
 	}
 	fmt.Printf("DataPrismGRD: %d interventions → %s\n", res.Interventions, res.ExplanationString())
 	if res.Transformed != nil {
-		flo, fhi := stats.MinMax(res.Transformed.NumericValues("height"))
-		fmt.Printf("height range after fix: [%.1f, %.1f]\n", flo, fhi)
+		r := res.Transformed.Rollup("height")
+		fmt.Printf("height range after fix: [%.1f, %.1f]\n", r.Min(), r.Max())
 	}
 	fmt.Printf("malfunction after fix: %.3f\n\n", res.FinalScore)
 

@@ -11,29 +11,30 @@
 //
 // Every column carries a version counter bumped on each chunk mutation
 // grant, and every chunk carries its own. The cached content digest
-// (fingerprint.go), the ColumnRollup, and the legacy ColumnStats block are
-// keyed by the column counter; the per-chunk digest partials, statistics
-// blocks, and reservoir samples (sample.go) are keyed by the chunk counters.
-// After a mutation only the dirty chunks rescan — the column-level values
-// are cheap merges of the per-chunk blocks.
+// (fingerprint.go) and the ColumnRollup are keyed by the column counter; the
+// per-chunk digest partials, statistics blocks, and reservoir samples
+// (sample.go) are keyed by the chunk counters. After a mutation only the
+// dirty chunks rescan — the column-level values are cheap merges of the
+// per-chunk blocks.
 //
-// Two column-level statistics surfaces exist:
+// ColumnRollup (Rollup) is the only cached column-level statistics surface:
+// constant-size scalars, domain counts, and a quantile sketch merged from
+// the per-chunk blocks in O(#chunks), never materializing row-length
+// vectors. Counts, extrema, and domains there are exact. Its float moments
+// are merged per chunk, so their low bits depend on the chunk layout: a
+// mean or standard deviation that becomes a cell value or a model input is
+// computed by a row-order pass over NumericValues instead, which keeps
+// transform outputs independent of the layout. The extraction helpers
+// NumericValues and StringValues return fresh caller-owned copies in row
+// order; only the roll-up's own map and slices (and DistinctStrings, which
+// returns Rollup().Distinct) are shared, read-only state.
 //
-//   - ColumnRollup (Rollup) is the primary one: constant-size scalars,
-//     domain counts, and a quantile sketch merged from the per-chunk blocks
-//     in O(#chunks) — never materializing row-length vectors. Profile
-//     discovery and transform fitting read this.
-//   - ColumnStats (Stats) is the deprecated full-vector block: it keeps the
-//     historical Nums/SortedNums/Strs fields but now materializes them
-//     lazily at O(rows) cost on first access. Only callers that genuinely
-//     need every value should use it.
-//
-// Contract for writers: never mutate slices obtained from Chunk views or
-// either statistics block — request MutableColumn, then MutableChunk for
-// each chunk written, and do all raw writes before the column is next
-// observed (Digest, Stats, Rollup, Fingerprint). The Set* methods follow
-// this protocol internally and are always safe. The cowmutate analyzer
-// (internal/lint) flags violations statically.
+// Contract for writers: never mutate slices obtained from Chunk views or the
+// roll-up — request MutableColumn, then MutableChunk for each chunk written,
+// and do all raw writes before the column is next observed (Digest, Rollup,
+// Fingerprint). The Set* methods follow this protocol internally and are
+// always safe. The cowmutate analyzer (internal/lint) flags violations
+// statically.
 package dataset
 
 import (
@@ -127,10 +128,9 @@ func (ch *chunk) statsBlock(kind Kind) *chunkStats {
 // ColumnRollup is the column-level merge of the per-chunk statistics blocks:
 // row/NULL counts, moments and extrema with a mergeable quantile sketch for
 // numeric columns, and domain counts with the sorted distinct values for
-// string columns. It is the primary statistics surface — computing it costs
-// O(#chunks) merges over cached chunk blocks (only dirty chunks rescan) and
-// it never materializes row-length value vectors; use the deprecated Stats
-// block only when the full vectors are genuinely required. All fields are
+// string columns. It is the only cached statistics surface — computing it
+// costs O(#chunks) merges over cached chunk blocks (only dirty chunks
+// rescan) and it never materializes row-length value vectors. All fields are
 // read-only for callers; the map and slices are shared, never mutate them.
 type ColumnRollup struct {
 	version uint64 // column version the roll-up was computed at
@@ -152,7 +152,8 @@ type ColumnRollup struct {
 
 // Mean returns the mean of the non-NULL numeric values (NaN when none).
 // Multi-chunk columns report the merged value, equal to the flat computation
-// up to floating-point association error.
+// up to floating-point association error — so its low bits depend on the
+// chunk layout, and values written into cells are fitted on NumericValues.
 func (r *ColumnRollup) Mean() float64 {
 	if r.Moments.Count == 0 {
 		return math.NaN()
@@ -230,104 +231,6 @@ func (c *Column) computeRollup(version uint64) *ColumnRollup {
 	}
 	sort.Strings(r.Distinct)
 	return r
-}
-
-// ColumnStats is the deprecated full-vector statistics block: NULL counts,
-// the non-NULL value vectors in row order, a sorted numeric copy, moments,
-// extrema, and domain counts. The vectors are materialized lazily at O(rows)
-// cost on first access — every scalar here is served in O(#chunks) by
-// Rollup, which new code should prefer. The block remains cached per column
-// version and shared across clones so existing callers keep their
-// amortization. All fields are read-only for callers; the slices are shared,
-// never mutate them.
-type ColumnStats struct {
-	version uint64 // column version the block was computed at
-
-	// Rows is the column length; Nulls the number of NULL slots.
-	Rows, Nulls int
-
-	// Numeric columns: Nums holds the non-NULL values in row order,
-	// SortedNums an ascending copy, and Mean/StdDev/Min/Max the usual
-	// moments and extrema (NaN for an empty column). The scalars equal the
-	// Rollup values (merged across chunks).
-	Nums       []float64
-	SortedNums []float64
-	Mean       float64
-	StdDev     float64
-	Min, Max   float64
-
-	// String columns: Strs holds the non-NULL values in row order, Counts
-	// the per-value multiplicities, and Distinct the sorted distinct values.
-	Strs     []string
-	Counts   map[string]int
-	Distinct []string
-}
-
-// Stats returns the column's full-vector statistics block, computing and
-// caching it on first use.
-//
-// Deprecated: materializing the block costs O(rows) — it concatenates the
-// non-NULL values and sorts a copy. Use Rollup for scalars, domain counts,
-// and approximate quantiles (O(#chunks) over cached per-chunk blocks), and
-// Dataset.SampleView for fitting on bounded row subsets; reach for Stats
-// only when every value is genuinely required.
-func (c *Column) Stats() *ColumnStats {
-	v := c.version.Load()
-	if s := c.stats.Load(); s != nil && s.version == v {
-		return s
-	}
-	s := c.computeStats(v)
-	c.stats.Store(s)
-	return s
-}
-
-// computeStats materializes the full-vector block: row-order concatenation
-// of the non-NULL cells (layout-agnostic by construction) plus a sorted copy
-// via sort.Float64s, with the scalar fields shared with the roll-up.
-func (c *Column) computeStats(version uint64) *ColumnStats {
-	r := c.Rollup()
-	s := &ColumnStats{version: version, Rows: c.rows, Nulls: r.Nulls}
-	if c.Kind == Numeric {
-		s.Nums = make([]float64, 0, c.rows-r.Nulls)
-		for _, ch := range c.chunks {
-			for i, val := range ch.nums {
-				if !ch.null[i] {
-					s.Nums = append(s.Nums, val)
-				}
-			}
-		}
-		s.SortedNums = append([]float64(nil), s.Nums...)
-		sort.Float64s(s.SortedNums)
-		s.Mean = r.Mean()
-		s.StdDev = r.StdDev()
-		s.Min = r.Min()
-		s.Max = r.Max()
-		return s
-	}
-	s.Strs = make([]string, 0, c.rows-r.Nulls)
-	for _, ch := range c.chunks {
-		for i, val := range ch.strs {
-			if !ch.null[i] {
-				s.Strs = append(s.Strs, val)
-			}
-		}
-	}
-	s.Counts = r.Counts
-	s.Distinct = r.Distinct
-	return s
-}
-
-// Stats returns the full-vector statistics block of the named column, or nil
-// if the column does not exist.
-//
-// Deprecated: O(rows) on first access per column version; prefer
-// Dataset.Rollup. See Column.Stats.
-func (d *Dataset) Stats(attr string) *ColumnStats {
-	c := d.Column(attr)
-	if c == nil {
-		return nil
-	}
-	return c.Stats()
 }
 
 // Rollup returns the statistics roll-up of the named column, or nil if the

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -131,30 +132,49 @@ func TestCoWPropertyRandomMutations(t *testing.T) {
 	}
 }
 
-// TestColumnStatsInvalidation checks that the shared statistics block is
-// recomputed after a mutation and shared (not recomputed) across clones of
-// an untouched column.
-func TestColumnStatsInvalidation(t *testing.T) {
-	d := New().MustAddNumeric("x", []float64{1, 2, 3, 4})
-	s1 := d.Stats("x")
-	if s1.Mean != 2.5 {
-		t.Fatalf("mean = %g", s1.Mean)
-	}
+// TestValueCopiesAreCallerOwned checks that NumericValues and StringValues
+// hand out copies: writing into and sorting them leaves the dataset, its
+// clones, the fingerprint, and the cached roll-up unchanged.
+func TestValueCopiesAreCallerOwned(t *testing.T) {
+	d := sampleTestDataset(t, 300, 64)
+	ref := sampleTestDataset(t, 300, 64)
 	cp := d.Clone()
-	if cp.Stats("x") != s1 {
-		t.Error("clone of untouched column should share the stats block")
+	fp := d.Fingerprint()
+	rn, rc := d.Rollup("num"), d.Rollup("cat")
+	lo, hi, nulls := rn.Min(), rn.Max(), rn.Nulls
+	distinct := append([]string(nil), rc.Distinct...)
+
+	nums := d.NumericValues("num")
+	if again := d.NumericValues("num"); &again[0] == &nums[0] {
+		t.Fatal("NumericValues returned shared storage")
 	}
-	cp.SetNum("x", 0, 9)
-	s2 := cp.Stats("x")
-	if s2 == s1 {
-		t.Error("mutation must invalidate the stats cache")
+	sort.Sort(sort.Reverse(sort.Float64Slice(nums)))
+	for i := range nums {
+		nums[i] = -1
 	}
-	if s2.Mean != (9.0+2+3+4)/4 {
-		t.Errorf("stale mean after mutation: %g", s2.Mean)
+	strs := cp.StringValues("cat")
+	strs[0] = "mutated"
+	sort.Strings(strs)
+
+	for name, ds := range map[string]*Dataset{"source": d, "clone": cp} {
+		if !ds.Equal(ref) {
+			t.Fatalf("%s: writing a value copy changed the dataset", name)
+		}
+		if got := ds.Fingerprint(); got != fp || got != ds.fingerprintScratch() {
+			t.Fatalf("%s: fingerprint %x, want %x", name, got, fp)
+		}
+		if got := ds.NumericValues("num"); got[0] != 1 || got[len(got)-1] != 299 {
+			t.Fatalf("%s: NumericValues = [%v … %v], want row order [1 … 299]", name, got[0], got[len(got)-1])
+		}
+		if got := ds.StringValues("cat"); got[0] != "b" {
+			t.Fatalf("%s: StringValues[0] = %q, want \"b\"", name, got[0])
+		}
 	}
-	// The source keeps its original block.
-	if d.Stats("x") != s1 || d.Stats("x").Mean != 2.5 {
-		t.Error("source stats must be unaffected by the clone's mutation")
+	if d.Rollup("num") != rn || d.Rollup("cat") != rc {
+		t.Fatal("writing a value copy invalidated the roll-up cache")
+	}
+	if rn.Min() != lo || rn.Max() != hi || rn.Nulls != nulls || !sameStrings(rc.Distinct, distinct) {
+		t.Fatal("writing a value copy changed the roll-up")
 	}
 }
 

@@ -44,8 +44,9 @@ func (k Kind) String() string {
 
 // Column is a single named, typed column with a NULL mask, stored as
 // fixed-size chunks (chunk.go). Cells are read through NumAt/StrAt/NullAt
-// or chunk-at-a-time through NumChunks/Chunk; the non-NULL value vectors
-// live on the cached statistics block (Stats).
+// or chunk-at-a-time through NumChunks/Chunk, and column statistics through
+// the cached Rollup; Dataset.NumericValues and StringValues copy out the
+// non-NULL values in row order.
 //
 // Columns and their chunks are shared between datasets after Clone
 // (copy-on-write): mutate cells only through Dataset.MutableColumn plus
@@ -68,14 +69,13 @@ type Column struct {
 	// shared marks the column header as referenced by more than one
 	// dataset; the next mutation grant copies the header (cow.go). version
 	// counts chunk mutation grants; digest/digestAt cache the content
-	// digest (fingerprint.go), rollup the merged ColumnRollup, and stats
-	// the deprecated full-vector ColumnStats block, all keyed by version.
+	// digest (fingerprint.go) and rollup the merged ColumnRollup, both keyed
+	// by version.
 	shared   atomic.Bool
 	version  atomic.Uint64
 	digest   atomic.Uint64
 	digestAt atomic.Uint64
 	rollup   atomic.Pointer[ColumnRollup]
-	stats    atomic.Pointer[ColumnStats]
 }
 
 // Len returns the number of rows in the column.
@@ -461,49 +461,42 @@ func (d *Dataset) Sample(n int, rng *rand.Rand) *Dataset {
 	return d.SelectRows(idx)
 }
 
-// NumericValues returns the non-NULL values of a numeric column, in row
-// order. The slice is the cached statistics block's and must not be
-// mutated by the caller.
-//
-// Deprecated: materializes the full-vector statistics block — O(rows) on
-// first access per column version. Prefer Rollup for scalar statistics and
-// SampleView for bounded-size value subsets.
+// NumericValues returns a fresh copy of the non-NULL values of a numeric
+// column in row order, or nil if the column is missing or not numeric. The
+// caller owns the slice and may write or sort it; every call costs O(rows).
 func (d *Dataset) NumericValues(attr string) []float64 {
 	c := d.Column(attr)
 	if c == nil || c.Kind != Numeric {
 		return nil
 	}
-	return c.Stats().Nums
-}
-
-// SortedNumericValues returns the non-NULL values of a numeric column in
-// ascending order. The slice is the cached statistics block's and must not
-// be mutated by the caller.
-//
-// Deprecated: materializes and sorts the full value vector — O(rows·log
-// rows) on first access per column version. Prefer Rollup's quantile sketch
-// or SampleView for approximate order statistics.
-func (d *Dataset) SortedNumericValues(attr string) []float64 {
-	c := d.Column(attr)
-	if c == nil || c.Kind != Numeric {
-		return nil
+	out := make([]float64, 0, c.rows)
+	for _, ch := range c.chunks {
+		for i, v := range ch.nums {
+			if !ch.null[i] {
+				out = append(out, v)
+			}
+		}
 	}
-	return c.Stats().SortedNums
+	return out
 }
 
-// StringValues returns the non-NULL values of a categorical or text column,
-// in row order. The slice is the cached statistics block's and must not be
-// mutated by the caller.
-//
-// Deprecated: materializes the full-vector statistics block — O(rows) on
-// first access per column version. Prefer Rollup's domain counts or
-// SampleView for bounded-size value subsets.
+// StringValues returns a fresh copy of the non-NULL values of a categorical
+// or text column in row order, or nil if the column is missing or numeric.
+// The caller owns the slice; every call costs O(rows).
 func (d *Dataset) StringValues(attr string) []string {
 	c := d.Column(attr)
 	if c == nil || c.Kind == Numeric {
 		return nil
 	}
-	return c.Stats().Strs
+	out := make([]string, 0, c.rows)
+	for _, ch := range c.chunks {
+		for i, v := range ch.strs {
+			if !ch.null[i] {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
 }
 
 // DistinctStrings returns the sorted distinct non-NULL values of a string

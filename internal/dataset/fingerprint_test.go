@@ -87,3 +87,40 @@ func TestFingerprintEmptyDataset(t *testing.T) {
 		t.Fatal("empty dataset collides with populated one")
 	}
 }
+
+// TestFingerprintRehashesOnlyDirtyChunk pins the incremental fingerprint:
+// after a one-cell write to a multi-chunk column, every clean chunk — in the
+// written column and in the others — keeps its cached digest partial, so the
+// next Fingerprint re-hashes exactly one chunk and still equals the
+// from-scratch value.
+func TestFingerprintRehashesOnlyDirtyChunk(t *testing.T) {
+	d := sampleTestDataset(t, 1_000, 100)
+	d.Fingerprint()
+	cp := d.Clone()
+	cp.SetNum("num", 250, -5) // chunk 2 of 10
+
+	type chunkRef struct {
+		col string
+		k   int
+	}
+	stale := func() []chunkRef {
+		var out []chunkRef
+		for _, c := range cp.Columns() {
+			for k, ch := range c.chunks {
+				if ch.digestAt.Load() != ch.version.Load()+1 {
+					out = append(out, chunkRef{c.Name, k})
+				}
+			}
+		}
+		return out
+	}
+	if got := stale(); len(got) != 1 || got[0] != (chunkRef{"num", 2}) {
+		t.Fatalf("chunks needing a re-hash after a one-cell write: %v, want [{num 2}]", got)
+	}
+	if fp := cp.Fingerprint(); fp != cp.fingerprintScratch() || fp == d.Fingerprint() {
+		t.Fatalf("incremental fingerprint %x: scratch %x, source %x", fp, cp.fingerprintScratch(), d.Fingerprint())
+	}
+	if got := stale(); len(got) != 0 {
+		t.Fatalf("chunks still stale after Fingerprint: %v", got)
+	}
+}

@@ -82,34 +82,39 @@ func assertLayoutEquivalent(t *testing.T, ref, got *Dataset, cs int) {
 		if rc.Digest() != gc.Digest() {
 			t.Fatalf("chunk size %d: column %q digest differs", cs, rc.Name)
 		}
-		rs, gs := rc.Stats(), gc.Stats()
-		if rs.Rows != gs.Rows || rs.Nulls != gs.Nulls ||
-			!sameFloat(rs.Min, gs.Min) || !sameFloat(rs.Max, gs.Max) {
-			t.Fatalf("chunk size %d: column %q scalar stats differ: %+v vs %+v", cs, rc.Name, rs, gs)
+		rr, gr := rc.Rollup(), gc.Rollup()
+		if rr.Rows != gr.Rows || rr.Nulls != gr.Nulls || rr.Moments.Count != gr.Moments.Count ||
+			!sameFloat(rr.Min(), gr.Min()) || !sameFloat(rr.Max(), gr.Max()) {
+			t.Fatalf("chunk size %d: column %q scalar stats differ: %+v vs %+v", cs, rc.Name, rr, gr)
 		}
 		// Mean/StdDev are merged from per-chunk moments, equal to the flat
 		// two-pass values only up to floating-point association error — the
 		// tolerance scales with the value magnitude and row count.
-		scale := math.Max(math.Abs(rs.Min), math.Abs(rs.Max))
-		if !closeMoment(rs.Mean, gs.Mean, scale, rs.Rows) || !closeMoment(rs.StdDev, gs.StdDev, scale, rs.Rows) {
-			t.Fatalf("chunk size %d: column %q moments differ beyond fp tolerance: %+v vs %+v", cs, rc.Name, rs, gs)
+		scale := math.Max(math.Abs(rr.Min()), math.Abs(rr.Max()))
+		if !closeMoment(rr.Mean(), gr.Mean(), scale, rr.Rows) || !closeMoment(rr.StdDev(), gr.StdDev(), scale, rr.Rows) {
+			t.Fatalf("chunk size %d: column %q moments differ beyond fp tolerance: %+v vs %+v", cs, rc.Name, rr, gr)
 		}
-		if !sameFloats(rs.Nums, gs.Nums) || !sameFloats(rs.SortedNums, gs.SortedNums) {
+		rn, gn := ref.NumericValues(rc.Name), got.NumericValues(rc.Name)
+		if !sameFloats(rn, gn) || len(rn) != rr.Moments.Count {
 			t.Fatalf("chunk size %d: column %q value vectors differ", cs, rc.Name)
 		}
-		if !sameStrings(rs.Strs, gs.Strs) || !sameStrings(rs.Distinct, gs.Distinct) {
+		rs, gs := ref.StringValues(rc.Name), got.StringValues(rc.Name)
+		if !sameStrings(rs, gs) || !sameStrings(rr.Distinct, gr.Distinct) {
 			t.Fatalf("chunk size %d: column %q string vectors differ", cs, rc.Name)
+		}
+		if len(rn)+len(rs) != rr.Rows-rr.Nulls {
+			t.Fatalf("chunk size %d: column %q has %d values, roll-up counts %d non-NULL", cs, rc.Name, len(rn)+len(rs), rr.Rows-rr.Nulls)
 		}
 		// Predicate masks are chunk-at-a-time; they must not see the layout.
 		var pred Predicate
 		switch rc.Kind {
 		case Numeric:
-			pred = And(CmpNum(rc.Name, Ge, rs.Mean))
+			pred = And(CmpNum(rc.Name, Ge, rr.Mean()))
 		default:
-			if len(rs.Strs) == 0 {
+			if len(rs) == 0 {
 				continue
 			}
-			pred = And(EqStr(rc.Name, rs.Strs[0]))
+			pred = And(EqStr(rc.Name, rs[0]))
 		}
 		rm := pred.Mask(ref, nil)
 		gm := pred.Mask(got, nil)

@@ -2,7 +2,10 @@ package dataset
 
 import (
 	"math"
+	"sort"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // sampleTestDataset builds a paired-column dataset: num(i) = i and
@@ -167,42 +170,60 @@ func TestSampleViewLastChunkRagged(t *testing.T) {
 	}
 }
 
+// TestRollupMatchesStats checks the roll-up against fresh row-order value
+// copies under assorted chunk sizes: counts and extrema exactly, moments up
+// to association error, sketch quantiles within their rank window of an
+// exact sorted copy, and domain counts against the string values.
 func TestRollupMatchesStats(t *testing.T) {
 	for _, csize := range []int{7, 64, 2048, 100_000} {
 		d := sampleTestDataset(t, 5_000, csize)
 		r := d.Rollup("num")
-		s := d.Stats("num")
-		if r.Rows != s.Rows || r.Nulls != s.Nulls {
-			t.Fatalf("csize %d: counts differ: %+v vs %+v", csize, r, s)
+		nums := d.NumericValues("num")
+		n := len(nums)
+		if r.Rows != d.NumRows() || r.Nulls != d.NumRows()-n || r.Moments.Count != n {
+			t.Fatalf("csize %d: counts differ: rows %d nulls %d count %d, values %d", csize, r.Rows, r.Nulls, r.Moments.Count, n)
 		}
-		if r.Mean() != s.Mean || r.StdDev() != s.StdDev || r.Min() != s.Min || r.Max() != s.Max {
-			t.Fatalf("csize %d: scalars differ", csize)
+		lo, hi := stats.MinMax(nums)
+		if r.Min() != lo || r.Max() != hi {
+			t.Fatalf("csize %d: extrema (%v,%v), want (%v,%v)", csize, r.Min(), r.Max(), lo, hi)
 		}
-		if r.Moments.Count != len(s.Nums) {
-			t.Fatalf("csize %d: count %d != %d", csize, r.Moments.Count, len(s.Nums))
+		if !closeMoment(r.Mean(), stats.Mean(nums), hi, n) || !closeMoment(r.StdDev(), stats.StdDev(nums), hi, n) {
+			t.Fatalf("csize %d: moments (%v,%v) vs flat (%v,%v)", csize, r.Mean(), r.StdDev(), stats.Mean(nums), stats.StdDev(nums))
 		}
 		// Sketch quantiles stay within the advertised rank error of exact.
-		n := len(s.SortedNums)
+		sort.Float64s(nums)
 		for _, q := range []float64{0, 0.25, 0.5, 0.75, 1} {
 			got := r.Quantile(q)
 			rankTol := r.Sketch.RankError() * float64(n)
 			lo := int(math.Max(0, math.Floor(q*float64(n-1)-rankTol-1)))
 			hi := int(math.Min(float64(n-1), math.Ceil(q*float64(n-1)+rankTol+1)))
-			if got < s.SortedNums[lo] || got > s.SortedNums[hi] {
+			if got < nums[lo] || got > nums[hi] {
 				t.Fatalf("csize %d q=%v: sketch %v outside rank window [%v,%v]",
-					csize, q, got, s.SortedNums[lo], s.SortedNums[hi])
+					csize, q, got, nums[lo], nums[hi])
 			}
 		}
 
 		rc := d.Rollup("cat")
-		sc := d.Stats("cat")
-		if len(rc.Counts) != len(sc.Counts) || len(rc.Distinct) != len(sc.Distinct) {
-			t.Fatalf("csize %d: string domains differ", csize)
+		strs := d.StringValues("cat")
+		counts := make(map[string]int)
+		for _, v := range strs {
+			counts[v]++
 		}
-		for v, n := range sc.Counts {
+		if rc.Nulls != d.NumRows()-len(strs) || len(rc.Counts) != len(counts) {
+			t.Fatalf("csize %d: string domains differ: %d nulls, %d values", csize, rc.Nulls, len(rc.Counts))
+		}
+		for v, n := range counts {
 			if rc.Counts[v] != n {
 				t.Fatalf("csize %d: count[%q] = %d, want %d", csize, v, rc.Counts[v], n)
 			}
+		}
+		distinct := make([]string, 0, len(counts))
+		for v := range counts {
+			distinct = append(distinct, v)
+		}
+		sort.Strings(distinct)
+		if !sameStrings(rc.Distinct, distinct) || !sameStrings(d.DistinctStrings("cat"), distinct) {
+			t.Fatalf("csize %d: distinct %v, want %v", csize, rc.Distinct, distinct)
 		}
 	}
 }
@@ -243,7 +264,7 @@ func TestRollupDirtyChunkRefit(t *testing.T) {
 func TestPrivatizeChunks(t *testing.T) {
 	d := sampleTestDataset(t, 4_096, 256)
 	d.Fingerprint() // warm caches
-	d.Stats("num")
+	d.Rollup("num")
 
 	cp := d.Clone()
 	c := cp.MutableColumn("num")

@@ -1,12 +1,9 @@
 package lint_test
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
 	"repro/internal/lint/linttest"
 )
 
@@ -28,7 +25,7 @@ func TestGoldenWireForm(t *testing.T)       { linttest.Run(t, lint.WireForm, "wi
 func TestGoldenErrWrap(t *testing.T)        { linttest.Run(t, lint.ErrWrap, "errwrap") }
 
 // The interprocedural corpora: every finding in them crosses at least one
-// in-package helper boundary.
+// in-package helper boundary, so a summary-free analyzer would miss it.
 func TestGoldenCowInterproc(t *testing.T) { linttest.Run(t, lint.CowMutate, "cowinterproc") }
 func TestGoldenFaultInterproc(t *testing.T) {
 	linttest.Run(t, lint.FaultContract, "faultinterproc")
@@ -39,73 +36,3 @@ func TestGoldenFaultInterproc(t *testing.T) {
 // reason-less directive is malformed, a never-matching directive is stale,
 // and a typo'd analyzer name is called out.
 func TestGoldenIgnoreDirectives(t *testing.T) { linttest.Run(t, lint.SeededRand, "ignores") }
-
-// repoRoot walks up from the test's working directory to go.mod.
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above test directory")
-		}
-		dir = parent
-	}
-}
-
-// loadFixture loads one testdata/src fixture package through the repo
-// loader (so repro/internal imports resolve).
-func loadFixture(t *testing.T, name string) *lint.Package {
-	t.Helper()
-	root := repoRoot(t)
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(root, "internal", "lint", "testdata", "src", name)
-	pkg, err := loader.LoadDir(dir, "dataprismlint.test/"+name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg
-}
-
-// TestGoldenInterprocDelta is the old-vs-new proof: the PR 5
-// intraprocedural analyzers see NOTHING in the interprocedural corpora,
-// while the summary-based analyzers flag every laundering pattern — at
-// least five for cowmutate and two for faultcontract, per the lint v2
-// acceptance criteria.
-func TestGoldenInterprocDelta(t *testing.T) {
-	cases := []struct {
-		fixture string
-		intra   *analysis.Analyzer
-		inter   *analysis.Analyzer
-		minNew  int
-	}{
-		{"cowinterproc", lint.CowMutateIntra, lint.CowMutate, 5},
-		{"faultinterproc", lint.FaultContractIntra, lint.FaultContract, 2},
-	}
-	for _, tc := range cases {
-		pkg := loadFixture(t, tc.fixture)
-		old, err := lint.Run([]*lint.Package{pkg}, []*analysis.Analyzer{tc.intra}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(old) != 0 {
-			t.Errorf("%s: intraprocedural analyzer should be blind to the corpus, got %d findings: %v", tc.fixture, len(old), old)
-		}
-		now, err := lint.Run([]*lint.Package{pkg}, []*analysis.Analyzer{tc.inter}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(now) < tc.minNew {
-			t.Errorf("%s: interprocedural analyzer found %d violations, want >= %d: %v", tc.fixture, len(now), tc.minNew, now)
-		}
-	}
-}

@@ -7,18 +7,19 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// CowMutate flags writes through columns, chunk views, and value slices
-// obtained from the dataset read accessors. Since PR 2, Dataset.Clone shares
-// columns copy-on-write — and with chunked storage the sharing is per chunk:
+// CowMutate flags writes through columns, chunk views, and statistics
+// obtained from the dataset read accessors. Dataset.Clone shares columns
+// copy-on-write, and with chunked storage the sharing is per chunk:
 // Column/Columns hand out the shared *Column, Column.Chunk hands out a
 // read-only view whose slices are a chunk's backing storage (shared across
-// every dataset referencing the chunk), and NumericValues/
-// SortedNumericValues/StringValues/DistinctStrings (plus Stats) hand out
-// slices owned by the shared statistics caches. Mutating any of them writes
-// through every clone and poisons the per-chunk stats and digest caches —
-// the aliasing bug class the CoW contract (dataset/cow.go) exists to
-// prevent. All mutation must route through MutableColumn + MutableChunk or
-// the Set* helpers, which copy shared state before granting write access.
+// every dataset referencing the chunk), and Rollup/DistinctStrings hand out
+// the map and slices of the cached, shared column roll-up. Mutating any of
+// them writes through every clone and poisons the per-chunk stats and digest
+// caches — the aliasing bug class the CoW contract (dataset/cow.go) exists
+// to prevent. All mutation must route through MutableColumn + MutableChunk
+// or the Set* helpers, which copy shared state before granting write
+// access. NumericValues and StringValues return caller-owned copies and are
+// not sources.
 //
 // The analyzer performs a forward taint walk per function: variables
 // assigned from a read accessor (directly, via propagation through
@@ -26,39 +27,25 @@ import (
 // tainted, and any write whose base is tainted — element assignment, field
 // replacement, copy-into, append-to, or an in-place sort — is reported.
 // Reassigning the variable from MutableColumn or MutableChunk clears its
-// taint. Since lint v2 the walk is interprocedural within the package:
-// per-function summaries (see summary.go) track which results alias an
-// accessor or a parameter and which parameters a function writes through, so
-// taint survives helper indirection — a helper returning d.NumericValues("x")
+// taint. The walk is interprocedural within the package: per-function
+// summaries (see summary.go) track which results alias an accessor or a
+// parameter and which parameters a function writes through, so taint
+// survives helper indirection — a helper returning d.Column("x").Chunk(0).Nums
 // taints its call sites, and passing an accessor slice to a helper that
 // writes through its parameter is itself a finding.
 var CowMutate = &analysis.Analyzer{
 	Name: "cowmutate",
-	Doc:  "flags mutation of CoW-shared dataset state obtained from read accessors (Column/Columns/Chunk/Stats/NumericValues/SortedNumericValues/StringValues/DistinctStrings), including through in-package helpers; mutate via MutableColumn + MutableChunk or Set* instead",
+	Doc:  "flags mutation of CoW-shared dataset state obtained from read accessors (Column/Columns/Chunk/Rollup/DistinctStrings), including through in-package helpers; mutate via MutableColumn + MutableChunk or Set* instead",
 	Run:  runCowMutate,
-}
-
-// CowMutateIntra is the PR 5 intraprocedural variant: the identical walk
-// with summaries disabled. It exists so the regression corpus
-// (testdata/src/cowinterproc) can prove the interprocedural delta — every
-// violation there is invisible to this analyzer and flagged by CowMutate.
-var CowMutateIntra = &analysis.Analyzer{
-	Name: "cowmutate",
-	Doc:  "intraprocedural (summary-free) cowmutate, kept as the old-vs-new regression reference",
-	Run:  func(pass *analysis.Pass) (any, error) { return runCowMutateImpl(pass, nil) },
 }
 
 // taintSources maps Dataset read-accessor methods to the kind of shared
 // state they expose.
 var taintSources = map[string]string{
-	"Column":              "Column",
-	"Columns":             "Columns",
-	"Stats":               "Stats",
-	"Rollup":              "Rollup",
-	"NumericValues":       "NumericValues",
-	"SortedNumericValues": "SortedNumericValues",
-	"StringValues":        "StringValues",
-	"DistinctStrings":     "DistinctStrings",
+	"Column":          "Column",
+	"Columns":         "Columns",
+	"Rollup":          "Rollup",
+	"DistinctStrings": "DistinctStrings",
 }
 
 // columnTaintSources maps Column read-accessor methods to the shared state
@@ -66,22 +53,18 @@ var taintSources = map[string]string{
 // the sanctioned write path.
 var columnTaintSources = map[string]string{
 	"Chunk":  "Column.Chunk",
-	"Stats":  "Column.Stats",
 	"Rollup": "Column.Rollup",
 }
 
 // inPlaceSorters are stdlib functions that mutate their slice argument; a
-// tainted argument means sorting a shared stats slice in place.
+// tainted argument means sorting shared state in place.
 var inPlaceSorters = map[string]map[string]bool{
 	"sort":   {"Float64s": true, "Strings": true, "Ints": true, "Slice": true, "SliceStable": true},
 	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true, "Reverse": true},
 }
 
 func runCowMutate(pass *analysis.Pass) (any, error) {
-	return runCowMutateImpl(pass, computeSummaries(pass))
-}
-
-func runCowMutateImpl(pass *analysis.Pass, sums *summarySet) (any, error) {
+	sums := computeSummaries(pass)
 	for _, f := range pass.Files {
 		funcBodies(f, func(_ ast.Node, body *ast.BlockStmt) {
 			cowWalk(pass, body, sums, nil, nil)
@@ -313,7 +296,7 @@ func cowWalk(pass *analysis.Pass, body *ast.BlockStmt, sums *summarySet, sum *fu
 				if names := inPlaceSorters[f.Pkg().Path()]; names[f.Name()] {
 					tv := taintOf(st.Args[0])
 					if report && tv.src != "" {
-						pass.Reportf(st.Pos(), "%s.%s sorts a slice obtained from dataset.%s in place, reordering CoW-shared stats for every clone; sort a copy instead", f.Pkg().Name(), f.Name(), tv.src)
+						pass.Reportf(st.Pos(), "%s.%s sorts a slice obtained from dataset.%s in place, reordering CoW-shared state for every clone; sort a copy instead", f.Pkg().Name(), f.Name(), tv.src)
 					}
 					recordParamWrite(tv)
 				}

@@ -24,9 +24,9 @@ import (
 //     malfunctions", which corrupts causal conclusions and fault
 //     accounting.
 //
-// Since lint v2 the discarded-error check is interprocedural within the
-// package: an in-package helper that forwards an engine/pipeline score pair
-// (return ev.Score(ctx, d), possibly through further helpers) is itself
+// The discarded-error check is interprocedural within the package: an
+// in-package helper that forwards an engine/pipeline score pair (return
+// ev.Score(ctx, d), possibly through further helpers) is itself
 // score-bearing, so `s, _ := helper(...)` is flagged too. The summaries come
 // from the shared call-graph layer in summary.go.
 var FaultContract = &analysis.Analyzer{
@@ -35,24 +35,12 @@ var FaultContract = &analysis.Analyzer{
 	Run:  runFaultContract,
 }
 
-// FaultContractIntra is the PR 5 intraprocedural variant (summaries
-// disabled), kept so the regression corpus (testdata/src/faultinterproc) can
-// prove the interprocedural delta.
-var FaultContractIntra = &analysis.Analyzer{
-	Name: "faultcontract",
-	Doc:  "intraprocedural (summary-free) faultcontract, kept as the old-vs-new regression reference",
-	Run:  func(pass *analysis.Pass) (any, error) { return runFaultContractImpl(pass, nil) },
-}
-
 // scoreResultChecks are the ScoreResult fields whose consultation proves
 // the caller distinguished failure from score.
 var scoreResultChecks = map[string]bool{"Err": true, "Transient": true, "Deterministic": true}
 
 func runFaultContract(pass *analysis.Pass) (any, error) {
-	return runFaultContractImpl(pass, computeSummaries(pass))
-}
-
-func runFaultContractImpl(pass *analysis.Pass, sums *summarySet) (any, error) {
+	sums := computeSummaries(pass)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if as, ok := n.(*ast.AssignStmt); ok {

@@ -11,7 +11,7 @@ import (
 // errors flow through a function's boundary, propagated bottom-up over the
 // SCCs of the intra-package call graph. With summaries in hand, the
 // per-function taint walk can see through helper indirection — a helper that
-// returns a shared stats slice, writes through its parameter, forwards a
+// returns a shared chunk slice, writes through its parameter, forwards a
 // parameter alias to its return value, or forwards an engine (score, error)
 // pair is no longer a laundering point.
 
@@ -104,15 +104,13 @@ func equalSummary(a, b *funcSummary) bool {
 	return true
 }
 
-// summarySet holds the summaries of one package's declared functions. A nil
-// *summarySet disables interprocedural reasoning — the analyzers then behave
-// exactly like their PR 5 intraprocedural versions (see CowMutateIntra).
+// summarySet holds the summaries of one package's declared functions.
 type summarySet struct {
 	funcs map[*types.Func]*funcSummary
 }
 
 func (s *summarySet) of(fn *types.Func) *funcSummary {
-	if s == nil || fn == nil {
+	if fn == nil {
 		return nil
 	}
 	return s.funcs[fn]

@@ -1,9 +1,8 @@
 // Package cowinterproc is the interprocedural regression corpus for
 // cowmutate: every bad* function launders CoW-shared state through at
-// least one in-package helper, so the PR 5 intraprocedural analyzer
-// (CowMutateIntra) sees nothing here while the summary-based analyzer
-// flags each one. TestGoldenCowInterprocDelta asserts exactly that
-// old-vs-new delta.
+// least one in-package helper, so only the summary-based analysis — which
+// follows results, parameter aliases, and parameter writes across calls —
+// flags it.
 package cowinterproc
 
 import (
@@ -12,10 +11,10 @@ import (
 	"repro/internal/dataset"
 )
 
-// nums returns a shared stats slice: its summary records that result 0
-// aliases dataset.NumericValues.
+// nums returns a shared chunk slice: its summary records that result 0
+// aliases dataset.Column.Chunk.
 func nums(d *dataset.Dataset) []float64 {
-	return d.NumericValues("x")
+	return d.Column("x").Chunk(0).Nums
 }
 
 // head forwards an alias of its parameter: returnParams[0] = {0}.
@@ -49,7 +48,7 @@ func chain(d *dataset.Dataset) []float64 {
 // fixpoint must converge on returnTaint.
 func pick(d *dataset.Dataset, n int) []float64 {
 	if n == 0 {
-		return d.NumericValues("x")
+		return d.Column("x").Chunk(0).Nums
 	}
 	return pickDeep(d, n-1)
 }
@@ -59,47 +58,47 @@ func pickDeep(d *dataset.Dataset, n int) []float64 {
 }
 
 func badHelperReturnWrite(d *dataset.Dataset) {
-	nums(d)[0] = 1 // want `obtained from dataset\.NumericValues mutates CoW-shared state`
+	nums(d)[0] = 1 // want `obtained from dataset\.Column\.Chunk mutates CoW-shared state`
 }
 
 func badHelperReturnVarWrite(d *dataset.Dataset) {
 	v := nums(d)
-	v[0] = 1 // want `obtained from dataset\.NumericValues mutates CoW-shared state`
+	v[0] = 1 // want `obtained from dataset\.Column\.Chunk mutates CoW-shared state`
 }
 
 func badParamAliasWrite(d *dataset.Dataset) {
-	h := head(d.NumericValues("x"))
-	h[0] = 0 // want `obtained from dataset\.NumericValues mutates CoW-shared state`
+	h := head(d.Column("x").Chunk(0).Nums)
+	h[0] = 0 // want `obtained from dataset\.Column\.Chunk mutates CoW-shared state`
 }
 
 func badMutatingHelperArg(d *dataset.Dataset) {
-	fill(d.NumericValues("x")) // want `passes .* obtained from dataset\.NumericValues to fill, which writes through its parameter`
+	fill(d.Column("x").Chunk(0).Nums) // want `passes .* obtained from dataset\.Column\.Chunk to fill, which writes through its parameter`
 }
 
 func badTransitiveMutatingHelperArg(d *dataset.Dataset) {
-	fillVia(d.SortedNumericValues("x")) // want `passes .* obtained from dataset\.SortedNumericValues to fillVia, which writes through its parameter`
+	fillVia(d.Column("x").Chunk(1).Nums) // want `passes .* obtained from dataset\.Column\.Chunk to fillVia, which writes through its parameter`
 }
 
 func badSortingHelperArg(d *dataset.Dataset) {
-	sortInPlace(d.SortedNumericValues("x")) // want `passes .* obtained from dataset\.SortedNumericValues to sortInPlace, which writes through its parameter`
+	sortInPlace(d.Column("x").Chunk(0).Nums) // want `passes .* obtained from dataset\.Column\.Chunk to sortInPlace, which writes through its parameter`
 }
 
 func badChainedLaunder(d *dataset.Dataset) {
-	chain(d)[2] = 9 // want `obtained from dataset\.NumericValues mutates CoW-shared state`
+	chain(d)[2] = 9 // want `obtained from dataset\.Column\.Chunk mutates CoW-shared state`
 }
 
 func badRecursiveLaunder(d *dataset.Dataset) {
 	w := pick(d, 2)
-	w[0] = 1 // want `obtained from dataset\.NumericValues mutates CoW-shared state`
+	w[0] = 1 // want `obtained from dataset\.Column\.Chunk mutates CoW-shared state`
 }
 
 func badMutatingHelperOnHelperReturn(d *dataset.Dataset) {
-	fill(nums(d)) // want `passes .* obtained from dataset\.NumericValues to fill, which writes through its parameter`
+	fill(nums(d)) // want `passes .* obtained from dataset\.Column\.Chunk to fill, which writes through its parameter`
 }
 
 // ownCopy returns freshly owned storage; its summary carries no taint.
 func ownCopy(d *dataset.Dataset) []float64 {
-	return append([]float64(nil), d.NumericValues("x")...)
+	return append([]float64(nil), d.Column("x").Chunk(0).Nums...)
 }
 
 // goodOwnedHelper: writes to a helper-returned copy are fine.
@@ -120,5 +119,5 @@ func total(s []float64) float64 {
 }
 
 func goodReadingHelper(d *dataset.Dataset) float64 {
-	return total(d.NumericValues("x"))
+	return total(d.Column("x").Chunk(0).Nums)
 }

@@ -5,6 +5,7 @@
 package cowmutate
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -27,14 +28,14 @@ func badMutableColumnChunkWrite(d *dataset.Dataset) {
 	v.Strs[0] = "z" // want `dataset\.Column\.Chunk`
 }
 
-func badStatsWrite(d *dataset.Dataset) {
-	st := d.Stats("x")
-	st.Nums[0] = 3 // want `dataset\.Stats`
+func badDistinctWrite(d *dataset.Dataset) {
+	vals := d.DistinctStrings("x")
+	vals[0] = "z" // want `dataset\.DistinctStrings`
 }
 
-func badColumnStatsWrite(d *dataset.Dataset) {
-	st := d.Column("x").Stats()
-	st.SortedNums[0] = 3 // want `dataset\.Column\.Stats`
+func badColumnRollupCountsWrite(d *dataset.Dataset) {
+	r := d.Column("x").Rollup()
+	r.Counts["z"] = 3 // want `dataset\.Column\.Rollup`
 }
 
 func badRollupWrite(d *dataset.Dataset) {
@@ -46,13 +47,13 @@ func badColumnRollupSort(d *dataset.Dataset) {
 	sort.Strings(d.Column("x").Rollup().Distinct) // want `sorts a slice obtained from dataset\.Column\.Rollup in place`
 }
 
-func badValuesWrite(d *dataset.Dataset) {
-	nums := d.NumericValues("x")
-	nums[0] = 2 // want `dataset\.NumericValues`
+func badChunkValuesWrite(d *dataset.Dataset) {
+	nums := d.Column("x").Chunk(0).Nums
+	nums[0] = 2 // want `dataset\.Column\.Chunk`
 }
 
-func badSortedInPlaceSort(d *dataset.Dataset) {
-	sort.Float64s(d.SortedNumericValues("x")) // want `sorts a slice obtained from dataset\.SortedNumericValues in place`
+func badDistinctInPlaceReverse(d *dataset.Dataset) {
+	slices.Reverse(d.DistinctStrings("x")) // want `sorts a slice obtained from dataset\.DistinctStrings in place`
 }
 
 func badChunkSort(d *dataset.Dataset) {
@@ -60,9 +61,9 @@ func badChunkSort(d *dataset.Dataset) {
 }
 
 func badPropagatedSort(d *dataset.Dataset) {
-	vals := d.StringValues("x")
+	vals := d.Rollup("x").Distinct
 	alias := vals
-	sort.Strings(alias) // want `dataset\.StringValues`
+	sort.Strings(alias) // want `dataset\.Rollup`
 }
 
 func badRangeColumns(d *dataset.Dataset) {
@@ -71,21 +72,21 @@ func badRangeColumns(d *dataset.Dataset) {
 	}
 }
 
-func badCopyInto(d *dataset.Dataset, src []float64) {
-	copy(d.NumericValues("x"), src) // want `copy into .* dataset\.NumericValues`
+func badCopyInto(d *dataset.Dataset, src []string) {
+	copy(d.DistinctStrings("x"), src) // want `copy into .* dataset\.DistinctStrings`
 }
 
 func badCopyIntoChunk(d *dataset.Dataset, src []float64) {
 	copy(d.Column("x").Chunk(0).Nums, src) // want `copy into .* dataset\.Column\.Chunk`
 }
 
-func badAppendTo(d *dataset.Dataset) []float64 {
-	return append(d.NumericValues("x"), 3) // want `append to .* dataset\.NumericValues`
+func badAppendTo(d *dataset.Dataset) []string {
+	return append(d.DistinctStrings("x"), "z") // want `append to .* dataset\.DistinctStrings`
 }
 
 func badReslice(d *dataset.Dataset) {
-	head := d.SortedNumericValues("x")[:2]
-	head[0] = 0 // want `dataset\.SortedNumericValues`
+	head := d.Rollup("x").Distinct[:2]
+	head[0] = "z" // want `dataset\.Rollup`
 }
 
 func badChunkReslice(d *dataset.Dataset) {
@@ -120,12 +121,25 @@ func goodRetaint(d *dataset.Dataset) {
 	w.Nums[1] = 4
 }
 
-// goodDefensiveCopy: mutating an owned copy of a stats slice is fine.
-func goodDefensiveCopy(d *dataset.Dataset) []float64 {
-	vals := append([]float64(nil), d.NumericValues("x")...)
-	vals[0] = 9
-	sort.Float64s(vals)
+// goodDefensiveCopy: mutating an owned copy of a roll-up slice is fine.
+func goodDefensiveCopy(d *dataset.Dataset) []string {
+	vals := append([]string(nil), d.DistinctStrings("x")...)
+	vals[0] = "z"
+	sort.Strings(vals)
 	return vals
+}
+
+// goodValueCopies: NumericValues and StringValues return caller-owned
+// copies, so writing into or sorting them is not flagged.
+func goodValueCopies(d *dataset.Dataset) []float64 {
+	nums := d.NumericValues("x")
+	nums[0] = 9
+	sort.Float64s(nums)
+	copy(d.NumericValues("x"), nums)
+	strs := d.StringValues("y")
+	strs[0] = "z"
+	sort.Strings(strs)
+	return append(d.NumericValues("x"), 3)
 }
 
 // goodChunkDefensiveCopy: copying a chunk view's values before mutating.
@@ -155,8 +169,8 @@ func goodChunkReads(d *dataset.Dataset) float64 {
 // goodReads: reading through the accessors is the whole point.
 func goodReads(d *dataset.Dataset) float64 {
 	total := 0.0
-	for _, v := range d.NumericValues("x") {
-		total += v
+	for _, v := range d.Rollup("x").Distinct {
+		total += float64(len(v))
 	}
 	if c := d.Column("x"); c != nil {
 		total += float64(c.Len()) + c.NumAt(0)

@@ -1,8 +1,7 @@
 // Package faultinterproc is the interprocedural regression corpus for
 // faultcontract: every bad* function discards the error of a score that
-// reached it through an in-package forwarding helper, invisible to the
-// PR 5 intraprocedural analyzer (FaultContractIntra) and flagged by the
-// summary-based one. The (float64, error) helper that computes its own
+// reached it through an in-package forwarding helper, so only the
+// summary-based analysis flags it. The (float64, error) helper that computes its own
 // value locally proves score-shape alone does not trip the contract.
 package faultinterproc
 

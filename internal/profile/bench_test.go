@@ -82,3 +82,41 @@ func BenchmarkViolationIndepChi(b *testing.B) {
 		_ = p.Violation(d)
 	}
 }
+
+// BenchmarkExactOrderStats measures one evaluation of the two profiles that
+// need exact order statistics of a column — exact-fit Distribution.Deviation
+// (deciles) and Frequency.Violation (median gap between sorted values).
+// "same" re-evaluates one dataset; "written" evaluates a clone with one cell
+// rewritten, the shape of a candidate intervention's output.
+func BenchmarkExactOrderStats(b *testing.B) {
+	for _, rows := range []int{10_000, 100_000} {
+		d := benchTable(rows, 1)
+		evals := []struct {
+			name string
+			eval func(*dataset.Dataset) float64
+		}{
+			{"distribution", DiscoverDistribution(d, "n0").Deviation},
+			{"frequency", DiscoverFrequency(d, "n0").Violation},
+		}
+		for _, ev := range evals {
+			b.Run(fmt.Sprintf("%s/rows=%d/same", ev.name, rows), func(b *testing.B) {
+				ev.eval(d)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ev.eval(d)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/rows=%d/written", ev.name, rows), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					w := d.Clone()
+					w.SetNum("n0", i%rows, float64(i))
+					b.StartTimer()
+					ev.eval(w)
+				}
+			})
+		}
+	}
+}

@@ -142,8 +142,9 @@ func warmChunks(d *dataset.Dataset, opts Options) {
 		}
 	})
 	// Roll the warmed partials up into the column-level caches so the
-	// discoverers' Rollup()/Digest() calls are pure merges. Rollup, unlike
-	// the deprecated Stats, never materializes row-length vectors.
+	// discoverers' Rollup()/Digest() calls are pure merges. The roll-up is
+	// the only cached statistics surface and never materializes row-length
+	// vectors.
 	engine.ParallelFor(workers, len(cols), func(i int) {
 		cols[i].Rollup()
 		cols[i].Digest()

@@ -3,6 +3,7 @@ package profile
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -40,7 +41,7 @@ func (p *Distribution) FitBound() *Bound { return p.Fit }
 // attribute from a full sort of its values, or nil if the attribute has no
 // numeric values.
 func DiscoverDistribution(d *dataset.Dataset, attr string) *Distribution {
-	sorted := d.SortedNumericValues(attr)
+	sorted := sortedValues(d, attr)
 	if len(sorted) == 0 {
 		return nil
 	}
@@ -49,6 +50,14 @@ func DiscoverDistribution(d *dataset.Dataset, attr string) *Distribution {
 		qs[i] = stats.QuantileSorted(sorted, q)
 	}
 	return &Distribution{Attr: attr, Quantiles: qs}
+}
+
+// sortedValues returns an ascending copy of the non-NULL values of a numeric
+// attribute: exact order statistics cost one O(n log n) sort per call.
+func sortedValues(d *dataset.Dataset, attr string) []float64 {
+	vals := d.NumericValues(attr)
+	sort.Float64s(vals)
+	return vals
 }
 
 // DiscoverDistributionSketch learns the Distribution profile of a numeric
@@ -99,7 +108,7 @@ func (p *Distribution) Deviation(d *dataset.Dataset) float64 {
 		}
 		quantile = r.Quantile
 	} else {
-		sorted := d.SortedNumericValues(p.Attr)
+		sorted := sortedValues(d, p.Attr)
 		if len(sorted) == 0 {
 			return 0
 		}

@@ -33,15 +33,14 @@ func DiscoverFrequency(d *dataset.Dataset, attr string) *Frequency {
 // medianGap returns the median difference between consecutive sorted
 // non-NULL values, or NaN when fewer than 2 gaps exist.
 func medianGap(d *dataset.Dataset, attr string) float64 {
-	// The cached sorted vector is shared — the gaps are built fresh, the
-	// sorted slice is only read.
-	sorted := d.SortedNumericValues(attr)
+	sorted := sortedValues(d, attr)
 	if len(sorted) < 3 {
 		return math.NaN()
 	}
-	gaps := make([]float64, 0, len(sorted)-1)
-	for i := 1; i < len(sorted); i++ {
-		gaps = append(gaps, sorted[i]-sorted[i-1])
+	// The sorted copy is ours: overwrite it with the gaps in place.
+	gaps := sorted[:len(sorted)-1]
+	for i := range gaps {
+		gaps[i] = sorted[i+1] - sorted[i]
 	}
 	sort.Float64s(gaps)
 	return gaps[len(gaps)/2]

@@ -59,25 +59,9 @@ func MinMax(xs []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Median returns the middle value of xs (average of the two central values
-// for even lengths), or NaN for an empty slice.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Quantile returns the q-quantile of xs using linear interpolation between
-// order statistics. q is clamped to [0,1]. Returns NaN for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile over an already ascending-sorted slice — no
-// copy, no re-sort. Callers holding a cached sorted vector (e.g. the
-// dataset's per-column statistics block) use this to skip the O(n log n)
-// work per quantile.
+// QuantileSorted returns the q-quantile of an ascending-sorted slice using
+// linear interpolation between order statistics. q is clamped to [0,1].
+// Returns NaN for an empty slice.
 func QuantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
@@ -95,41 +79,6 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Mode returns the most frequent value among xs; ties break toward the
-// smallest value. Returns NaN for an empty slice.
-func Mode(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	counts := make(map[float64]int, len(xs))
-	for _, x := range xs {
-		counts[x]++
-	}
-	best, bestN := math.Inf(1), -1
-	for v, n := range counts {
-		if n > bestN || (n == bestN && v < best) {
-			best, bestN = v, n
-		}
-	}
-	return best
-}
-
-// ModeString returns the most frequent string; ties break lexicographically.
-// Returns "" for an empty slice.
-func ModeString(xs []string) string {
-	counts := make(map[string]int, len(xs))
-	for _, x := range xs {
-		counts[x]++
-	}
-	best, bestN := "", -1
-	for v, n := range counts {
-		if n > bestN || (n == bestN && v < best) {
-			best, bestN = v, n
-		}
-	}
-	return best
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.

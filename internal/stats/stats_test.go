@@ -36,29 +36,15 @@ func TestMinMax(t *testing.T) {
 }
 
 func TestMedianQuantile(t *testing.T) {
-	approx(t, "Median odd", Median([]float64{5, 1, 3}), 3, 1e-12)
-	approx(t, "Median even", Median([]float64{4, 1, 3, 2}), 2.5, 1e-12)
+	approx(t, "Median odd", QuantileSorted([]float64{1, 3, 5}, 0.5), 3, 1e-12)
+	approx(t, "Median even", QuantileSorted([]float64{1, 2, 3, 4}, 0.5), 2.5, 1e-12)
 	xs := []float64{10, 20, 30, 40, 50}
-	approx(t, "Q0", Quantile(xs, 0), 10, 1e-12)
-	approx(t, "Q1", Quantile(xs, 1), 50, 1e-12)
-	approx(t, "Q0.25", Quantile(xs, 0.25), 20, 1e-12)
-	approx(t, "Q0.1", Quantile(xs, 0.1), 14, 1e-12)
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile on empty should be NaN")
-	}
-}
-
-func TestMode(t *testing.T) {
-	approx(t, "Mode", Mode([]float64{1, 2, 2, 3, 3, 3}), 3, 0)
-	approx(t, "Mode tie → smallest", Mode([]float64{5, 5, 2, 2}), 2, 0)
-	if !math.IsNaN(Mode(nil)) {
-		t.Error("Mode of empty should be NaN")
-	}
-	if got := ModeString([]string{"b", "a", "b"}); got != "b" {
-		t.Errorf("ModeString = %q", got)
-	}
-	if got := ModeString([]string{"b", "a"}); got != "a" {
-		t.Errorf("ModeString tie = %q, want a", got)
+	approx(t, "Q0", QuantileSorted(xs, 0), 10, 1e-12)
+	approx(t, "Q1", QuantileSorted(xs, 1), 50, 1e-12)
+	approx(t, "Q0.25", QuantileSorted(xs, 0.25), 20, 1e-12)
+	approx(t, "Q0.1", QuantileSorted(xs, 0.1), 14, 1e-12)
+	if !math.IsNaN(QuantileSorted(nil, 0.5)) {
+		t.Error("QuantileSorted on empty should be NaN")
 	}
 }
 

@@ -27,7 +27,7 @@ func init() {
 	MustRegisterBuilder("outlier", func(p profile.Profile) []Transformation {
 		if q, ok := p.(*profile.Outlier); ok {
 			return []Transformation{
-				&ReplaceOutliers{Profile: q, Stat: "mean"},
+				&ReplaceOutliers{Profile: q},
 				&ClampOutliers{Profile: q},
 			}
 		}

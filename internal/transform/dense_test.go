@@ -61,7 +61,7 @@ func TestWinsorizeDenseCorrect(t *testing.T) {
 		vals[i] = float64(i) / 500 // 0..2: upper half violates Hi=1
 	}
 	d := chunkedNums(t, vals, 64)
-	d.Stats("v") // warm chunk caches so the dirtiness gate reads them
+	d.Rollup("v") // warm chunk caches so the dirtiness gate reads them
 	tr := &Winsorize{Profile: &profile.DomainNumeric{Attr: "v", Lo: 0.1, Hi: 1}}
 	out, err := tr.Apply(d, nil)
 	if err != nil {

@@ -3,6 +3,7 @@ package transform
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 
 	"repro/internal/dataset"
@@ -50,10 +51,10 @@ func (t *QuantileMap) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset,
 // distribution has materially drifted (sampling noise below 1% of the
 // reference range does not count as drift).
 func (t *QuantileMap) Coverage(d *dataset.Dataset) float64 {
-	if d.NumRows() == 0 || t.Profile.Deviation(d) <= t.Profile.Delta+0.01 {
+	if t.Profile.Deviation(d) <= t.Profile.Delta+0.01 {
 		return 0
 	}
-	return float64(len(d.NumericValues(t.Profile.Attr))) / float64(d.NumRows())
+	return numericShare(d, t.Profile.Attr)
 }
 
 // FDRepair repairs a functional-dependency violation by overwriting each
@@ -175,8 +176,9 @@ func (t *Recadence) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, e
 		return nil, fmt.Errorf("transform: attribute %q has no measurable cadence", t.Profile.Attr)
 	}
 	scale := t.Profile.MedianGap / cur.MedianGap
-	vals := d.NumericValues(t.Profile.Attr)
-	lo, _ := stats.MinMax(vals)
+	// The origin is the NaN-skipping minimum: a NaN cell must not become the
+	// origin, or every value would rescale to NaN.
+	lo := d.Rollup(t.Profile.Attr).Min()
 	out := d.Clone()
 	c := out.MutableColumn(t.Profile.Attr)
 	for k := 0; k < c.NumChunks(); k++ {
@@ -193,10 +195,10 @@ func (t *Recadence) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, e
 // Coverage implements Transformation: the rescale moves every non-NULL
 // value once the cadence has drifted beyond noise.
 func (t *Recadence) Coverage(d *dataset.Dataset) float64 {
-	if d.NumRows() == 0 || t.Profile.Violation(d) < 0.01 {
+	if t.Profile.Violation(d) < 0.01 {
 		return 0
 	}
-	return float64(len(d.NumericValues(t.Profile.Attr))) / float64(d.NumRows())
+	return numericShare(d, t.Profile.Attr)
 }
 
 // RepairInclusion repairs an inclusion-dependency violation by mapping each
@@ -308,7 +310,8 @@ func (t *MedianShift) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset,
 		return nil, fmt.Errorf("transform: no numeric values in %q", t.Profile.Attr)
 	}
 	refMedian := t.Profile.Quantiles[len(t.Profile.Quantiles)/2]
-	shift := refMedian - stats.QuantileSorted(d.SortedNumericValues(t.Profile.Attr), 0.5)
+	sort.Float64s(vals) // the exact median, from our own copy
+	shift := refMedian - stats.QuantileSorted(vals, 0.5)
 	out := d.Clone()
 	c := out.MutableColumn(t.Profile.Attr)
 	for k := 0; k < c.NumChunks(); k++ {
@@ -324,8 +327,8 @@ func (t *MedianShift) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset,
 
 // Coverage implements Transformation.
 func (t *MedianShift) Coverage(d *dataset.Dataset) float64 {
-	if d.NumRows() == 0 || t.Profile.Deviation(d) <= t.Profile.Delta+0.01 {
+	if t.Profile.Deviation(d) <= t.Profile.Delta+0.01 {
 		return 0
 	}
-	return float64(len(d.NumericValues(t.Profile.Attr))) / float64(d.NumRows())
+	return numericShare(d, t.Profile.Attr)
 }

@@ -274,3 +274,33 @@ func TestRecadence(t *testing.T) {
 		t.Error("unmeasurable cadence should error")
 	}
 }
+
+// TestRecadenceNaNFirst: a NaN first cell must not become the rescaling
+// origin. The finite cells rescale around the finite minimum exactly as
+// they do when the NaN sits last, and the NaN cell stays NaN.
+func TestRecadenceNaNFirst(t *testing.T) {
+	tr := &Recadence{Profile: &profile.Frequency{Attr: "ts", MedianGap: 5}}
+	for _, nanRow := range []int{0, 20} {
+		vals := make([]float64, 0, 21)
+		for i := 0; i < 20; i++ {
+			vals = append(vals, float64(i)*10)
+		}
+		vals = append(vals[:nanRow], append([]float64{math.NaN()}, vals[nanRow:]...)...)
+		out, err := tr.Apply(dataset.New().MustAddNumeric("ts", vals), rng())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vals {
+			got := out.Num("ts", i)
+			if math.IsNaN(v) {
+				if !math.IsNaN(got) {
+					t.Errorf("NaN at row %d: NaN cell became %g", nanRow, got)
+				}
+				continue
+			}
+			if want := v / 2; got != want {
+				t.Errorf("NaN at row %d: row %d = %g, want %g", nanRow, i, got, want)
+			}
+		}
+	}
+}

@@ -209,11 +209,15 @@ func (t *LinearMap) Coverage(d *dataset.Dataset) float64 {
 	if t.Profile.Violation(d) == 0 {
 		return 0
 	}
-	if d.NumRows() == 0 {
-		return 0
-	}
-	r := d.Rollup(t.Profile.Attr)
-	if r == nil {
+	return numericShare(d, t.Profile.Attr)
+}
+
+// numericShare returns the fraction of d's rows holding a non-NULL value in
+// the numeric column attr (0 when the column is missing or not numeric) —
+// the coverage of a transformation that rewrites every value.
+func numericShare(d *dataset.Dataset, attr string) float64 {
+	r := d.Rollup(attr)
+	if r == nil || d.NumRows() == 0 {
 		return 0
 	}
 	return float64(r.Moments.Count) / float64(d.NumRows())
@@ -353,16 +357,13 @@ func (t *ConformText) Coverage(d *dataset.Dataset) float64 {
 // Outlier: replace or clamp detected outliers.
 
 // ReplaceOutliers repairs an Outlier violation by replacing each outlier
-// with the attribute's expected value: its mean, median, or mode
-// (Figure 1 row 4, transformation 1).
+// with the attribute's mean (Figure 1 row 4, transformation 1).
 type ReplaceOutliers struct {
 	Profile *profile.Outlier
-	// Stat selects the replacement statistic: "mean", "median", or "mode".
-	Stat string
 }
 
 // Name implements Transformation.
-func (t *ReplaceOutliers) Name() string { return "replace-outliers-" + t.Stat }
+func (t *ReplaceOutliers) Name() string { return "replace-outliers-mean" }
 
 // Target implements Transformation.
 func (t *ReplaceOutliers) Target() profile.Profile { return t.Profile }
@@ -370,20 +371,13 @@ func (t *ReplaceOutliers) Target() profile.Profile { return t.Profile }
 // Modifies implements Transformation.
 func (t *ReplaceOutliers) Modifies() []string { return []string{t.Profile.Attr} }
 
-// Apply implements Transformation.
+// Apply implements Transformation. The mean and spread are fitted by a
+// row-order pass over the values, not read off the merged roll-up, so the
+// written cells do not depend on the chunk layout (cow.go).
 func (t *ReplaceOutliers) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, error) {
 	vals := d.NumericValues(t.Profile.Attr)
 	if len(vals) == 0 {
 		return nil, fmt.Errorf("transform: no numeric values in %q", t.Profile.Attr)
-	}
-	var repl float64
-	switch t.Stat {
-	case "median":
-		repl = stats.Median(vals)
-	case "mode":
-		repl = stats.Mode(vals)
-	default:
-		repl = stats.Mean(vals)
 	}
 	m, s := stats.Mean(vals), stats.StdDev(vals)
 	out := d.Clone()
@@ -399,7 +393,7 @@ func (t *ReplaceOutliers) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Data
 				if w.Null == nil {
 					w = c.MutableChunk(k) // copy/dirty only chunks with outliers
 				}
-				w.Nums[i] = repl
+				w.Nums[i] = m
 			}
 		}
 	}
@@ -427,7 +421,8 @@ func (t *ClampOutliers) Target() profile.Profile { return t.Profile }
 // Modifies implements Transformation.
 func (t *ClampOutliers) Modifies() []string { return []string{t.Profile.Attr} }
 
-// Apply implements Transformation.
+// Apply implements Transformation. Like ReplaceOutliers, it fits the limits
+// by a row-order pass so they do not depend on the chunk layout.
 func (t *ClampOutliers) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, error) {
 	vals := d.NumericValues(t.Profile.Attr)
 	if len(vals) == 0 {
@@ -487,7 +482,8 @@ func (t *Impute) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, erro
 	}
 	// Fit the replacement statistic on the source before requesting the
 	// mutable column (cow.go: finish reading statistics before mutating);
-	// the clone's pre-mutation content is identical to d's.
+	// the clone's pre-mutation content is identical to d's. The numeric mean
+	// is a row-order pass, independent of the chunk layout.
 	out := d.Clone()
 	c := out.MutableColumn(t.Profile.Attr)
 	if c.Kind == dataset.Numeric {
@@ -510,7 +506,15 @@ func (t *Impute) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, erro
 		}
 		return out, nil
 	}
-	repl := stats.ModeString(d.StringValues(t.Profile.Attr))
+	// The mode is the most frequent domain value; Distinct is ascending, so
+	// ties keep the smallest value.
+	r := d.Rollup(t.Profile.Attr)
+	repl, best := "", 0
+	for _, v := range r.Distinct {
+		if n := r.Counts[v]; n > best {
+			repl, best = v, n
+		}
+	}
 	for k := 0; k < c.NumChunks(); k++ {
 		v := c.Chunk(k)
 		var w dataset.ChunkView

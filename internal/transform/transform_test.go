@@ -145,20 +145,18 @@ func TestReplaceOutliers(t *testing.T) {
 	vals := []float64{10, 11, 9, 10, 12, 8, 10, 11, 9, 100}
 	d := dataset.New().MustAddNumeric("v", vals)
 	p := &profile.Outlier{Attr: "v", K: 1.5, Theta: 0}
-	for _, stat := range []string{"mean", "median", "mode"} {
-		tr := &ReplaceOutliers{Profile: p, Stat: stat}
-		out, err := tr.Apply(d, rng())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.Num("v", 9); got == 100 {
-			t.Errorf("%s: outlier not replaced", stat)
-		}
-		if out.Num("v", 0) != 10 {
-			t.Errorf("%s: inlier modified", stat)
-		}
+	tr := &ReplaceOutliers{Profile: p}
+	out, err := tr.Apply(d, rng())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cov := (&ReplaceOutliers{Profile: p, Stat: "mean"}).Coverage(d); cov != 0.1 {
+	if got := out.Num("v", 9); got != 19 {
+		t.Errorf("outlier replaced by %g, want the mean 19", got)
+	}
+	if out.Num("v", 0) != 10 {
+		t.Error("inlier modified")
+	}
+	if cov := tr.Coverage(d); cov != 0.1 {
 		t.Errorf("Coverage = %g, want 0.1", cov)
 	}
 }
@@ -202,6 +200,17 @@ func TestImpute(t *testing.T) {
 	}
 	if out2.IsNull("g", 2) || out2.Str("g", 2) != "a" {
 		t.Error("categorical impute should fill mode")
+	}
+	tie := dataset.New()
+	if err := tie.AddCategoricalColumn("g", []string{"c", "b", "c", "b", ""}, []bool{false, false, false, false, true}); err != nil {
+		t.Fatal(err)
+	}
+	out3, err := (&Impute{Profile: catP}).Apply(tie, rng())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out3.Str("g", 4); got != "b" {
+		t.Errorf("tied mode imputed %q, want the smallest value \"b\"", got)
 	}
 	if cov := (&Impute{Profile: numP}).Coverage(d); math.Abs(cov-1.0/3) > 1e-12 {
 		t.Errorf("Coverage = %g", cov)
