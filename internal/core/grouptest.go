@@ -30,7 +30,8 @@ type gtGroupState struct {
 	g     *graph.PVTAttr
 	rng   *rand.Rand
 	trace []Step
-	err   error // first context/engine error other than budget exhaustion
+	err   error    // first context/engine error other than budget exhaustion
+	text  []string // pvt index -> PVT.String(), filled on first use
 }
 
 // ExplainGroupTest runs DataPrismGT (Algorithm 2): the discriminative PVTs
@@ -94,6 +95,7 @@ func (e *Explainer) ExplainGroupTestPVTsContext(ctx context.Context, pvts []*PVT
 		pvts: pvts,
 		g:    buildGraph(pvts),
 		rng:  rng,
+		text: make([]string, len(pvts)),
 	}
 	all := make([]int, len(pvts))
 	for i := range all {
@@ -175,11 +177,15 @@ func (st *gtGroupState) applyGroup(d *dataset.Dataset, x []int) *dataset.Dataset
 	return cur
 }
 
-// names renders a PVT index group for the trace.
+// names renders a PVT index group for the trace, rendering each PVT once
+// per search: every recursion level lists the same PVTs again.
 func (st *gtGroupState) names(x []int) []string {
 	out := make([]string, len(x))
 	for i, idx := range x {
-		out[i] = st.pvts[idx].String()
+		if st.text[idx] == "" {
+			st.text[idx] = st.pvts[idx].String()
+		}
+		out[i] = st.text[idx]
 	}
 	return out
 }

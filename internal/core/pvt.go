@@ -94,8 +94,12 @@ func buildGraph(pvts []*PVT) *graph.PVTAttr {
 // orderTransforms returns the PVT's transformations sorted so those
 // modifying higher-degree attributes (in the current PVT-attribute graph)
 // come first — the graph-guided choice of which side of an Indep profile to
-// intervene on (Observation O1).
+// intervene on (Observation O1). A PVT with fewer than two transformations
+// gets its own slice back.
 func orderTransforms(p *PVT, g *graph.PVTAttr) []transform.Transformation {
+	if len(p.Transforms) < 2 {
+		return p.Transforms
+	}
 	type scored struct {
 		t      transform.Transformation
 		degree int

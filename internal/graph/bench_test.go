@@ -51,3 +51,30 @@ func BenchmarkDependencyConstruction(b *testing.B) {
 		_ = g.Dependency(nodes)
 	}
 }
+
+// BenchmarkSynthScalePartition times the top-level partition step of
+// DataPrismGT on the two synth-scale shapes: dependency graph over every
+// PVT, then min-bisection. PVT i claims attribute a<i mod attrs>, as
+// synth.New does, so 300k/300k has no edges and 6,400/800 is 8-cliques.
+func BenchmarkSynthScalePartition(b *testing.B) {
+	for _, c := range []struct{ pvts, attrs int }{{300_000, 300_000}, {6_400, 800}} {
+		b.Run(fmt.Sprintf("pvts=%d/attrs=%d", c.pvts, c.attrs), func(b *testing.B) {
+			perPVT := make([][]string, c.pvts)
+			nodes := make([]int, c.pvts)
+			for i := range perPVT {
+				perPVT[i] = []string{fmt.Sprintf("a%d", i%c.attrs)}
+				nodes[i] = i
+			}
+			g := NewPVTAttr(perPVT)
+			rng := rand.New(rand.NewSource(4))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a, c := g.Dependency(nodes).MinBisection(rng)
+				if len(a)+len(c) != len(nodes) {
+					b.Fatal("lost nodes")
+				}
+			}
+		})
+	}
+}

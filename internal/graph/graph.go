@@ -4,45 +4,129 @@
 // graph derived from it, and the anytime local-search minimum-bisection
 // algorithm (Appendix A, Algorithm 4) that DataPrismGT uses to partition
 // candidate PVTs for group testing.
+//
+// Both graphs are stored densely: attribute names are interned once into
+// int32 ids, adjacency lives in CSR (compressed sparse row) arrays, and
+// per-call dedup uses generation-stamped scratch instead of maps.
 package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 )
 
 // PVTAttr is the bipartite PVT-attribute graph: PVTs (identified by dense
 // indices) on one side, attribute names on the other. A PVT is connected to
-// every attribute its profile is defined over. PVTs can be removed as the
-// greedy algorithm explores them (Algorithm 1, line 13).
+// every distinct attribute its profile is defined over. PVTs can be removed
+// as the greedy algorithm explores them (Algorithm 1, line 13).
+//
+// Queries reuse scratch buffers held by the graph, so a PVTAttr is not safe
+// for concurrent use.
 type PVTAttr struct {
-	attrsOf [][]string       // pvt index -> attribute names
-	pvtsOf  map[string][]int // attribute -> pvt indices (static)
-	removed []bool           // pvt index -> explored flag
+	attrsOf [][]string       // pvt -> attribute names, as given
+	ids     map[string]int32 // attribute name -> id
+	names   []string         // id -> attribute name
+
+	// CSR pvt -> distinct attribute ids: pvtAttrs[pvtStart[p]:pvtStart[p+1]].
+	pvtStart []int32
+	pvtAttrs []int32
+	// CSR attribute id -> member PVTs, ascending: attrPVTs[attrStart[a]:attrStart[a+1]].
+	attrStart []int32
+	attrPVTs  []int32
+
+	degree  []int32 // attribute id -> number of active member PVTs
+	removed []bool  // pvt -> explored flag
+
+	stamp []uint32 // pvt -> generation that last marked it (see mark)
+	gen   uint32
+	local []int32 // pvt -> rank in the subset Dependency is building, else -1
 }
 
-// NewPVTAttr builds the bipartite graph from each PVT's attribute list.
+// NewPVTAttr builds the bipartite graph from each PVT's attribute list. The
+// graph keeps attrsPerPVT (AttrsOf returns its rows); an attribute listed
+// twice by one PVT connects them once.
 func NewPVTAttr(attrsPerPVT [][]string) *PVTAttr {
+	n := len(attrsPerPVT)
+	// Sized for one attribute per PVT, the common case.
 	g := &PVTAttr{
-		attrsOf: attrsPerPVT,
-		pvtsOf:  make(map[string][]int),
-		removed: make([]bool, len(attrsPerPVT)),
+		attrsOf:  attrsPerPVT,
+		ids:      make(map[string]int32, n),
+		names:    make([]string, 0, n),
+		pvtStart: make([]int32, n+1),
+		pvtAttrs: make([]int32, 0, n),
+		removed:  make([]bool, n),
 	}
-	for i, attrs := range attrsPerPVT {
-		for _, a := range attrs {
-			g.pvtsOf[a] = append(g.pvtsOf[a], i)
+	last := make([]int32, 0, n) // attribute id -> last PVT that listed it
+	for p, attrs := range attrsPerPVT {
+		for _, name := range attrs {
+			id, ok := g.ids[name]
+			if !ok {
+				id = int32(len(g.names))
+				g.ids[name] = id
+				g.names = append(g.names, name)
+				last = append(last, -1)
+			}
+			if last[id] == int32(p) {
+				continue
+			}
+			last[id] = int32(p)
+			g.pvtAttrs = append(g.pvtAttrs, id)
+		}
+		g.pvtStart[p+1] = int32(len(g.pvtAttrs))
+	}
+
+	g.degree = make([]int32, len(g.names))
+	for _, id := range g.pvtAttrs {
+		g.degree[id]++
+	}
+	g.attrStart = make([]int32, len(g.names)+1)
+	for id, d := range g.degree {
+		g.attrStart[id+1] = g.attrStart[id] + d
+	}
+	g.attrPVTs = make([]int32, len(g.pvtAttrs))
+	fill := append([]int32(nil), g.attrStart[:len(g.names)]...)
+	for p := 0; p < n; p++ {
+		for _, id := range g.attrIDs(p) {
+			g.attrPVTs[fill[id]] = int32(p)
+			fill[id]++
 		}
 	}
 	return g
+}
+
+// attrIDs returns the distinct attribute ids of a PVT (in range).
+func (g *PVTAttr) attrIDs(p int) []int32 { return g.pvtAttrs[g.pvtStart[p]:g.pvtStart[p+1]] }
+
+// members returns the PVTs connected to an attribute id, ascending.
+func (g *PVTAttr) members(id int32) []int32 { return g.attrPVTs[g.attrStart[id]:g.attrStart[id+1]] }
+
+// mark starts a new generation of g.stamp: a PVT p is marked in it iff
+// g.stamp[p] equals the returned value.
+func (g *PVTAttr) mark() uint32 {
+	if g.stamp == nil {
+		g.stamp = make([]uint32, len(g.removed))
+	}
+	g.gen++
+	if g.gen == 0 { // wrapped: stale stamps could collide
+		clear(g.stamp)
+		g.gen = 1
+	}
+	return g.gen
 }
 
 // NumPVTs returns the total number of PVTs (including removed ones).
 func (g *PVTAttr) NumPVTs() int { return len(g.attrsOf) }
 
 // Remove marks a PVT as explored so it no longer contributes to degrees.
+// Removing a PVT twice, or one out of range, does nothing.
 func (g *PVTAttr) Remove(pvt int) {
-	if pvt >= 0 && pvt < len(g.removed) {
-		g.removed[pvt] = true
+	if pvt < 0 || pvt >= len(g.removed) || g.removed[pvt] {
+		return
+	}
+	g.removed[pvt] = true
+	for _, id := range g.attrIDs(pvt) {
+		g.degree[id]--
 	}
 }
 
@@ -72,31 +156,27 @@ func (g *PVTAttr) AttrsOf(pvt int) []string {
 
 // AttrDegree returns the number of active PVTs connected to attr.
 func (g *PVTAttr) AttrDegree(attr string) int {
-	n := 0
-	for _, p := range g.pvtsOf[attr] {
-		if !g.removed[p] {
-			n++
-		}
+	id, ok := g.ids[attr]
+	if !ok {
+		return 0
 	}
-	return n
+	return int(g.degree[id])
 }
 
 // HighestDegreeAttrs returns the attributes with the maximal active degree,
 // sorted for determinism. Attributes with zero degree are never returned.
 func (g *PVTAttr) HighestDegreeAttrs() []string {
-	best := 0
-	for attr := range g.pvtsOf {
-		if d := g.AttrDegree(attr); d > best {
-			best = d
-		}
+	var best int32
+	for _, d := range g.degree {
+		best = max(best, d)
 	}
 	if best == 0 {
 		return nil
 	}
 	var out []string
-	for attr := range g.pvtsOf {
-		if g.AttrDegree(attr) == best {
-			out = append(out, attr)
+	for id, d := range g.degree {
+		if d == best {
+			out = append(out, g.names[id])
 		}
 	}
 	sort.Strings(out)
@@ -106,87 +186,117 @@ func (g *PVTAttr) HighestDegreeAttrs() []string {
 // PVTsOfAttrs returns the active PVTs adjacent to at least one of the given
 // attributes — the Xhda set of Algorithm 1, line 10.
 func (g *PVTAttr) PVTsOfAttrs(attrs []string) []int {
-	seen := make(map[int]bool)
+	gen := g.mark()
+	out := []int{}
 	for _, a := range attrs {
-		for _, p := range g.pvtsOf[a] {
-			if !g.removed[p] {
-				seen[p] = true
+		id, ok := g.ids[a]
+		if !ok {
+			continue
+		}
+		for _, p := range g.members(id) {
+			if !g.removed[p] && g.stamp[p] != gen {
+				g.stamp[p] = gen
+				out = append(out, int(p))
 			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
-// Dependency builds the PVT-dependency graph G_PD over the given PVT subset:
-// two PVTs are adjacent iff they share an attribute in the bipartite graph
-// (G²_PA restricted to PVT nodes, Section 4.4).
+// Dependency builds the PVT-dependency graph G_PD over the given subset of
+// distinct PVT indices: two PVTs are adjacent iff they share an attribute in
+// the bipartite graph (G²_PA restricted to PVT nodes, Section 4.4). It
+// touches only the subset's PVTs and the members of their attributes.
 func (g *PVTAttr) Dependency(pvts []int) *Dependency {
-	d := &Dependency{adj: make(map[int]map[int]bool, len(pvts))}
-	inSet := make(map[int]bool, len(pvts))
-	for _, p := range pvts {
-		inSet[p] = true
-		d.adj[p] = make(map[int]bool)
-	}
-	for _, members := range g.pvtsOf {
-		var present []int
-		seen := make(map[int]bool, len(members))
-		for _, p := range members {
-			// Dedupe: a PVT may list the same attribute more than once;
-			// self-loops would corrupt the bisection gain function.
-			if inSet[p] && !seen[p] {
-				seen[p] = true
-				present = append(present, p)
-			}
-		}
-		for i := 0; i < len(present); i++ {
-			for j := i + 1; j < len(present); j++ {
-				d.adj[present[i]][present[j]] = true
-				d.adj[present[j]][present[i]] = true
-			}
+	n := len(pvts)
+	d := &Dependency{nodes: append([]int(nil), pvts...), start: make([]int32, n+1)}
+	slices.Sort(d.nodes)
+	if g.local == nil {
+		g.local = make([]int32, len(g.removed))
+		for i := range g.local {
+			g.local[i] = -1
 		}
 	}
-	d.nodes = append([]int(nil), pvts...)
-	sort.Ints(d.nodes)
+	inGraph := func(p int) bool { return p >= 0 && p < len(g.local) }
+	for i, p := range d.nodes {
+		if inGraph(p) {
+			g.local[p] = int32(i)
+		}
+	}
+	for i, p := range d.nodes {
+		if inGraph(p) {
+			// One generation per node drops neighbours reached through
+			// several shared attributes, and the node itself (no
+			// self-loops: they would corrupt the bisection gains).
+			gen := g.mark()
+			g.stamp[p] = gen
+			for _, id := range g.attrIDs(p) {
+				for _, q := range g.members(id) {
+					if j := g.local[q]; j >= 0 && g.stamp[q] != gen {
+						g.stamp[q] = gen
+						d.adj = append(d.adj, j)
+					}
+				}
+			}
+		}
+		d.start[i+1] = int32(len(d.adj))
+	}
+	for _, p := range d.nodes {
+		if inGraph(p) {
+			g.local[p] = -1
+		}
+	}
 	return d
 }
 
-// Dependency is the PVT-dependency graph used for min-bisection partitioning.
+// Dependency is the PVT-dependency graph used for min-bisection
+// partitioning. Nodes are addressed internally by their rank in the sorted
+// node list; adjacency is CSR over those ranks.
 type Dependency struct {
-	nodes []int
-	adj   map[int]map[int]bool
+	nodes []int   // PVT indices, ascending
+	start []int32 // rank -> offset into adj; len(nodes)+1 entries
+	adj   []int32 // neighbour ranks
 }
 
 // Nodes returns the PVT indices in the graph, ascending.
 func (d *Dependency) Nodes() []int { return d.nodes }
 
+// neighbours returns the ranks adjacent to rank i.
+func (d *Dependency) neighbours(i int32) []int32 { return d.adj[d.start[i]:d.start[i+1]] }
+
+// rank returns the position of PVT p in the node list, or -1.
+func (d *Dependency) rank(p int) int32 {
+	if i, ok := slices.BinarySearch(d.nodes, p); ok {
+		return int32(i)
+	}
+	return -1
+}
+
 // HasEdge reports whether two PVTs share an attribute.
-func (d *Dependency) HasEdge(a, b int) bool { return d.adj[a][b] }
+func (d *Dependency) HasEdge(a, b int) bool {
+	i, j := d.rank(a), d.rank(b)
+	return i >= 0 && j >= 0 && slices.Contains(d.neighbours(i), j)
+}
 
 // NumEdges returns the undirected edge count.
-func (d *Dependency) NumEdges() int {
-	n := 0
-	for _, nbrs := range d.adj {
-		n += len(nbrs)
-	}
-	return n / 2
-}
+func (d *Dependency) NumEdges() int { return len(d.adj) / 2 }
 
 // CutSize counts edges crossing between the two partitions.
 func (d *Dependency) CutSize(a, b []int) int {
-	inA := make(map[int]bool, len(a))
+	inA := make([]bool, len(d.nodes))
 	for _, x := range a {
-		inA[x] = true
+		if i := d.rank(x); i >= 0 {
+			inA[i] = true
+		}
 	}
 	cut := 0
 	for _, y := range b {
-		for nbr := range d.adj[y] {
-			if inA[nbr] {
-				cut++
+		if j := d.rank(y); j >= 0 {
+			for _, nbr := range d.neighbours(j) {
+				if inA[nbr] {
+					cut++
+				}
 			}
 		}
 	}
@@ -213,9 +323,9 @@ func RandomBisection(nodes []int, rng *rand.Rand) (a, b []int) {
 	return a, b
 }
 
-// maxSwapScans bounds the pair scans per improvement pass so MinBisection
-// stays anytime on very large PVT sets (Appendix A notes the local search
-// is an anytime algorithm).
+// maxSwapScans bounds the pair scans of one MinBisection call, across all
+// of its improvement passes, so MinBisection stays anytime on very large
+// PVT sets (Appendix A notes the local search is an anytime algorithm).
 const maxSwapScans = 1 << 18
 
 // MinBisection partitions the dependency graph's node set into two
@@ -225,56 +335,97 @@ const maxSwapScans = 1 << 18
 // swap reduces the cut, until no improving swap exists or the scan budget
 // is exhausted.
 func (d *Dependency) MinBisection(rng *rand.Rand) (a, b []int) {
-	a, b = RandomBisection(d.nodes, rng)
-	if len(a) == 0 || len(b) == 0 {
-		return a, b
+	n := len(d.nodes)
+	// The same draw as RandomBisection(d.nodes, rng): the nodes are sorted,
+	// so sorting the drawn ranks sorts the drawn PVTs.
+	perm := rng.Perm(n)
+	half := (n + 1) / 2
+	side := make([]int8, n) // rank -> 0 (a) or 1 (b)
+	for _, r := range perm[half:] {
+		side[r] = 1
 	}
-	side := make(map[int]int, len(d.nodes)) // node -> 0 (a) or 1 (b)
-	for _, x := range a {
-		side[x] = 0
+	if half == 0 || half == n {
+		return d.pvtsOf(side, 0, half), d.pvtsOf(side, 1, n-half)
 	}
-	for _, y := range b {
-		side[y] = 1
+	ra := make([]int32, 0, half)
+	rb := make([]int32, 0, n-half)
+	for r, s := range side {
+		if s == 0 {
+			ra = append(ra, int32(r))
+		} else {
+			rb = append(rb, int32(r))
+		}
 	}
-	// ext[x] − int[x]: gain of moving x to the other side, maintained lazily.
-	gain := func(x int) int {
-		g := 0
-		for nbr := range d.adj[x] {
+	// gain[x] = ext[x] − int[x]: the cut reduction of moving x alone to the
+	// other side, kept exact across swaps.
+	gain := make([]int32, n)
+	for x := range gain {
+		for _, nbr := range d.neighbours(int32(x)) {
 			if side[nbr] == side[x] {
-				g-- // internal edge becomes cut
+				gain[x]--
 			} else {
-				g++ // cut edge becomes internal
+				gain[x]++
 			}
 		}
-		return g
 	}
+	move := func(x int32) {
+		for _, nbr := range d.neighbours(x) {
+			if side[nbr] == side[x] {
+				gain[nbr] += 2 // internal edge becomes cut
+			} else {
+				gain[nbr] -= 2 // cut edge becomes internal
+			}
+		}
+		gain[x] = -gain[x]
+		side[x] ^= 1
+	}
+	// nbrOf[y] == stamp iff y neighbours the current ra[i]. Every stamp
+	// is followed by at least one scan, so stamps stay below
+	// maxSwapScans plus the number of passes.
+	nbrOf := make([]int32, n)
+	var stamp int32
 	scans := 0
 	improved := true
 	for improved && scans < maxSwapScans {
 		improved = false
 	pairs:
-		for i := range a {
-			gi := gain(a[i])
-			for j := range b {
+		for i := range ra {
+			x := ra[i]
+			stamp++
+			for _, nbr := range d.neighbours(x) {
+				nbrOf[nbr] = stamp
+			}
+			gi := gain[x]
+			for j := range rb {
 				scans++
 				if scans >= maxSwapScans {
 					break pairs
 				}
-				delta := gi + gain(b[j])
-				if d.adj[a[i]][b[j]] {
+				y := rb[j]
+				delta := gi + gain[y]
+				if nbrOf[y] == stamp {
 					delta -= 2 // the pair's own edge stays cut after the swap
 				}
 				if delta > 0 {
-					a[i], b[j] = b[j], a[i]
-					side[a[i]] = 0
-					side[b[j]] = 1
+					move(x)
+					move(y)
+					ra[i], rb[j] = y, x
 					improved = true
 					break pairs
 				}
 			}
 		}
 	}
-	sort.Ints(a)
-	sort.Ints(b)
-	return a, b
+	return d.pvtsOf(side, 0, half), d.pvtsOf(side, 1, n-half)
+}
+
+// pvtsOf returns the size PVTs whose rank is on side s, ascending.
+func (d *Dependency) pvtsOf(side []int8, s int8, size int) []int {
+	out := make([]int, 0, size)
+	for r, v := range side {
+		if v == s {
+			out = append(out, d.nodes[r])
+		}
+	}
+	return out
 }

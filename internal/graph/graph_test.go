@@ -66,6 +66,28 @@ func TestPVTAttrRemove(t *testing.T) {
 	}
 }
 
+// TestAttrDegreeCountsDistinctPVTs: a PVT listing an attribute twice
+// counts once toward its degree, so it cannot tie a genuinely shared
+// attribute and join the Algorithm 1 line-10 candidates.
+func TestAttrDegreeCountsDistinctPVTs(t *testing.T) {
+	g := NewPVTAttr([][]string{{"a", "a"}, {"b"}, {"b"}})
+	if d := g.AttrDegree("a"); d != 1 {
+		t.Errorf("degree(a) = %d, want 1", d)
+	}
+	hda := g.HighestDegreeAttrs()
+	if len(hda) != 1 || hda[0] != "b" {
+		t.Errorf("HighestDegreeAttrs = %v, want [b]", hda)
+	}
+	if pvts := g.PVTsOfAttrs(hda); len(pvts) != 2 || pvts[0] != 1 || pvts[1] != 2 {
+		t.Errorf("PVTsOfAttrs = %v, want [1 2]", pvts)
+	}
+	g.Remove(0)
+	g.Remove(0)
+	if d := g.AttrDegree("a"); d != 0 {
+		t.Errorf("degree(a) after removing its PVT twice = %d, want 0", d)
+	}
+}
+
 func TestDependencyGraph(t *testing.T) {
 	g := NewPVTAttr(examplePVTs())
 	d := g.Dependency([]int{0, 1, 2, 3})

@@ -122,6 +122,37 @@ func Keys(m map[string]int) []string {
 	}
 }
 
+// TestGraphPackageInDeterminismScope: internal/graph decides DataPrismGT's
+// partitions, so an unsorted map-to-slice emission and a draw from the
+// global math/rand source there must both be flagged under the default
+// scopes.
+func TestGraphPackageInDeterminismScope(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/graph/emit.go": `package graph
+
+import "math/rand"
+
+func Keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+
+func Pick(n int) int { return rand.Intn(n) }
+`,
+	})
+	findings := runSuite(t, root, []string{"./..."}, true)
+	got := map[string]int{}
+	for _, f := range findings {
+		got[f.Analyzer]++
+	}
+	if len(findings) != 2 || got["mapdeterminism"] != 1 || got["seededrand"] != 1 {
+		t.Fatalf("want 1 mapdeterminism and 1 seededrand finding in internal/graph, got %v", findings)
+	}
+}
+
 // TestRepositoryTreeIsClean runs the full default-scoped suite over this
 // repository — the acceptance criterion the CI lint job enforces with the
 // dataprismlint binary. Any finding here means a contract regression (or a

@@ -41,7 +41,8 @@ func Suite() []*analysis.Analyzer {
 // The scopes mirror where each invariant is load-bearing:
 //
 //   - mapdeterminism and seededrand guard the deterministic search/scoring
-//     and reporting paths — including internal/artifact, whose byte-identical
+//     and reporting paths — including internal/graph, which decides
+//     DataPrismGT's partitions, and internal/artifact, whose byte-identical
 //     encoding contract a stray map iteration would break;
 //   - ctxflow guards the packages that own blocking work and cancellation
 //     plumbing: the engine, the pipeline (including the remote transport,
@@ -60,13 +61,13 @@ func DefaultScopes(module string) map[string][]string {
 	p := func(rel string) string { return module + "/" + rel }
 	return map[string][]string{
 		MapDeterminism.Name: {
-			p("internal/core"), p("internal/profile"), p("internal/transform"),
-			p("internal/pvt"), p("internal/engine"), p("internal/report"),
-			p("internal/artifact"),
+			p("internal/core"), p("internal/graph"), p("internal/profile"),
+			p("internal/transform"), p("internal/pvt"), p("internal/engine"),
+			p("internal/report"), p("internal/artifact"),
 		},
 		SeededRand.Name: {
-			p("internal/core"), p("internal/profile"), p("internal/transform"),
-			p("internal/pvt"), p("internal/engine"),
+			p("internal/core"), p("internal/graph"), p("internal/profile"),
+			p("internal/transform"), p("internal/pvt"), p("internal/engine"),
 			// The reservoir-sampling paths: sample draws must be a pure
 			// function of (geometry, seed), never of global rand state.
 			p("internal/dataset"), p("internal/stats"),

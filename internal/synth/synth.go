@@ -15,6 +15,7 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -62,7 +63,7 @@ func (p *Profile) SameParams(other profile.Profile) bool {
 	return ok && o.Index == p.Index
 }
 
-func (p *Profile) String() string { return fmt.Sprintf("⟨Synth, X%d⟩", p.Index+1) }
+func (p *Profile) String() string { return "⟨Synth, X" + strconv.Itoa(p.Index+1) + "⟩" }
 
 // Transform clears the profile's flag — the synthetic intervention.
 type Transform struct {
