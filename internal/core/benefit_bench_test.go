@@ -47,10 +47,10 @@ func TestBenefitCachedMatchesUncached(t *testing.T) {
 	if len(pvts) == 0 {
 		t.Fatal("no discriminative PVTs in benchmark fixture")
 	}
-	cov := newCoverageCache()
-	for _, p := range pvts {
+	cov := newCoverageCache(len(pvts))
+	for i, p := range pvts {
 		want := Benefit(p, fail)
-		if got := benefitCached(p, fail, cov); got != want {
+		if got := benefitCached(i, p, fail, cov); got != want {
 			t.Errorf("%s: cached = %g, uncached = %g", p, got, want)
 		}
 	}
@@ -58,22 +58,32 @@ func TestBenefitCachedMatchesUncached(t *testing.T) {
 		t.Errorf("first pass had %d hits, want 0", cov.hits)
 	}
 	misses := cov.misses
-	for _, p := range pvts {
-		benefitCached(p, fail, cov)
+	for i, p := range pvts {
+		benefitCached(i, p, fail, cov)
 	}
 	if cov.misses != misses {
 		t.Errorf("second pass recomputed %d coverages, want all hits", cov.misses-misses)
 	}
 
 	// Mutating the dataset must change the fingerprint and bypass the
-	// stale entries.
+	// stale entries. Repairing every other corrupted n1 cell changes the
+	// coverage of the n1 PVTs' repairs.
 	mutated := fail.Clone()
-	mutated.SetNum("n3", 0, 1e6)
-	for _, p := range pvts {
+	for i := 0; i < mutated.NumRows(); i += 6 {
+		mutated.SetNum("n1", i, 0)
+	}
+	changed := 0
+	for i, p := range pvts {
 		want := Benefit(p, mutated)
-		if got := benefitCached(p, mutated, cov); got != want {
+		if maxCoverage(p.Transforms, mutated) != maxCoverage(p.Transforms, fail) {
+			changed++
+		}
+		if got := benefitCached(i, p, mutated, cov); got != want {
 			t.Errorf("%s after mutation: cached = %g, uncached = %g", p, got, want)
 		}
+	}
+	if changed == 0 {
+		t.Fatal("the mutation changed no PVT's coverage: the case proves nothing")
 	}
 }
 
@@ -91,12 +101,12 @@ func benchmarkBenefit(b *testing.B, cached bool) {
 	for n := 0; n < b.N; n++ {
 		var cov *coverageCache
 		if cached {
-			cov = newCoverageCache()
+			cov = newCoverageCache(len(pvts))
 		}
 		sink := 0.0
 		for r := 0; r < rounds; r++ {
-			for _, p := range pvts {
-				sink += benefitCached(p, fail, cov)
+			for i, p := range pvts {
+				sink += benefitCached(i, p, fail, cov)
 			}
 		}
 		_ = sink

@@ -5,57 +5,55 @@ import (
 	"repro/internal/transform"
 )
 
-// covKey identifies one transformation's coverage on one dataset content:
-// the PVT identity plus the candidate's index within it (never the
-// Transformation interface value itself, which user-registered classes may
-// make non-comparable), and the dataset's content fingerprint.
-type covKey struct {
-	p  *PVT
-	ti int
-	fp uint64
-}
-
 // coverageCache memoizes the coverage term of the benefit score within one
 // search. The greedy loop re-ranks every remaining candidate PVT after each
 // accepted intervention, but an intervention only reshapes the current
-// dataset when accepted — so across rounds most (transformation, dataset)
-// pairs repeat and Coverage, an O(rows) scan, is recomputed for nothing.
-// Keying by content fingerprint (cheap under copy-on-write: only touched
-// columns re-hash) makes the repeats free while staying exactly as correct
-// as recomputation: a changed dataset changes the fingerprint.
+// dataset when accepted — so across rounds most (PVT, dataset) pairs repeat
+// and Coverage, an O(rows) scan, is recomputed for nothing.
+//
+// The cache holds one slot per PVT index of the search's candidate slice:
+// the content fingerprint of the dataset the slot was filled on, and the
+// PVT's largest coverage there. GRD reaches a slot through its candidate
+// index and the decision tree through its conjunction indices. A search
+// ranks against one current dataset at a time, so remembering the last
+// dataset per PVT keeps every repeat; a changed dataset changes the
+// fingerprint (cheap under copy-on-write: only touched columns re-hash)
+// and refills the slot, so the cache is exactly as correct as
+// recomputation.
 //
 // A cache is created per search and used from the single search goroutine;
 // it is not safe for concurrent use.
 type coverageCache struct {
-	m            map[covKey]float64
+	slots        []covSlot
 	hits, misses int
 }
 
-func newCoverageCache() *coverageCache {
-	return &coverageCache{m: make(map[covKey]float64)}
+// covSlot is one PVT's memoized coverage term; filled is false until the
+// first computation.
+type covSlot struct {
+	fp     uint64
+	cov    float64
+	filled bool
 }
 
-// maxCoverage returns the largest coverage among the PVT's candidate
-// transformations on d — the coverage term of Benefit — consulting the
-// cache per candidate.
-func (c *coverageCache) maxCoverage(p *PVT, d *dataset.Dataset) float64 {
+// newCoverageCache returns a cache for a search over n PVTs.
+func newCoverageCache(n int) *coverageCache {
+	return &coverageCache{slots: make([]covSlot, n)}
+}
+
+// maxCoverage returns the largest coverage among the candidate
+// transformations of PVT i, p, on d — the coverage term of Benefit —
+// served from slot i when it was filled on the same content.
+func (c *coverageCache) maxCoverage(i int, p *PVT, d *dataset.Dataset) float64 {
 	fp := d.Fingerprint()
-	cov := 0.0
-	for i, t := range p.Transforms {
-		k := covKey{p: p, ti: i, fp: fp}
-		v, ok := c.m[k]
-		if ok {
-			c.hits++
-		} else {
-			c.misses++
-			v = t.Coverage(d)
-			c.m[k] = v
-		}
-		if v > cov {
-			cov = v
-		}
+	s := &c.slots[i]
+	if s.filled && s.fp == fp {
+		c.hits++
+		return s.cov
 	}
-	return cov
+	c.misses++
+	*s = covSlot{fp: fp, cov: maxCoverage(p.Transforms, d), filled: true}
+	return s.cov
 }
 
 // maxCoverage is the uncached coverage term of Benefit.

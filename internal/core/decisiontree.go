@@ -141,7 +141,7 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 		}
 	}
 	tried := make(map[string]bool)
-	cov := newCoverageCache()
+	cov := newCoverageCache(len(pvts))
 	// Algorithm 5 main loop: extract candidate conjunctions from the tree's
 	// pure pass paths, verify by intervention, retrain on failures. The
 	// loop is inherently sequential — each verification reshapes the tree.
@@ -239,7 +239,7 @@ func conjKey(conj []int) string {
 func conjunctionBenefit(pvts []*PVT, conj []int, fail *dataset.Dataset, cov *coverageCache) float64 {
 	total := 0.0
 	for _, i := range conj {
-		total += benefitCached(pvts[i], fail, cov)
+		total += benefitCached(i, pvts[i], fail, cov)
 	}
 	return total
 }

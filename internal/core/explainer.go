@@ -235,21 +235,21 @@ func finish(res *Result, ev *engine.Eval, start time.Time) {
 	res.Runtime = time.Since(start)
 }
 
-// benefit scores a PVT according to the configured mode. cov, when non-nil,
-// memoizes the coverage term for the duration of one search.
-func (e *Explainer) benefit(p *PVT, d *dataset.Dataset, rng *rand.Rand, cov *coverageCache) float64 {
+// benefit scores PVT i, p, according to the configured mode. cov, when
+// non-nil, memoizes the coverage term for the duration of one search.
+func (e *Explainer) benefit(i int, p *PVT, d *dataset.Dataset, rng *rand.Rand, cov *coverageCache) float64 {
 	switch e.Benefit {
 	case BenefitViolationOnly:
 		return p.Profile.Violation(d)
 	case BenefitCoverageOnly:
 		if cov != nil {
-			return cov.maxCoverage(p, d)
+			return cov.maxCoverage(i, p, d)
 		}
 		return maxCoverage(p.Transforms, d)
 	case BenefitRandom:
 		return rng.Float64()
 	default:
-		return benefitCached(p, d, cov)
+		return benefitCached(i, p, d, cov)
 	}
 }
 

@@ -69,7 +69,7 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 	score := res.InitialScore
 	var expl []*PVT
 	chosen := make(map[*PVT]transform.Transformation)
-	cov := newCoverageCache()
+	cov := newCoverageCache(len(pvts))
 
 	// Line 9: iterate until the malfunction is acceptable.
 	for score > e.Tau && !ev.Exhausted() {
@@ -78,7 +78,7 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 		if e.DisableGraphPriority {
 			candidates = g.Active()
 		} else {
-			candidates = g.PVTsOfAttrs(g.HighestDegreeAttrs())
+			candidates = g.HighestDegreePVTs()
 		}
 		if len(candidates) == 0 {
 			break
@@ -86,7 +86,7 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 		// Line 11: highest-benefit PVT among them.
 		best, bestB := -1, -1.0
 		for _, i := range candidates {
-			if b := e.benefit(pvts[i], d, rng, cov); b > bestB {
+			if b := e.benefit(i, pvts[i], d, rng, cov); b > bestB {
 				bestB, best = b, i
 			}
 		}

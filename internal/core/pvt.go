@@ -69,9 +69,10 @@ func Benefit(p *PVT, d *dataset.Dataset) float64 {
 	return v * maxCoverage(p.Transforms, d)
 }
 
-// benefitCached is Benefit with the coverage term served from a per-search
-// cache (see coverageCache); a nil cache falls back to direct computation.
-func benefitCached(p *PVT, d *dataset.Dataset, cov *coverageCache) float64 {
+// benefitCached is Benefit of PVT i, p, with the coverage term served from
+// a per-search cache (see coverageCache); a nil cache falls back to direct
+// computation.
+func benefitCached(i int, p *PVT, d *dataset.Dataset, cov *coverageCache) float64 {
 	if cov == nil {
 		return Benefit(p, d)
 	}
@@ -79,7 +80,7 @@ func benefitCached(p *PVT, d *dataset.Dataset, cov *coverageCache) float64 {
 	if v == 0 {
 		return 0
 	}
-	return v * cov.maxCoverage(p, d)
+	return v * cov.maxCoverage(i, p, d)
 }
 
 // buildGraph constructs the PVT-attribute bipartite graph for a PVT slice.

@@ -23,9 +23,12 @@
 //     per-call latency histogram).
 //
 // Determinism contract: callers keep all randomness and dataset composition
-// on their own goroutine; the engine only parallelizes the pure scoring
-// step, dedupes within a batch by fingerprint, and truncates to budget over
-// the deterministic first-occurrence order of unique datasets. The result —
+// on their own goroutine; the engine only parallelizes pure steps — a
+// batch's fingerprints, then its scoring — each writing its own slot. It
+// dedupes within a batch by fingerprint and truncates to budget serially,
+// over the deterministic first-occurrence order of unique datasets. Batch
+// slots may share a dataset or its chunks: concurrent fingerprints only
+// fill the same per-version digest caches with the same values. The result —
 // scores, counted interventions, cache behavior — is therefore identical
 // whether Workers is 1 or 16, including under fault schedules keyed on
 // dataset fingerprints (pipeline.FaultInjector).
@@ -317,17 +320,18 @@ func (ev *Eval) EvalBatchErrs(ctx context.Context, ds []*dataset.Dataset) ([]flo
 		return scores, errs, err
 	}
 
-	// Serial phase: fingerprints, cache lookups, within-batch dedup, budget
-	// truncation — all in deterministic input order.
+	// Fingerprints fan out over the pool, each into its own slot; the
+	// serial phase after them — cache lookups, within-batch dedup, budget
+	// truncation — runs in deterministic input order.
 	type job struct {
 		fp  uint64
 		d   *dataset.Dataset
 		out []int // input slots this evaluation feeds
 	}
 	fps := make([]uint64, len(ds))
-	for i, d := range ds {
-		fps[i] = d.Fingerprint()
-	}
+	ParallelFor(ev.workers, len(ds), func(i int) {
+		fps[i] = ds[i].Fingerprint()
+	})
 	var jobs []job
 	seen := make(map[uint64]int)
 	ev.mu.Lock()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -203,6 +205,85 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if seqStats.Batches != 0 {
 		t.Fatal("sequential run should record no parallel batches")
+	}
+}
+
+// sumSystem scores a dataset by the normalized sum of its "a" column, so
+// every cell of every chunk feeds the score.
+type sumSystem struct{}
+
+func (sumSystem) Name() string { return "sum" }
+
+func (sumSystem) MalfunctionScore(_ context.Context, d *dataset.Dataset) float64 {
+	sum := 0.0
+	for _, v := range d.NumericValues("a") {
+		sum += v
+	}
+	return sum / (100 * float64(d.NumRows()))
+}
+
+// TestConcurrentFingerprintsSharedChunks scores one batch whose slots share
+// storage: clones of one parent that share untouched columns and chunks,
+// untouched clones with the parent's content, and the parent's own pointer
+// in two slots. The parallel fingerprint phase then fills the same
+// per-version digest caches from several goroutines, which -race must find
+// clean. Workers 1 and 8 must agree on the scores, on every counter except
+// Batches (which records that the pool was used) and on the memo keys.
+func TestConcurrentFingerprintsSharedChunks(t *testing.T) {
+	const rows, chunk = 4096, 64
+	type outcome struct {
+		scores []float64
+		stats  Stats
+		keys   []uint64
+	}
+	run := func(workers int) outcome {
+		// A fresh parent per run, so no digest is cached before the batch.
+		parent := dataset.NewChunked(chunk)
+		a, b := make([]float64, rows), make([]float64, rows)
+		for i := range a {
+			a[i], b[i] = float64(i%97), float64(i%89)
+		}
+		if err := parent.AddNumericColumn("a", a, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := parent.AddNumericColumn("b", b, nil); err != nil {
+			t.Fatal(err)
+		}
+		batch := []*dataset.Dataset{parent}
+		for k := 0; k < 15; k++ {
+			c := parent.Clone()
+			switch k % 3 {
+			case 0: // one dirty chunk of a; b and a's other chunks shared
+				c.SetNum("a", (k*chunk+3)%rows, 1e3)
+			case 1: // a shared whole, one dirty chunk of b
+				c.SetNum("b", (k*chunk+5)%rows, -1)
+			}
+			batch = append(batch, c)
+		}
+		batch = append(batch, parent)
+		ev := New(sumSystem{}, Config{Workers: workers})
+		scores, err := ev.EvalBatch(context.Background(), batch)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		st := ev.Stats()
+		st.Batches = 0
+		st.Latency = Histogram{Count: st.Latency.Count}
+		keys := make([]uint64, 0, len(ev.cache))
+		for fp := range ev.cache {
+			keys = append(keys, fp)
+		}
+		slices.Sort(keys)
+		return outcome{scores: scores, stats: st, keys: keys}
+	}
+	seq, par := run(1), run(8)
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("Workers 1 and 8 disagree:\n seq %+v\n par %+v", seq, par)
+	}
+	// Ten content-changing clones plus the parent's content: eleven
+	// evaluations; the other six slots are within-batch duplicates.
+	if seq.stats.Interventions != 11 || seq.stats.CacheHits != 6 || len(seq.keys) != 11 {
+		t.Fatalf("stats %+v with %d memo keys, want 11 evaluations, 6 hits, 11 keys", seq.stats, len(seq.keys))
 	}
 }
 

@@ -78,3 +78,24 @@ func BenchmarkSynthScalePartition(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSynthScaleCandidates times what one DataPrismGRD search asks of
+// the PVT-attribute graph on the two synth-scale shapes: building it (which
+// interns every attribute name) and one Algorithm 1 line-10 candidate query.
+func BenchmarkSynthScaleCandidates(b *testing.B) {
+	for _, c := range []struct{ pvts, attrs int }{{300_000, 300_000}, {6_400, 800}} {
+		b.Run(fmt.Sprintf("pvts=%d/attrs=%d", c.pvts, c.attrs), func(b *testing.B) {
+			perPVT := make([][]string, c.pvts)
+			for i := range perPVT {
+				perPVT[i] = []string{fmt.Sprintf("a%d", i%c.attrs)}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := NewPVTAttr(perPVT).HighestDegreePVTs(); len(got) != c.pvts {
+					b.Fatalf("%d candidates, want all %d PVTs", len(got), c.pvts)
+				}
+			}
+		})
+	}
+}

@@ -6,11 +6,14 @@
 // candidate PVTs for group testing.
 //
 // Both graphs are stored densely: attribute names are interned once into
-// int32 ids, adjacency lives in CSR (compressed sparse row) arrays, and
-// per-call dedup uses generation-stamped scratch instead of maps.
+// int32 ids through an open-addressing table, adjacency lives in CSR
+// (compressed sparse row) arrays, and per-call dedup uses
+// generation-stamped scratch instead of maps.
 package graph
 
 import (
+	"hash/maphash"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -24,9 +27,8 @@ import (
 // Queries reuse scratch buffers held by the graph, so a PVTAttr is not safe
 // for concurrent use.
 type PVTAttr struct {
-	attrsOf [][]string       // pvt -> attribute names, as given
-	ids     map[string]int32 // attribute name -> id
-	names   []string         // id -> attribute name
+	attrsOf [][]string // pvt -> attribute names, as given
+	attrs   interner   // attribute name <-> id
 
 	// CSR pvt -> distinct attribute ids: pvtAttrs[pvtStart[p]:pvtStart[p+1]].
 	pvtStart []int32
@@ -51,8 +53,7 @@ func NewPVTAttr(attrsPerPVT [][]string) *PVTAttr {
 	// Sized for one attribute per PVT, the common case.
 	g := &PVTAttr{
 		attrsOf:  attrsPerPVT,
-		ids:      make(map[string]int32, n),
-		names:    make([]string, 0, n),
+		attrs:    newInterner(n),
 		pvtStart: make([]int32, n+1),
 		pvtAttrs: make([]int32, 0, n),
 		removed:  make([]bool, n),
@@ -60,11 +61,8 @@ func NewPVTAttr(attrsPerPVT [][]string) *PVTAttr {
 	last := make([]int32, 0, n) // attribute id -> last PVT that listed it
 	for p, attrs := range attrsPerPVT {
 		for _, name := range attrs {
-			id, ok := g.ids[name]
-			if !ok {
-				id = int32(len(g.names))
-				g.ids[name] = id
-				g.names = append(g.names, name)
+			id, added := g.attrs.intern(name)
+			if added {
 				last = append(last, -1)
 			}
 			if last[id] == int32(p) {
@@ -76,16 +74,17 @@ func NewPVTAttr(attrsPerPVT [][]string) *PVTAttr {
 		g.pvtStart[p+1] = int32(len(g.pvtAttrs))
 	}
 
-	g.degree = make([]int32, len(g.names))
+	numAttrs := len(g.attrs.names)
+	g.degree = make([]int32, numAttrs)
 	for _, id := range g.pvtAttrs {
 		g.degree[id]++
 	}
-	g.attrStart = make([]int32, len(g.names)+1)
+	g.attrStart = make([]int32, numAttrs+1)
 	for id, d := range g.degree {
 		g.attrStart[id+1] = g.attrStart[id] + d
 	}
 	g.attrPVTs = make([]int32, len(g.pvtAttrs))
-	fill := append([]int32(nil), g.attrStart[:len(g.names)]...)
+	fill := append([]int32(nil), g.attrStart[:numAttrs]...)
 	for p := 0; p < n; p++ {
 		for _, id := range g.attrIDs(p) {
 			g.attrPVTs[fill[id]] = int32(p)
@@ -93,6 +92,57 @@ func NewPVTAttr(attrsPerPVT [][]string) *PVTAttr {
 		}
 	}
 	return g
+}
+
+// interner assigns attribute names dense int32 ids in first-appearance
+// order without a Go map: slots is a power-of-two open-addressing table
+// holding id+1 (0 marks an empty slot), probed linearly from the name's
+// maphash and compared against names[id]. Growth keeps the table at most
+// half full, so every probe sequence reaches an empty slot. The hash seed
+// only places names in slots; ids, and so every output of the graph, do
+// not depend on it.
+type interner struct {
+	seed  maphash.Seed
+	slots []int32
+	names []string // id -> name
+}
+
+// newInterner sizes the table for hint distinct names without growing.
+func newInterner(hint int) interner {
+	size := 1 << bits.Len(uint(2*max(hint, 4)-1))
+	return interner{seed: maphash.MakeSeed(), slots: make([]int32, size), names: make([]string, 0, hint)}
+}
+
+// find returns the slot holding name, or the empty slot ending its probe
+// sequence.
+func (t *interner) find(name string) int {
+	mask := uint64(len(t.slots) - 1)
+	i := maphash.String(t.seed, name) & mask
+	for t.slots[i] != 0 && t.names[t.slots[i]-1] != name {
+		i = (i + 1) & mask
+	}
+	return int(i)
+}
+
+// lookup returns name's id, or -1 when it was never interned.
+func (t *interner) lookup(name string) int32 { return t.slots[t.find(name)] - 1 }
+
+// intern returns name's id, assigning the next one when name is new.
+func (t *interner) intern(name string) (id int32, added bool) {
+	i := t.find(name)
+	if t.slots[i] != 0 {
+		return t.slots[i] - 1, false
+	}
+	id = int32(len(t.names))
+	t.names = append(t.names, name)
+	t.slots[i] = id + 1
+	if 2*len(t.names) > len(t.slots) {
+		t.slots = make([]int32, 2*len(t.slots))
+		for j, n := range t.names {
+			t.slots[t.find(n)] = int32(j + 1)
+		}
+	}
+	return id, true
 }
 
 // attrIDs returns the distinct attribute ids of a PVT (in range).
@@ -156,16 +206,17 @@ func (g *PVTAttr) AttrsOf(pvt int) []string {
 
 // AttrDegree returns the number of active PVTs connected to attr.
 func (g *PVTAttr) AttrDegree(attr string) int {
-	id, ok := g.ids[attr]
-	if !ok {
+	id := g.attrs.lookup(attr)
+	if id < 0 {
 		return 0
 	}
 	return int(g.degree[id])
 }
 
-// HighestDegreeAttrs returns the attributes with the maximal active degree,
-// sorted for determinism. Attributes with zero degree are never returned.
-func (g *PVTAttr) HighestDegreeAttrs() []string {
+// HighestDegreePVTs returns, ascending, the active PVTs adjacent to at
+// least one attribute of maximal active degree — the Xhda set of
+// Algorithm 1, line 10. It returns nil when no attribute has an active PVT.
+func (g *PVTAttr) HighestDegreePVTs() []int {
 	var best int32
 	for _, d := range g.degree {
 		best = max(best, d)
@@ -173,34 +224,34 @@ func (g *PVTAttr) HighestDegreeAttrs() []string {
 	if best == 0 {
 		return nil
 	}
-	var out []string
-	for id, d := range g.degree {
-		if d == best {
-			out = append(out, g.names[id])
+	// A PVT qualifies when one of its own attributes has the best degree,
+	// so a walk over the PVTs in index order yields the set ascending and
+	// without duplicates: one pass sizes it, the second fills it.
+	isCandidate := func(p int) bool {
+		if g.removed[p] {
+			return false
 		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PVTsOfAttrs returns the active PVTs adjacent to at least one of the given
-// attributes — the Xhda set of Algorithm 1, line 10.
-func (g *PVTAttr) PVTsOfAttrs(attrs []string) []int {
-	gen := g.mark()
-	out := []int{}
-	for _, a := range attrs {
-		id, ok := g.ids[a]
-		if !ok {
-			continue
-		}
-		for _, p := range g.members(id) {
-			if !g.removed[p] && g.stamp[p] != gen {
-				g.stamp[p] = gen
-				out = append(out, int(p))
+		for _, id := range g.attrIDs(p) {
+			if g.degree[id] == best {
+				return true
 			}
 		}
+		return false
 	}
-	slices.Sort(out)
+	k := 0
+	for p := range g.removed {
+		if isCandidate(p) {
+			k++
+		}
+	}
+	out := make([]int, k)
+	k = 0
+	for p := range g.removed {
+		if isCandidate(p) {
+			out[k] = p
+			k++
+		}
+	}
 	return out
 }
 

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -32,15 +34,10 @@ func TestPVTAttrDegrees(t *testing.T) {
 	if d := g.AttrDegree("unknown"); d != 0 {
 		t.Errorf("degree(unknown) = %d, want 0", d)
 	}
-	// high_expenditure is the unique highest-degree attribute (Figure 4).
-	hda := g.HighestDegreeAttrs()
-	if len(hda) != 1 || hda[0] != "high_expenditure" {
-		t.Errorf("HighestDegreeAttrs = %v", hda)
-	}
-	// Its adjacent PVTs are Indep (2) and Selectivity (3).
-	pvts := g.PVTsOfAttrs(hda)
-	if len(pvts) != 2 || pvts[0] != 2 || pvts[1] != 3 {
-		t.Errorf("PVTsOfAttrs = %v", pvts)
+	// high_expenditure is the unique highest-degree attribute (Figure 4);
+	// its adjacent PVTs are Indep (2) and Selectivity (3).
+	if pvts := g.HighestDegreePVTs(); !reflect.DeepEqual(pvts, []int{2, 3}) {
+		t.Errorf("HighestDegreePVTs = %v, want [2 3]", pvts)
 	}
 }
 
@@ -57,12 +54,17 @@ func TestPVTAttrRemove(t *testing.T) {
 	if len(active) != 3 {
 		t.Errorf("Active = %v", active)
 	}
-	// Removing everything leaves no highest-degree attrs.
+	// With PVT 2 explored every attribute has degree 1, so every active
+	// PVT is a candidate.
+	if pvts := g.HighestDegreePVTs(); !reflect.DeepEqual(pvts, []int{0, 1, 3}) {
+		t.Errorf("HighestDegreePVTs after removal = %v, want [0 1 3]", pvts)
+	}
+	// Removing everything leaves no candidates.
 	for i := 0; i < 4; i++ {
 		g.Remove(i)
 	}
-	if got := g.HighestDegreeAttrs(); got != nil {
-		t.Errorf("HighestDegreeAttrs on empty graph = %v", got)
+	if got := g.HighestDegreePVTs(); got != nil {
+		t.Errorf("HighestDegreePVTs on empty graph = %v", got)
 	}
 }
 
@@ -74,17 +76,80 @@ func TestAttrDegreeCountsDistinctPVTs(t *testing.T) {
 	if d := g.AttrDegree("a"); d != 1 {
 		t.Errorf("degree(a) = %d, want 1", d)
 	}
-	hda := g.HighestDegreeAttrs()
-	if len(hda) != 1 || hda[0] != "b" {
-		t.Errorf("HighestDegreeAttrs = %v, want [b]", hda)
-	}
-	if pvts := g.PVTsOfAttrs(hda); len(pvts) != 2 || pvts[0] != 1 || pvts[1] != 2 {
-		t.Errorf("PVTsOfAttrs = %v, want [1 2]", pvts)
+	if pvts := g.HighestDegreePVTs(); !reflect.DeepEqual(pvts, []int{1, 2}) {
+		t.Errorf("HighestDegreePVTs = %v, want [1 2] (the PVTs of b)", pvts)
 	}
 	g.Remove(0)
 	g.Remove(0)
 	if d := g.AttrDegree("a"); d != 0 {
 		t.Errorf("degree(a) after removing its PVT twice = %d, want 0", d)
+	}
+}
+
+// TestInterningManyNames pushes the interning table through a growth: 100k
+// distinct names (four per PVT, so the table sized for the PVT count must
+// grow), then every tenth name listed again, twice, by a PVT of its own.
+// Ids stay in first-appearance order, every degree is exact, and names
+// never interned have degree 0.
+func TestInterningManyNames(t *testing.T) {
+	const distinct, perPVT, repeats = 100_000, 4, 10_000
+	name := func(k int) string { return "attr" + strconv.Itoa(k) }
+	var attrs [][]string
+	for p := 0; p < distinct/perPVT; p++ {
+		row := make([]string, perPVT)
+		for j := range row {
+			row[j] = name(perPVT*p + j)
+		}
+		attrs = append(attrs, row)
+	}
+	for r := 0; r < repeats; r++ {
+		attrs = append(attrs, []string{name(10 * r), name(10 * r)})
+	}
+	g := NewPVTAttr(attrs)
+	if len(g.attrs.names) != distinct || 2*distinct > len(g.attrs.slots) {
+		t.Fatalf("%d names in %d slots, want %d names at most half full", len(g.attrs.names), len(g.attrs.slots), distinct)
+	}
+	if initial := len(newInterner(len(attrs)).slots); len(g.attrs.slots) <= initial {
+		t.Fatalf("the table kept its initial %d slots: the case never grew it", initial)
+	}
+	for k := 0; k < distinct; k++ {
+		if g.attrs.names[k] != name(k) {
+			t.Fatalf("id %d is %q, want %q (first-appearance order)", k, g.attrs.names[k], name(k))
+		}
+		want := 1
+		if k%10 == 0 {
+			want = 2
+		}
+		if d := g.AttrDegree(name(k)); d != want {
+			t.Fatalf("AttrDegree(%q) = %d, want %d", name(k), d, want)
+		}
+	}
+	for _, unknown := range []string{"", "attr", "Attr0", "attr-1", name(distinct), "unknown"} {
+		if d := g.AttrDegree(unknown); d != 0 {
+			t.Errorf("AttrDegree(%q) = %d, want 0", unknown, d)
+		}
+	}
+	// Candidates: the PVTs holding a name whose index is a multiple of ten.
+	var want []int
+	for p, row := range attrs {
+		for _, a := range row {
+			if k, _ := strconv.Atoi(a[len("attr"):]); k%10 == 0 {
+				want = append(want, p)
+				break
+			}
+		}
+	}
+	if got := g.HighestDegreePVTs(); !reflect.DeepEqual(got, want) {
+		t.Errorf("HighestDegreePVTs: %d PVTs, want %d", len(got), len(want))
+	}
+	for r := 0; r < repeats; r++ {
+		g.Remove(distinct/perPVT + r)
+	}
+	if d := g.AttrDegree(name(0)); d != 1 {
+		t.Errorf("AttrDegree(%q) after removing its repeat = %d, want 1", name(0), d)
+	}
+	if got := g.HighestDegreePVTs(); len(got) != distinct/perPVT {
+		t.Errorf("HighestDegreePVTs after removing the repeats: %d PVTs, want all %d left", len(got), distinct/perPVT)
 	}
 }
 

@@ -270,9 +270,10 @@ func randomSubset(n int, rng *rand.Rand) []int {
 }
 
 // checkMatchesReference builds the dense and the reference graph over the
-// same attribute lists and asserts equal degrees, candidate sets, active
-// sets, dependency edges and bisections while PVTs are removed, each one
-// twice.
+// same attribute lists and removes every PVT twice, in random order. It
+// asserts equal candidate sets after every removal, and equal degrees,
+// active sets, dependency edges and bisections at about every eighth of
+// the removals.
 func checkMatchesReference(t *testing.T, attrs [][]string, rng *rand.Rand) {
 	t.Helper()
 	g, ref := NewPVTAttr(attrs), newRefPVTAttr(attrs)
@@ -283,6 +284,12 @@ func checkMatchesReference(t *testing.T, attrs [][]string, rng *rand.Rand) {
 	}
 	sort.Strings(names)
 
+	compareCandidates := func(step string) {
+		t.Helper()
+		if got, want := g.HighestDegreePVTs(), ref.PVTsOfAttrs(ref.HighestDegreeAttrs()); !slices.Equal(got, want) {
+			t.Fatalf("%s: HighestDegreePVTs = %v, reference %v", step, got, want)
+		}
+	}
 	compare := func(step string) {
 		t.Helper()
 		for _, a := range names {
@@ -290,16 +297,7 @@ func checkMatchesReference(t *testing.T, attrs [][]string, rng *rand.Rand) {
 				t.Fatalf("%s: AttrDegree(%q) = %d, reference %d", step, a, got, want)
 			}
 		}
-		hda := g.HighestDegreeAttrs()
-		if want := ref.HighestDegreeAttrs(); !reflect.DeepEqual(hda, want) {
-			t.Fatalf("%s: HighestDegreeAttrs = %v, reference %v", step, hda, want)
-		}
-		some := append([]string{"unknown"}, names[rng.Intn(len(names)):]...)
-		for _, q := range [][]string{hda, some} {
-			if got, want := g.PVTsOfAttrs(q), ref.PVTsOfAttrs(q); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: PVTsOfAttrs(%v) = %v, reference %v", step, q, got, want)
-			}
-		}
+		compareCandidates(step)
 		if got, want := g.Active(), ref.Active(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Active = %v, reference %v", step, got, want)
 		}
@@ -332,8 +330,11 @@ func checkMatchesReference(t *testing.T, attrs [][]string, rng *rand.Rand) {
 	for k, p := range order {
 		g.Remove(p)
 		ref.Remove(p)
+		step := fmt.Sprintf("after %d removals", k+1)
 		if k%checkEvery == 0 || k == len(order)-1 {
-			compare(fmt.Sprintf("after %d removals", k+1))
+			compare(step)
+		} else {
+			compareCandidates(step)
 		}
 	}
 }

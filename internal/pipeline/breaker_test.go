@@ -14,10 +14,10 @@ import (
 // fakeClock is a manually advanced clock for breaker cooldown tests.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time              { return c.t }
-func (c *fakeClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                   { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
-func clockOf(c *fakeClock) func() time.Time      { return c.now }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+func clockOf(c *fakeClock) func() time.Time  { return c.now }
 func mustOpen(t *testing.T, b *Breaker, want bool) {
 	t.Helper()
 	if b.Open() != want {
@@ -209,9 +209,9 @@ func TestBreakerSingleHalfOpenProbe(t *testing.T) {
 func TestBreakerCancelledProbeReleasesSlot(t *testing.T) {
 	clk := newFakeClock()
 	sys := &scriptSys{script: []ScoreResult{
-		transientRes(),                               // trip
+		transientRes(), // trip
 		{Score: 0, Err: context.Canceled, Attempts: 1}, // probe under cancelled ctx
-		successRes(0.4),                              // second probe succeeds
+		successRes(0.4), // second probe succeeds
 	}}
 	b := &Breaker{System: sys, FailureThreshold: 1, Cooldown: time.Minute, Clock: clockOf(clk)}
 	d := extData()

@@ -41,7 +41,7 @@ type Config struct {
 	HedgeAfter time.Duration
 	// RetryMax, RetryBaseDelay, RetryMaxDelay parameterize the per-worker
 	// pipeline.Retry (zero values mean that type's defaults).
-	RetryMax      int
+	RetryMax       int
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
 	// BreakerThreshold and BreakerCooldown parameterize the per-worker

@@ -221,28 +221,50 @@ func (p *Outlier) Attributes() []string { return []string{p.Attr} }
 // Key implements Profile.
 func (p *Outlier) Key() string { return "outlier:" + p.Attr }
 
-// OutlierFraction returns the fraction of non-NULL values more than K
-// standard deviations from the attribute mean of d. The mean and deviation
-// come from the merged statistics roll-up and the count from a chunk walk,
-// so no row-length vector is materialized.
+// OutlierFraction returns the fraction of rows holding a non-NULL value
+// more than K standard deviations from the attribute mean of d. The mean
+// and deviation come from two row-order passes over the chunks' non-NULL
+// cells — the arithmetic of stats.Mean and stats.StdDev, without copying
+// the values out — so which cells count as outliers does not depend on the
+// chunk layout. On a single-chunk column they equal the roll-up's moments
+// bit for bit.
 func (p *Outlier) OutlierFraction(d *dataset.Dataset) float64 {
 	c := d.Column(p.Attr)
 	if c == nil || c.Kind != dataset.Numeric || d.NumRows() == 0 {
 		return 0
 	}
-	r := c.Rollup()
-	if r.Moments.Count == 0 {
+	count, sum := 0, 0.0
+	for k := 0; k < c.NumChunks(); k++ {
+		v := c.Chunk(k)
+		for i, x := range v.Nums {
+			if !v.Null[i] {
+				count++
+				sum += x
+			}
+		}
+	}
+	if count == 0 {
 		return 0
 	}
-	m, s := r.Mean(), r.StdDev()
+	m, m2 := sum/float64(count), 0.0
+	for k := 0; k < c.NumChunks(); k++ {
+		v := c.Chunk(k)
+		for i, x := range v.Nums {
+			if !v.Null[i] {
+				dx := x - m
+				m2 += dx * dx
+			}
+		}
+	}
+	s := math.Sqrt(m2 / float64(count))
 	if s == 0 {
 		return 0
 	}
 	n := 0
 	for k := 0; k < c.NumChunks(); k++ {
 		v := c.Chunk(k)
-		for i := range v.Null {
-			if !v.Null[i] && math.Abs(v.Nums[i]-m) > p.K*s {
+		for i, x := range v.Nums {
+			if !v.Null[i] && math.Abs(x-m) > p.K*s {
 				n++
 			}
 		}

@@ -10,7 +10,8 @@ import (
 
 // TestOutputsIndependentOfChunkLayout applies every transformation that fits
 // a statistic on the column it rewrites to one 1k-row content laid out at
-// three chunk sizes, and requires identical output fingerprints. The fleet
+// three chunk sizes, and requires identical output fingerprints, and
+// identical Outlier violation and coverage scores. The fleet
 // worker rebuilds each request at the default chunk size, so a transform
 // whose output depended on the layout would score a different dataset
 // remotely than locally.
@@ -76,6 +77,23 @@ func TestOutputsIndependentOfChunkLayout(t *testing.T) {
 		}
 		if want == base.Fingerprint() {
 			t.Errorf("%s left the content unchanged: the case proves nothing", tr.Name())
+		}
+	}
+
+	// The Outlier detector's scores must not depend on the layout either.
+	// At this K the threshold K·σ lies within an ulp of the planted
+	// outliers' distance from the mean: with σ and the mean taken from the
+	// merged roll-up, chunk sizes 7 and 64 flagged all eleven and the
+	// default size none.
+	edge := &profile.Outlier{Attr: "v", K: 9.2600493125861778}
+	var wantV, wantC float64
+	for _, csize := range []int{7, 64, dataset.DefaultChunkSize} {
+		d := build(csize)
+		v, c := edge.Violation(d), (&ReplaceOutliers{Profile: edge}).Coverage(d)
+		if csize == 7 {
+			wantV, wantC = v, c
+		} else if v != wantV || c != wantC {
+			t.Errorf("Outlier at chunk size %d: violation %v, coverage %v; at chunk size 7 %v, %v", csize, v, c, wantV, wantC)
 		}
 	}
 }
