@@ -472,7 +472,7 @@ func emitJSON(sys dataprism.System, tau, passScore, failScore float64, res *data
 		out.ExplByClass[c] = append(out.ExplByClass[c], p.String())
 	}
 	for _, s := range res.Trace {
-		out.Trace = append(out.Trace, jsonTraceStep{PVTs: s.PVTs, Transform: s.Transform, Score: s.Score, Accepted: s.Accepted})
+		out.Trace = append(out.Trace, jsonTraceStep{PVTs: res.Names(s.PVTs), Transform: s.Transform, Score: s.Score, Accepted: s.Accepted})
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

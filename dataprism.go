@@ -79,7 +79,8 @@ type (
 	Explainer = core.Explainer
 	// Result is the outcome of a root-cause search.
 	Result = core.Result
-	// Step is one logged intervention in a Result's trace.
+	// Step is one logged intervention in a Result's trace. Its PVTs are
+	// indices into Result.Candidates; Result.Names renders them.
 	Step = core.Step
 	// BenefitMode selects the greedy candidate-scoring strategy.
 	BenefitMode = core.BenefitMode

@@ -55,7 +55,7 @@ func main() {
 		if step.Accepted {
 			status = "ACCEPTED"
 		}
-		fmt.Printf("  [%s] %v via %s → score %.3f\n", status, step.PVTs, step.Transform, step.Score)
+		fmt.Printf("  [%s] %v via %s → score %.3f\n", status, res.Names(step.PVTs), step.Transform, step.Score)
 	}
 	fmt.Printf("\nMinimal explanation (cause and fix): %s\n", res.ExplanationString())
 	fmt.Printf("Malfunction after repair: %.3f (threshold %.2f)\n", res.FinalScore, sc.Tau)

@@ -139,7 +139,7 @@ func BugDocContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 101))
-	res := &core.Result{Discriminative: len(pvts)}
+	res := &core.Result{Discriminative: len(pvts), Candidates: pvts}
 	res.InitialScore, err = ev.Baseline(ctx, fail)
 	if err != nil {
 		finish(res, ev, start)
@@ -180,7 +180,7 @@ func BugDocContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 			}
 			return math.Inf(1), true
 		}
-		res.Trace = append(res.Trace, core.Step{PVTs: onNames(pvts, on), Transform: "bugdoc config", Score: s, Accepted: s <= cfg.Tau})
+		res.Trace = append(res.Trace, core.Step{PVTs: onIDs(on), Transform: "bugdoc config", Score: s, Accepted: s <= cfg.Tau})
 		return s, true
 	}
 
@@ -223,7 +223,7 @@ func BugDocContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 				continue
 			}
 			on := configs[r]
-			res.Trace = append(res.Trace, core.Step{PVTs: onNames(pvts, on), Transform: "bugdoc config", Score: s, Accepted: s <= cfg.Tau})
+			res.Trace = append(res.Trace, core.Step{PVTs: onIDs(on), Transform: "bugdoc config", Score: s, Accepted: s <= cfg.Tau})
 			if s <= cfg.Tau {
 				if bestPassing == nil || count(on) < count(bestPassing) {
 					bestPassing = append([]bool(nil), on...)
@@ -299,11 +299,12 @@ func BugDocContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 	return res, nil
 }
 
-func onNames(pvts []*core.PVT, on []bool) []string {
-	var out []string
-	for i, p := range pvts {
-		if on[i] {
-			out = append(out, p.String())
+// onIDs returns the candidate indices a configuration enables.
+func onIDs(on []bool) []int {
+	var out []int
+	for i, b := range on {
+		if b {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -350,7 +351,7 @@ func AnchorContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 202))
-	res := &core.Result{Discriminative: len(pvts)}
+	res := &core.Result{Discriminative: len(pvts), Candidates: pvts}
 	res.InitialScore, err = ev.Baseline(ctx, fail)
 	if err != nil {
 		finish(res, ev, start)
@@ -449,7 +450,7 @@ func AnchorContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 		}
 		rule[bestPVT] = true
 		res.Trace = append(res.Trace, core.Step{
-			PVTs:      []string{pvts[bestPVT].String()},
+			PVTs:      []int{bestPVT},
 			Transform: "anchor extend",
 			Score:     1 - bestPrec,
 			Accepted:  bestPrec >= precisionTarget,

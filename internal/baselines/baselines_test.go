@@ -122,3 +122,30 @@ func TestBaselinesEmptyCandidates(t *testing.T) {
 		t.Error("anchor with no candidates should fail cleanly")
 	}
 }
+
+// TestTracesIndexCandidates checks that BugDoc and Anchor log each
+// configuration by the indices of the candidates it enables.
+func TestTracesIndexCandidates(t *testing.T) {
+	sc := synth.New(synth.Options{NumPVTs: 8, NumAttrs: 4, Conjunction: 2, Seed: 27})
+	cfg := Config{System: sc.System, Tau: 0.05, Seed: 27}
+	for _, tc := range []struct {
+		name string
+		run  func(Config, []*core.PVT, *dataset.Dataset) (*core.Result, error)
+	}{{"bugdoc", BugDoc}, {"anchor", Anchor}} {
+		name := tc.name
+		res, err := tc.run(cfg, sc.PVTs, sc.Fail)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Candidates) != len(sc.PVTs) || len(res.Trace) == 0 {
+			t.Fatalf("%s: %d candidates, %d steps", name, len(res.Candidates), len(res.Trace))
+		}
+		for i, step := range res.Trace {
+			for j, id := range step.PVTs {
+				if id < 0 || id >= len(sc.PVTs) || (j > 0 && id <= step.PVTs[j-1]) {
+					t.Fatalf("%s: step %d ids %v are not ascending candidate indices", name, i, step.PVTs)
+				}
+			}
+		}
+	}
+}

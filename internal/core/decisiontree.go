@@ -67,7 +67,7 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 	}
 	rng := e.rng()
 
-	res := &Result{Discriminative: len(pvts)}
+	res := &Result{Discriminative: len(pvts), Candidates: pvts}
 	res.InitialScore, err = ev.Baseline(ctx, fail)
 	if err != nil {
 		finish(res, ev, start)
@@ -164,11 +164,7 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 			}
 			tried[key] = true
 			progressed = true
-			group := make([]*PVT, len(conj))
-			for i, idx := range conj {
-				group[i] = pvts[idx]
-			}
-			dt := composeAll(fail, group, nil, rng)
+			dt := composeAll(fail, pvtsAt(pvts, conj), nil, rng)
 			s, evalErr := ev.Score(ctx, dt)
 			if evalErr != nil {
 				if errors.Is(evalErr, engine.ErrBudgetExhausted) {
@@ -181,9 +177,9 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 				continue // transient measurement failure: try the next conjunction
 			}
 			accepted := s <= e.Tau
-			res.Trace = append(res.Trace, Step{PVTs: pvtNames(group), Transform: "decision-tree conjunction", Score: s, Accepted: accepted})
+			res.Trace = append(res.Trace, Step{PVTs: conj, Transform: "decision-tree conjunction", Score: s, Accepted: accepted})
 			if accepted {
-				expl, final, mmErr := e.makeMinimal(ctx, ev, fail, dt, group, nil, rng, &res.Trace)
+				expl, final, mmErr := e.makeMinimal(ctx, ev, fail, dt, pvts, conj, nil, rng, &res.Trace)
 				if mmErr != nil {
 					finish(res, ev, start)
 					return res, mmErr
@@ -211,15 +207,6 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 	}
 	finish(res, ev, start)
 	return res, ErrNoExplanation
-}
-
-// pvtNames renders a PVT group for the trace.
-func pvtNames(pvts []*PVT) []string {
-	out := make([]string, len(pvts))
-	for i, p := range pvts {
-		out[i] = p.String()
-	}
-	return out
 }
 
 // conjKey canonicalizes a conjunction for the tried-set.

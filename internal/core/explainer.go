@@ -108,8 +108,9 @@ type Explainer struct {
 
 // Step records one intervention for the Result trace.
 type Step struct {
-	// PVTs lists the profiles intervened on (one for greedy, a group for GT).
-	PVTs []string
+	// PVTs lists the profiles intervened on (one for greedy, a group for
+	// GT) as indices into Result.Candidates; Result.Names renders them.
+	PVTs []int
 	// Transform names the applied transformation ("" for group steps).
 	Transform string
 	// Score is the malfunction score observed after the intervention.
@@ -132,6 +133,9 @@ type Result struct {
 	Interventions int
 	// Discriminative is the number of discriminative PVT candidates.
 	Discriminative int
+	// Candidates is the PVT set the search ran on — the caller's slice,
+	// not a copy. Trace steps name PVTs by their index into it.
+	Candidates []*PVT
 	// InitialScore and FinalScore bracket the search.
 	InitialScore, FinalScore float64
 	// Trace logs each intervention in order.
@@ -145,6 +149,16 @@ type Result struct {
 
 // ExplanationString renders the explanation in the paper's set notation.
 func (r *Result) ExplanationString() string { return pvtSetString(r.Explanation) }
+
+// Names renders candidate indices, such as a trace step's PVTs, as the
+// candidates' names.
+func (r *Result) Names(ids []int) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = r.Candidates[id].String()
+	}
+	return out
+}
 
 // ErrNoExplanation is returned when no combination of discriminative PVT
 // transformations brings the malfunction score below τ — e.g. when
@@ -254,11 +268,12 @@ func (e *Explainer) benefit(i int, p *PVT, d *dataset.Dataset, rng *rand.Rand, c
 }
 
 // makeMinimal implements Algorithm 1 line 20 / Algorithm 2 line 7: starting
-// from an explanation X*, repeatedly try dropping one PVT; if the remaining
-// composition still brings the failing dataset below τ, the PVT was
-// unnecessary. Every check costs one oracle call unless memoized. chosen
-// pins the specific transformation each PVT used during the search so
-// minimality is checked against the same fix that was verified.
+// from an explanation X*, given as indices into pvts, repeatedly try
+// dropping one PVT; if the remaining composition still brings the failing
+// dataset below τ, the PVT was unnecessary. Every check costs one oracle
+// call unless memoized. chosen pins the specific transformation each PVT
+// used during the search so minimality is checked against the same fix
+// that was verified.
 //
 // The drop checks of one round are independent, so they are composed
 // serially (deterministic rng order) and evaluated as one engine batch; the
@@ -266,10 +281,10 @@ func (e *Explainer) benefit(i int, p *PVT, d *dataset.Dataset, rng *rand.Rand, c
 // preserves the sequential algorithm's choice of explanation. The budget is
 // checked before any composition work, so an exhausted budget wastes no
 // dataset clones.
-func (e *Explainer) makeMinimal(ctx context.Context, ev *engine.Eval, fail, finalD *dataset.Dataset, expl []*PVT,
+func (e *Explainer) makeMinimal(ctx context.Context, ev *engine.Eval, fail, finalD *dataset.Dataset, pvts []*PVT, expl []int,
 	chosen map[*PVT]transform.Transformation, rng *rand.Rand, trace *[]Step) ([]*PVT, *dataset.Dataset, error) {
 
-	current := append([]*PVT(nil), expl...)
+	current := append([]int(nil), expl...)
 	best := finalD
 	for len(current) > 1 {
 		n := len(current)
@@ -280,8 +295,14 @@ func (e *Explainer) makeMinimal(ctx context.Context, ev *engine.Eval, fail, fina
 			break
 		}
 		cands := make([]*dataset.Dataset, n)
+		reduced := make([]*PVT, 0, len(current)-1)
 		for i := 0; i < n; i++ {
-			reduced := append(append([]*PVT(nil), current[:i]...), current[i+1:]...)
+			reduced = reduced[:0]
+			for j, idx := range current {
+				if j != i {
+					reduced = append(reduced, pvts[idx])
+				}
+			}
 			cands[i] = composeAll(fail, reduced, chosen, rng)
 		}
 		scores, err := ev.EvalBatch(ctx, cands)
@@ -297,23 +318,23 @@ func (e *Explainer) makeMinimal(ctx context.Context, ev *engine.Eval, fail, fina
 				continue
 			}
 			*trace = append(*trace, Step{
-				PVTs:      []string{current[i].String()},
+				PVTs:      []int{current[i]},
 				Transform: "make-minimal drop check",
 				Score:     s,
 				Accepted:  i == drop,
 			})
 		}
 		if err != nil && !errors.Is(err, engine.ErrBudgetExhausted) {
-			return current, best, err
+			return pvtsAt(pvts, current), best, err
 		}
 		if drop < 0 {
 			break // minimal (or budget ran dry mid-round with no drop found)
 		}
 		best = cands[drop]
-		current = append(append([]*PVT(nil), current[:drop]...), current[drop+1:]...)
+		current = append(current[:drop], current[drop+1:]...)
 		if err != nil {
 			break // the drop was applied, but no budget remains for another round
 		}
 	}
-	return current, best, nil
+	return pvtsAt(pvts, current), best, nil
 }

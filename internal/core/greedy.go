@@ -49,7 +49,7 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 	}
 	rng := e.rng()
 
-	res := &Result{Discriminative: len(pvts)}
+	res := &Result{Discriminative: len(pvts), Candidates: pvts}
 	res.InitialScore, err = ev.Baseline(ctx, fail)
 	if err != nil {
 		finish(res, ev, start)
@@ -67,7 +67,7 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 	g := buildGraph(pvts)
 	d := fail
 	score := res.InitialScore
-	var expl []*PVT
+	var expl []int
 	chosen := make(map[*PVT]transform.Transformation)
 	cov := newCoverageCache(len(pvts))
 
@@ -132,7 +132,7 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 				continue
 			}
 			res.Trace = append(res.Trace, Step{
-				PVTs:      []string{p.String()},
+				PVTs:      []int{best},
 				Transform: probes[i].t.Name(),
 				Score:     s,
 				Accepted:  i == pick,
@@ -141,7 +141,7 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 		if pick >= 0 {
 			d, score = probes[pick].out, scores[pick]
 			chosen[p] = probes[pick].t
-			expl = append(expl, p)
+			expl = append(expl, best)
 		}
 		if evalErr != nil {
 			if errors.Is(evalErr, engine.ErrBudgetExhausted) {
@@ -160,14 +160,14 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 	}
 
 	// Line 20: minimality post-pass.
-	expl, d, mmErr := e.makeMinimal(ctx, ev, fail, d, expl, chosen, rng, &res.Trace)
+	minimal, d, mmErr := e.makeMinimal(ctx, ev, fail, d, pvts, expl, chosen, rng, &res.Trace)
 	if mmErr != nil {
 		res.FinalScore = score
 		finish(res, ev, start)
 		return res, mmErr
 	}
 	res.Found = true
-	res.Explanation = expl
+	res.Explanation = minimal
 	res.Transformed = d
 	// The final dataset's score was evaluated (and memoized) during the
 	// search, so this is a cache hit; fall back to the last accepted score

@@ -30,8 +30,7 @@ type gtGroupState struct {
 	g     *graph.PVTAttr
 	rng   *rand.Rand
 	trace []Step
-	err   error    // first context/engine error other than budget exhaustion
-	text  []string // pvt index -> PVT.String(), filled on first use
+	err   error // first context/engine error other than budget exhaustion
 }
 
 // ExplainGroupTest runs DataPrismGT (Algorithm 2): the discriminative PVTs
@@ -73,7 +72,7 @@ func (e *Explainer) ExplainGroupTestPVTsContext(ctx context.Context, pvts []*PVT
 	}
 	rng := e.rng()
 
-	res := &Result{Discriminative: len(pvts)}
+	res := &Result{Discriminative: len(pvts), Candidates: pvts}
 	res.InitialScore, err = ev.Baseline(ctx, fail)
 	if err != nil {
 		finish(res, ev, start)
@@ -95,7 +94,6 @@ func (e *Explainer) ExplainGroupTestPVTsContext(ctx context.Context, pvts []*PVT
 		pvts: pvts,
 		g:    buildGraph(pvts),
 		rng:  rng,
-		text: make([]string, len(pvts)),
 	}
 	all := make([]int, len(pvts))
 	for i := range all {
@@ -120,11 +118,7 @@ func (e *Explainer) ExplainGroupTestPVTsContext(ctx context.Context, pvts []*PVT
 	}
 
 	// Algorithm 2, line 7: minimality post-pass.
-	expl := make([]*PVT, len(explIdx))
-	for i, idx := range explIdx {
-		expl[i] = pvts[idx]
-	}
-	expl, d, mmErr := e.makeMinimal(ctx, ev, fail, final.d, expl, nil, rng, &res.Trace)
+	expl, d, mmErr := e.makeMinimal(ctx, ev, fail, final.d, pvts, explIdx, nil, rng, &res.Trace)
 	if mmErr != nil {
 		res.FinalScore = finalScore
 		finish(res, ev, start)
@@ -177,19 +171,6 @@ func (st *gtGroupState) applyGroup(d *dataset.Dataset, x []int) *dataset.Dataset
 	return cur
 }
 
-// names renders a PVT index group for the trace, rendering each PVT once
-// per search: every recursion level lists the same PVTs again.
-func (st *gtGroupState) names(x []int) []string {
-	out := make([]string, len(x))
-	for i, idx := range x {
-		if st.text[idx] == "" {
-			st.text[idx] = st.pvts[idx].String()
-		}
-		out[i] = st.text[idx]
-	}
-	return out
-}
-
 // run is Algorithm 3 (Group-Test).
 func (st *gtGroupState) run(x []int, cur *scoredDataset) (*scoredDataset, []int) {
 	if len(x) == 0 || st.err != nil || st.ev.Exhausted() {
@@ -202,7 +183,9 @@ func (st *gtGroupState) run(x []int, cur *scoredDataset) (*scoredDataset, []int)
 		return &scoredDataset{d: st.applyGroup(cur.d, x)}, []int{x[0]}
 	}
 
-	// Line 4: partition the candidates.
+	// Line 4: partition the candidates. Both bisections return fresh
+	// slices that nothing mutates afterwards, so trace steps keep them
+	// without a copy.
 	var x1, x2 []int
 	if st.e.RandomBisection {
 		x1, x2 = graph.RandomBisection(x, st.rng)
@@ -233,12 +216,12 @@ func (st *gtGroupState) run(x []int, cur *scoredDataset) (*scoredDataset, []int)
 	if !math.IsNaN(scores[0]) {
 		d1.score, d1.known = scores[0], true
 		s1 = scores[0]
-		st.trace = append(st.trace, Step{PVTs: st.names(x1), Transform: "group", Score: s1, Accepted: s1 < m})
+		st.trace = append(st.trace, Step{PVTs: x1, Transform: "group", Score: s1, Accepted: s1 < m})
 	}
 	if !math.IsNaN(scores[1]) {
 		d2.score, d2.known = scores[1], true
 		s2 = scores[1]
-		st.trace = append(st.trace, Step{PVTs: st.names(x2), Transform: "group", Score: s2, Accepted: s2 < m})
+		st.trace = append(st.trace, Step{PVTs: x2, Transform: "group", Score: s2, Accepted: s2 < m})
 	}
 	if st.err != nil {
 		return cur, nil

@@ -196,6 +196,15 @@ func composeAll(d *dataset.Dataset, pvts []*PVT, chosen map[*PVT]transform.Trans
 	return cur
 }
 
+// pvtsAt returns the PVTs of pvts at the given indices, in the order of ids.
+func pvtsAt(pvts []*PVT, ids []int) []*PVT {
+	out := make([]*PVT, len(ids))
+	for i, id := range ids {
+		out[i] = pvts[id]
+	}
+	return out
+}
+
 // pvtSetString renders an explanation set for reports.
 func pvtSetString(pvts []*PVT) string {
 	parts := make([]string, len(pvts))

@@ -27,8 +27,7 @@ import (
 // Queries reuse scratch buffers held by the graph, so a PVTAttr is not safe
 // for concurrent use.
 type PVTAttr struct {
-	attrsOf [][]string // pvt -> attribute names, as given
-	attrs   interner   // attribute name <-> id
+	attrs interner // attribute name <-> id
 
 	// CSR pvt -> distinct attribute ids: pvtAttrs[pvtStart[p]:pvtStart[p+1]].
 	pvtStart []int32
@@ -45,14 +44,12 @@ type PVTAttr struct {
 	local []int32 // pvt -> rank in the subset Dependency is building, else -1
 }
 
-// NewPVTAttr builds the bipartite graph from each PVT's attribute list. The
-// graph keeps attrsPerPVT (AttrsOf returns its rows); an attribute listed
-// twice by one PVT connects them once.
+// NewPVTAttr builds the bipartite graph from each PVT's attribute list; an
+// attribute listed twice by one PVT connects them once.
 func NewPVTAttr(attrsPerPVT [][]string) *PVTAttr {
 	n := len(attrsPerPVT)
 	// Sized for one attribute per PVT, the common case.
 	g := &PVTAttr{
-		attrsOf:  attrsPerPVT,
 		attrs:    newInterner(n),
 		pvtStart: make([]int32, n+1),
 		pvtAttrs: make([]int32, 0, n),
@@ -166,7 +163,7 @@ func (g *PVTAttr) mark() uint32 {
 }
 
 // NumPVTs returns the total number of PVTs (including removed ones).
-func (g *PVTAttr) NumPVTs() int { return len(g.attrsOf) }
+func (g *PVTAttr) NumPVTs() int { return len(g.removed) }
 
 // Remove marks a PVT as explored so it no longer contributes to degrees.
 // Removing a PVT twice, or one out of range, does nothing.
@@ -194,14 +191,6 @@ func (g *PVTAttr) Active() []int {
 		}
 	}
 	return out
-}
-
-// AttrsOf returns the attributes a PVT's profile is defined over.
-func (g *PVTAttr) AttrsOf(pvt int) []string {
-	if pvt < 0 || pvt >= len(g.attrsOf) {
-		return nil
-	}
-	return g.attrsOf[pvt]
 }
 
 // AttrDegree returns the number of active PVTs connected to attr.
@@ -315,44 +304,6 @@ func (d *Dependency) Nodes() []int { return d.nodes }
 
 // neighbours returns the ranks adjacent to rank i.
 func (d *Dependency) neighbours(i int32) []int32 { return d.adj[d.start[i]:d.start[i+1]] }
-
-// rank returns the position of PVT p in the node list, or -1.
-func (d *Dependency) rank(p int) int32 {
-	if i, ok := slices.BinarySearch(d.nodes, p); ok {
-		return int32(i)
-	}
-	return -1
-}
-
-// HasEdge reports whether two PVTs share an attribute.
-func (d *Dependency) HasEdge(a, b int) bool {
-	i, j := d.rank(a), d.rank(b)
-	return i >= 0 && j >= 0 && slices.Contains(d.neighbours(i), j)
-}
-
-// NumEdges returns the undirected edge count.
-func (d *Dependency) NumEdges() int { return len(d.adj) / 2 }
-
-// CutSize counts edges crossing between the two partitions.
-func (d *Dependency) CutSize(a, b []int) int {
-	inA := make([]bool, len(d.nodes))
-	for _, x := range a {
-		if i := d.rank(x); i >= 0 {
-			inA[i] = true
-		}
-	}
-	cut := 0
-	for _, y := range b {
-		if j := d.rank(y); j >= 0 {
-			for _, nbr := range d.neighbours(j) {
-				if inA[nbr] {
-					cut++
-				}
-			}
-		}
-	}
-	return cut
-}
 
 // RandomBisection splits nodes into two halves uniformly at random
 // (sizes differ by at most one) — the partitioning of the traditional

@@ -3,11 +3,50 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
 )
+
+// rank returns the position of PVT p in the node list, or -1.
+func (d *Dependency) rank(p int) int32 {
+	if i, ok := slices.BinarySearch(d.nodes, p); ok {
+		return int32(i)
+	}
+	return -1
+}
+
+// hasEdge reports whether two PVTs share an attribute.
+func (d *Dependency) hasEdge(a, b int) bool {
+	i, j := d.rank(a), d.rank(b)
+	return i >= 0 && j >= 0 && slices.Contains(d.neighbours(i), j)
+}
+
+// numEdges returns the undirected edge count.
+func (d *Dependency) numEdges() int { return len(d.adj) / 2 }
+
+// cutSize counts edges crossing between the two partitions.
+func (d *Dependency) cutSize(a, b []int) int {
+	inA := make([]bool, len(d.nodes))
+	for _, x := range a {
+		if i := d.rank(x); i >= 0 {
+			inA[i] = true
+		}
+	}
+	cut := 0
+	for _, y := range b {
+		if j := d.rank(y); j >= 0 {
+			for _, nbr := range d.neighbours(j) {
+				if inA[nbr] {
+					cut++
+				}
+			}
+		}
+	}
+	return cut
+}
 
 // examplePVTs mirrors Figure 4 of the paper: four discriminative PVTs over
 // the attributes of the running example.
@@ -157,18 +196,18 @@ func TestDependencyGraph(t *testing.T) {
 	g := NewPVTAttr(examplePVTs())
 	d := g.Dependency([]int{0, 1, 2, 3})
 	// Only PVTs 2 and 3 share an attribute.
-	if !d.HasEdge(2, 3) || !d.HasEdge(3, 2) {
+	if !d.hasEdge(2, 3) || !d.hasEdge(3, 2) {
 		t.Error("PVTs sharing high_expenditure should be adjacent")
 	}
-	if d.HasEdge(0, 1) || d.HasEdge(0, 2) {
+	if d.hasEdge(0, 1) || d.hasEdge(0, 2) {
 		t.Error("unrelated PVTs should not be adjacent")
 	}
-	if d.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", d.NumEdges())
+	if d.numEdges() != 1 {
+		t.Errorf("numEdges = %d, want 1", d.numEdges())
 	}
 	// Restricting the subset drops edges.
 	d2 := g.Dependency([]int{0, 2})
-	if d2.NumEdges() != 0 {
+	if d2.numEdges() != 0 {
 		t.Error("restricted dependency graph should have no edges")
 	}
 }
@@ -176,11 +215,11 @@ func TestDependencyGraph(t *testing.T) {
 func TestCutSize(t *testing.T) {
 	g := NewPVTAttr(examplePVTs())
 	d := g.Dependency([]int{0, 1, 2, 3})
-	if cut := d.CutSize([]int{2}, []int{3}); cut != 1 {
-		t.Errorf("CutSize = %d, want 1", cut)
+	if cut := d.cutSize([]int{2}, []int{3}); cut != 1 {
+		t.Errorf("cutSize = %d, want 1", cut)
 	}
-	if cut := d.CutSize([]int{2, 3}, []int{0, 1}); cut != 0 {
-		t.Errorf("CutSize same-side = %d, want 0", cut)
+	if cut := d.cutSize([]int{2, 3}, []int{0, 1}); cut != 0 {
+		t.Errorf("cutSize same-side = %d, want 0", cut)
 	}
 }
 
@@ -223,7 +262,7 @@ func TestMinBisectionKeepsComponentsTogether(t *testing.T) {
 	}
 	// The graph is a perfect matching of 4 pairs; an optimal bisection has
 	// cut 0, keeping each pair on one side.
-	if cut := d.CutSize(a, b); cut != 0 {
+	if cut := d.cutSize(a, b); cut != 0 {
 		t.Errorf("MinBisection cut = %d, want 0 (pairs kept together: %v | %v)", cut, a, b)
 	}
 }
@@ -278,13 +317,13 @@ func TestMinBisectionProperty(t *testing.T) {
 			}
 		}
 		// Local optimum: no single swap improves the cut.
-		base := d.CutSize(a, b)
+		base := d.cutSize(a, b)
 		for i := range a {
 			for j := range b {
 				a2 := append([]int(nil), a...)
 				b2 := append([]int(nil), b...)
 				a2[i], b2[j] = b[j], a[i]
-				if d.CutSize(a2, b2) < base {
+				if d.cutSize(a2, b2) < base {
 					return false
 				}
 			}

@@ -315,8 +315,8 @@ func checkMatchesReference(t *testing.T, attrs [][]string, rng *rand.Rand) {
 		if !reflect.DeepEqual(a, ra) || !reflect.DeepEqual(b, rb) {
 			t.Fatalf("%s: MinBisection = %v | %v, reference %v | %v", step, a, b, ra, rb)
 		}
-		if got, want := d.CutSize(a, b), rd.CutSize(ra, rb); got != want {
-			t.Fatalf("%s: CutSize = %d, reference %d", step, got, want)
+		if got, want := d.cutSize(a, b), rd.CutSize(ra, rb); got != want {
+			t.Fatalf("%s: cutSize = %d, reference %d", step, got, want)
 		}
 	}
 

@@ -1,7 +1,7 @@
 // Package report renders root-cause search results for humans: a compact
 // text report for terminals and a Markdown report for issue trackers and
 // docs. Both include the verdict, the minimal explanation, and the
-// intervention trace.
+// intervention trace, which lists at most maxStepNames PVT names per step.
 package report
 
 import (
@@ -30,6 +30,24 @@ func byClass(expl []*core.PVT) ([]string, map[string][]string) {
 	sort.Strings(names)
 	return names, groups
 }
+
+// maxStepNames bounds the PVT names a report lists for one trace step: a
+// group-testing step at Figure 8 scale holds 150k PVTs.
+const maxStepNames = 8
+
+// stepPVTs renders a trace step's PVTs joined by " + ": every name of a
+// group of at most maxStepNames, else the first maxStepNames names and the
+// group's size.
+func stepPVTs(r *core.Result, ids []int) string {
+	if len(ids) <= maxStepNames {
+		return strings.Join(r.Names(ids), " + ")
+	}
+	return fmt.Sprintf("%s + … (%d PVTs)", strings.Join(r.Names(ids[:maxStepNames]), " + "), len(ids))
+}
+
+// cell escapes free text for a Markdown table cell, where "|" would end
+// the cell.
+func cell(s string) string { return strings.ReplaceAll(s, "|", `\|`) }
 
 // Summary bundles a Result with the run's context for rendering.
 type Summary struct {
@@ -89,7 +107,7 @@ func (s Summary) Text() string {
 				status = "ACCEPTED"
 			}
 			fmt.Fprintf(&b, "  [%s] %s via %s → %.3f\n",
-				status, strings.Join(step.PVTs, " + "), step.Transform, step.Score)
+				status, stepPVTs(r, step.PVTs), step.Transform, step.Score)
 		}
 	}
 	if r.Found {
@@ -120,7 +138,7 @@ func (s Summary) Markdown() string {
 	fmt.Fprintf(&b, "| malfunction (failing) | %.3f |\n", s.FailScore)
 	fmt.Fprintf(&b, "| threshold τ | %.2f |\n", s.Tau)
 	if s.Baseline != "" {
-		fmt.Fprintf(&b, "| baseline artifact | %s |\n", s.baselineLabel())
+		fmt.Fprintf(&b, "| baseline artifact | %s |\n", cell(s.baselineLabel()))
 	}
 	r := s.Result
 	if r == nil {
@@ -166,7 +184,7 @@ func (s Summary) Markdown() string {
 				kept = "✓"
 			}
 			fmt.Fprintf(&b, "| %d | %s | %s | %.3f | %s |\n",
-				i+1, strings.Join(step.PVTs, " + "), step.Transform, step.Score, kept)
+				i+1, cell(stepPVTs(r, step.PVTs)), cell(step.Transform), step.Score, kept)
 		}
 	}
 	return b.String()
