@@ -230,7 +230,7 @@ func benchEngineBatch(b *testing.B, workers int) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := engine.New(sys, engine.Config{Workers: workers})
+		ev := engine.New(pipeline.AsFallible(sys), engine.Config{Workers: workers})
 		if _, err := ev.EvalBatch(ctx, cands); err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func BenchmarkEngineMemoCold(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := engine.New(sys, engine.Config{Workers: 1})
+		ev := engine.New(pipeline.AsFallible(sys), engine.Config{Workers: 1})
 		if _, err := ev.EvalBatch(ctx, cands); err != nil {
 			b.Fatal(err)
 		}
@@ -266,7 +266,7 @@ func BenchmarkEngineMemoWarm(b *testing.B) {
 	cands := engineBatchCandidates(16)
 	sys := slowCtxSystem(2 * time.Millisecond)
 	ctx := context.Background()
-	ev := engine.New(sys, engine.Config{Workers: 1})
+	ev := engine.New(pipeline.AsFallible(sys), engine.Config{Workers: 1})
 	if _, err := ev.EvalBatch(ctx, cands); err != nil {
 		b.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func benchEngineGroupTest(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := &core.Explainer{ContextSystem: cs, Tau: 0.05, Seed: 1, Workers: workers}
-		r, err := e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+		r, err := e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if err != nil {
 			b.Fatal(err)
 		}

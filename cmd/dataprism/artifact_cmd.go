@@ -149,11 +149,7 @@ func watchCmd(args []string) {
 		Threshold: *threshold,
 	}
 	if *systemCmd != "" {
-		ext := &pipeline.External{Command: strings.Fields(*systemCmd)}
-		w.Oracle = func(d *dataset.Dataset) (float64, error) {
-			r := dataprism.AsFallibleSystem(dataprism.AsContextSystem(ext)).TryMalfunctionScore(context.Background(), d)
-			return r.Score, r.Err
-		}
+		w.Oracle = &pipeline.External{Command: strings.Fields(*systemCmd)}
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -175,7 +171,10 @@ func watchCmd(args []string) {
 	}
 	if *ticks > 0 {
 		for i := 0; i < *ticks; i++ {
-			ev, err := w.Tick()
+			ev, err := w.Tick(ctx)
+			if errors.Is(err, context.Canceled) {
+				break // interrupted mid-tick: fall through to the gate
+			}
 			if err != nil {
 				fatal(err)
 			}

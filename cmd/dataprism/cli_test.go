@@ -1,0 +1,236 @@
+package main
+
+import (
+	"bufio"
+	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// statusScorer is a one-line external system: the malfunction is the
+// fraction of rows whose status (the first CSV field) is neither "ok" nor
+// "error".
+const statusScorer = `awk -F, 'NR>1 { n++; if ($1 != "ok" && $1 != "error") bad++ } END { if (n == 0) print 1; else printf "%.4f\n", bad/n }'`
+
+// wantStatusExplanation is the root cause the status pair exposes.
+const wantStatusExplanation = "⟨Domain, status, {error,ok}⟩"
+
+// statusFixture writes a passing and a failing CSV with status, latency and
+// zone columns, where the failing side spells the statuses okay/err, plus
+// the scorer script. It returns the directory and the flags that explain
+// the pair.
+func statusFixture(t *testing.T) (dir string, explainArgs []string) {
+	t.Helper()
+	dir = t.TempDir()
+	var pass, fail strings.Builder
+	pass.WriteString("status,latency,zone\n")
+	fail.WriteString("status,latency,zone\n")
+	zones := []string{"eu", "us", "ap"}
+	for i := 0; i < 60; i++ {
+		status, spelled := "ok", "okay"
+		if i%4 == 0 {
+			status, spelled = "error", "err"
+		}
+		latency := 10 + (i*7)%40
+		fmt.Fprintf(&pass, "%s,%d,%s\n", status, latency, zones[i%3])
+		fmt.Fprintf(&fail, "%s,%d,%s\n", spelled, latency, zones[i%3])
+	}
+	writeFile(t, dir, "pass.csv", pass.String())
+	writeFile(t, dir, "fail.csv", fail.String())
+	writeFile(t, dir, "score.sh", statusScorer+"\n")
+	return dir, []string{
+		"-pass", filepath.Join(dir, "pass.csv"),
+		"-fail", filepath.Join(dir, "fail.csv"),
+		"-system-cmd", "sh " + filepath.Join(dir, "score.sh"),
+		"-tau", "0.1", "-json",
+	}
+}
+
+func writeFile(t *testing.T, dir, name, content string) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cliReport is the part of the -json report the black-box tests compare.
+type cliReport struct {
+	Found         bool            `json:"found"`
+	Explanation   []string        `json:"explanation"`
+	Interventions int             `json:"interventions"`
+	StoreHits     int             `json:"store_hits"`
+	Trace         json.RawMessage `json:"trace"`
+}
+
+// explain runs the CLI and decodes its -json report; it requires exit 0.
+func explain(t *testing.T, args ...string) cliReport {
+	t.Helper()
+	out, code := run(t, args...)
+	if code != 0 {
+		t.Fatalf("dataprism %v: exit code %d\n%s", args, code, out)
+	}
+	var rep cliReport
+	if err := json.Unmarshal(out, &rep); err != nil {
+		t.Fatalf("dataprism %v: %v\n%s", args, err, out)
+	}
+	return rep
+}
+
+// requireStatusExplanation checks a report explains the status pair.
+func requireStatusExplanation(t *testing.T, name string, rep cliReport) {
+	t.Helper()
+	if !rep.Found || !slices.Equal(rep.Explanation, []string{wantStatusExplanation}) {
+		t.Fatalf("%s: found=%v explanation %q, want [%s]", name, rep.Found, rep.Explanation, wantStatusExplanation)
+	}
+}
+
+// startWorker launches `serve-oracle` on a random loopback port and returns
+// its address, read from the worker's stderr. The worker is terminated
+// when the test ends.
+func startWorker(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(binary, append([]string{"serve-oracle", "-listen", "127.0.0.1:0"}, args...)...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	addr := make(chan string, 1)
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			if _, a, ok := strings.Cut(sc.Text(), " on "); ok && strings.Contains(sc.Text(), "serving oracle") {
+				addr <- a
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		cmd.Process.Signal(syscall.SIGTERM)
+		select {
+		case <-drained: // stderr reached EOF: the worker exited
+		case <-time.After(10 * time.Second):
+			cmd.Process.Kill()
+			<-drained
+		}
+		cmd.Wait()
+	})
+	select {
+	case a := <-addr:
+		return a
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve-oracle did not report its address")
+		return ""
+	}
+}
+
+// TestSystemCmdExplains runs the external-system path end to end.
+func TestSystemCmdExplains(t *testing.T) {
+	_, args := statusFixture(t)
+	requireStatusExplanation(t, "local", explain(t, args...))
+}
+
+// TestRemoteWorkersMatchLocal checks that a loopback serve-oracle fleet
+// gives the local run's explanation, intervention count and trace, for
+// both search algorithms.
+func TestRemoteWorkersMatchLocal(t *testing.T) {
+	dir, args := statusFixture(t)
+	scorer := "sh " + filepath.Join(dir, "score.sh")
+	fleet := startWorker(t, "-system-cmd", scorer) + "," + startWorker(t, "-system-cmd", scorer)
+	for _, algo := range []string{"grd", "gt"} {
+		local := explain(t, append(args, "-algo", algo)...)
+		requireStatusExplanation(t, algo+" local", local)
+		remote := explain(t, append(args, "-algo", algo, "-remote-workers", fleet)...)
+		requireStatusExplanation(t, algo+" fleet", remote)
+		if remote.Interventions != local.Interventions {
+			t.Errorf("%s: fleet interventions %d, local %d", algo, remote.Interventions, local.Interventions)
+		}
+		if string(remote.Trace) != string(local.Trace) {
+			t.Errorf("%s: fleet trace differs from the local one\nfleet %s\nlocal %s", algo, remote.Trace, local.Trace)
+		}
+	}
+}
+
+// TestRemoteFallbackOnDeadFleet checks that a fleet whose only worker is
+// unreachable degrades to the local -system-cmd when -remote-fallback is
+// set and the breaker opens on the first failure.
+func TestRemoteFallbackOnDeadFleet(t *testing.T) {
+	_, args := statusFixture(t)
+	rep := explain(t, append(args, "-remote-workers", "127.0.0.1:1", "-remote-fallback",
+		"-breaker-threshold", "1", "-retries", "0")...)
+	requireStatusExplanation(t, "fallback", rep)
+}
+
+// TestScoreCacheServesSecondProcess checks that a second process on the
+// same -score-cache repeats no evaluation: every score comes from the store.
+func TestScoreCacheServesSecondProcess(t *testing.T) {
+	dir, args := statusFixture(t)
+	args = append(args, "-score-cache", filepath.Join(dir, "scores"))
+	cold := explain(t, args...)
+	requireStatusExplanation(t, "cold", cold)
+	warm := explain(t, args...)
+	requireStatusExplanation(t, "warm", warm)
+	if warm.Interventions != 0 || warm.StoreHits == 0 {
+		t.Errorf("warm run: %d interventions, %d store hits; want 0 and > 0", warm.Interventions, warm.StoreHits)
+	}
+}
+
+// TestWatchStopsOnSIGTERM checks that `watch` interrupts an in-flight
+// oracle evaluation on SIGTERM instead of waiting for the scorer: the
+// scorer sleeps 20 s, and the process must exit within 3 s of the signal.
+func TestWatchStopsOnSIGTERM(t *testing.T) {
+	dir, _ := statusFixture(t)
+	base := filepath.Join(dir, "base.json")
+	feed := filepath.Join(dir, "pass.csv")
+	if out, code := run(t, "profile", "-data", feed, "-o", base); code != 0 {
+		t.Fatalf("profile: exit code %d\n%s", code, out)
+	}
+	// slow.sh marks that it started, then outlasts the test's deadlines.
+	writeFile(t, dir, "slow.sh", "touch \"$1\"\nexec sleep 20\n")
+	marker := filepath.Join(dir, "scoring")
+	cmd := exec.Command(binary, "watch", "-baseline", base, "-data", feed, "-interval", "1s",
+		"-system-cmd", "sh "+filepath.Join(dir, "slow.sh")+" "+marker)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		<-done
+	})
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if _, err := os.Stat(marker); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the watch oracle never started")
+		}
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	select {
+	case err := <-done:
+		done <- err // for the cleanup
+		if elapsed := time.Since(start); elapsed > 3*time.Second {
+			t.Errorf("watch exited %v after SIGTERM, want within 3s", elapsed)
+		}
+		if err != nil {
+			t.Errorf("watch exited with %v after SIGTERM, want exit 0", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("watch still running 15s after SIGTERM")
+	}
+}

@@ -99,8 +99,7 @@ func main() {
 
 	var (
 		pass, fail *dataprism.Dataset
-		sys        dataprism.System
-		fall       dataprism.FallibleSystem // set for -system-cmd: the fault-tolerant oracle chain
+		sys        dataprism.FallibleSystem
 		opts       = dataprism.DefaultDiscoveryOptions()
 		threshold  = *tau
 	)
@@ -129,15 +128,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "dataprism: "+format+"\n", args...)
 			}
 		}
-		sys = ext
 		// Fault-tolerant oracle chain: classify → retry transient failures →
 		// trip the breaker when the command looks systemically down.
-		fall = dataprism.AsFallibleSystem(dataprism.AsContextSystem(ext))
+		sys = ext
 		if *retries > 0 {
-			fall = &dataprism.Retry{System: fall, Max: *retries + 1, BaseDelay: *retryBase}
+			sys = &dataprism.Retry{System: sys, Max: *retries + 1, BaseDelay: *retryBase}
 		}
 		if *breakerTrip > 0 {
-			fall = &dataprism.Breaker{System: fall, FailureThreshold: *breakerTrip, Cooldown: *breakerCool}
+			sys = &dataprism.Breaker{System: sys, FailureThreshold: *breakerTrip, Cooldown: *breakerCool}
 		}
 		reportOracleFailures = func() {
 			tail := ext.RecentFailures(5)
@@ -167,15 +165,11 @@ func main() {
 			BreakerCooldown:  *breakerCool,
 		}
 		if *remoteFallback {
-			if fall != nil {
-				cfg.Fallback = fall
-			} else {
-				cfg.Fallback = dataprism.AsFallibleSystem(dataprism.AsContextSystem(sys))
-			}
+			cfg.Fallback = sys
 		}
 		fleet := remote.NewFleet(cfg)
 		defer fleet.Close()
-		fall = fleet
+		sys = fleet
 		activeFleet = fleet
 		prev := reportOracleFailures
 		reportOracleFailures = func() {
@@ -217,10 +211,10 @@ func main() {
 		defer cancel()
 	}
 
-	passScore := baselineScore(ctx, sys, fall, pass)
-	failScore := baselineScore(ctx, sys, fall, fail)
+	passScore := baselineScore(ctx, sys, pass)
+	failScore := baselineScore(ctx, sys, fail)
 
-	e := &dataprism.Explainer{System: sys, FallibleSystem: fall, Tau: threshold, Options: &opts, Seed: *seed, Workers: *workers}
+	e := &dataprism.Explainer{FallibleSystem: sys, Tau: threshold, Options: &opts, Seed: *seed, Workers: *workers}
 	if store != nil {
 		e.Store = store
 	}
@@ -229,7 +223,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		e.BaselineProfiles, e.BaselineName = bp, *baseline
+		e.BaselineProfiles = bp
 		baselinePath, baselineFingerprint = *baseline, fp
 	}
 	var (
@@ -238,9 +232,9 @@ func main() {
 	)
 	switch *algo {
 	case "grd":
-		res, err = e.ExplainGreedyContext(ctx, pass, fail)
+		res, err = e.ExplainGreedyPVTsContext(ctx, e.Candidates(pass, fail), fail)
 	case "gt":
-		res, err = e.ExplainGroupTestContext(ctx, pass, fail)
+		res, err = e.ExplainGroupTestPVTsContext(ctx, e.Candidates(pass, fail), fail)
 	default:
 		fatal(fmt.Errorf("unknown algorithm %q (want grd or gt)", *algo))
 	}
@@ -250,7 +244,7 @@ func main() {
 	}
 	if errors.Is(err, dataprism.ErrNoExplanation) {
 		if *jsonOut {
-			emitJSON(sys, threshold, passScore, failScore, res, false)
+			emitJSON(sys.Name(), threshold, passScore, failScore, res, false)
 			exit(1)
 		}
 		fmt.Printf("no explanation found after %d interventions (final score %.3f)\n",
@@ -262,7 +256,7 @@ func main() {
 	}
 	if *jsonOut || *mdOut {
 		if *jsonOut {
-			emitJSON(sys, threshold, passScore, failScore, res, true)
+			emitJSON(sys.Name(), threshold, passScore, failScore, res, true)
 		} else {
 			fmt.Print(report.Summary{SystemName: sys.Name(), Tau: threshold, PassScore: passScore, FailScore: failScore, Baseline: baselinePath, BaselineFingerprint: baselineFingerprint, Result: res}.Markdown())
 		}
@@ -288,26 +282,30 @@ func main() {
 	}
 }
 
-func builtinScenario(name string, rows int, seed int64) (pass, fail *dataprism.Dataset, sys dataprism.System, opts dataprism.DiscoveryOptions, tau float64, err error) {
+// builtinScenario generates a case-study scenario; its system is adapted
+// to the error-aware contract once, here.
+func builtinScenario(name string, rows int, seed int64) (pass, fail *dataprism.Dataset, sys dataprism.FallibleSystem, opts dataprism.DiscoveryOptions, tau float64, err error) {
+	var plain dataprism.System
 	switch name {
 	case "sentiment":
 		s := workload.NewSentimentScenario(rows, seed)
-		return s.Pass, s.Fail, s.System, s.Options, s.Tau, nil
+		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
 	case "income":
 		s := workload.NewIncomeScenario(rows, seed)
-		return s.Pass, s.Fail, s.System, s.Options, s.Tau, nil
+		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
 	case "cardio":
 		s := workload.NewCardioScenario(rows, seed)
-		return s.Pass, s.Fail, s.System, s.Options, s.Tau, nil
+		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
 	case "bias":
 		s := workload.NewBiasScenario(rows, seed)
-		return s.Pass, s.Fail, s.System, s.Options, s.Tau, nil
+		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
 	case "ezgo":
 		s := workload.NewEZGoScenario(rows, seed)
-		return s.Pass, s.Fail, s.System, s.Options, s.Tau, nil
+		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
 	default:
 		return nil, nil, nil, opts, 0, fmt.Errorf("unknown scenario %q", name)
 	}
+	return pass, fail, dataprism.AsFallibleSystem(dataprism.AsContextSystem(plain)), opts, tau, nil
 }
 
 // listProfileClasses prints the PVT-class catalog for -list-profiles.
@@ -427,9 +425,9 @@ type jsonTraceStep struct {
 	Accepted  bool     `json:"accepted"`
 }
 
-func emitJSON(sys dataprism.System, tau, passScore, failScore float64, res *dataprism.Result, found bool) {
+func emitJSON(system string, tau, passScore, failScore float64, res *dataprism.Result, found bool) {
 	out := jsonResult{
-		System:         sys.Name(),
+		System:         system,
 		Baseline:       baselinePath,
 		BaselineFP:     baselineFingerprint,
 		Tau:            tau,
@@ -566,7 +564,7 @@ func serveOracle(args []string) {
 	)
 	fs.Parse(args)
 
-	var sys dataprism.System
+	var sys dataprism.FallibleSystem
 	switch {
 	case *scenario != "":
 		var err error
@@ -589,7 +587,7 @@ func serveOracle(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	w := &remote.Worker{System: dataprism.AsFallibleSystem(dataprism.AsContextSystem(sys))}
+	w := &remote.Worker{System: sys}
 	if *verbose {
 		w.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dataprism: serve-oracle: "+format+"\n", args...)
@@ -601,14 +599,11 @@ func serveOracle(args []string) {
 	}
 }
 
-// baselineScore measures one dataset's malfunction outside the search. The
-// fault-tolerant path warns (instead of silently reporting a malfunction)
-// when the measurement itself failed.
-func baselineScore(ctx context.Context, sys dataprism.System, fall dataprism.FallibleSystem, d *dataprism.Dataset) float64 {
-	if fall == nil {
-		return dataprism.AsContextSystem(sys).MalfunctionScore(ctx, d)
-	}
-	r := fall.TryMalfunctionScore(ctx, d)
+// baselineScore measures one dataset's malfunction outside the search. It
+// warns (instead of silently reporting a malfunction) when the measurement
+// itself failed.
+func baselineScore(ctx context.Context, sys dataprism.FallibleSystem, d *dataprism.Dataset) float64 {
+	r := sys.TryMalfunctionScore(ctx, d)
 	if r.Err != nil {
 		fmt.Fprintf(os.Stderr, "dataprism: baseline measurement failed (reporting score 1): %v\n", r.Err)
 		return 1

@@ -1,6 +1,7 @@
 package dataprism_test
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strings"
@@ -128,14 +129,14 @@ func TestRegisterClassEndToEnd(t *testing.T) {
 
 	// Default-off: the search must NOT see the class without an opt-in.
 	e := &dataprism.Explainer{System: sys, Tau: 0.05, Seed: 1}
-	if res, err := e.ExplainGreedy(pass, fail); err == nil && res.Found {
+	if res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail); err == nil && res.Found {
 		t.Fatalf("default-off class leaked into discovery: %s", res.ExplanationString())
 	}
 
 	opts := dataprism.DefaultDiscoveryOptions()
 	opts.Classes = map[string]bool{"zz-monotone-test": true}
 	e = &dataprism.Explainer{System: sys, Tau: 0.05, Seed: 1, Options: &opts}
-	res, err := e.ExplainGreedy(pass, fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail)
 	if err != nil {
 		t.Fatalf("ExplainGreedy: %v", err)
 	}

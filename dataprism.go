@@ -19,12 +19,17 @@
 //
 // Quick start:
 //
-//	sys := &dataprism.SystemFunc{SystemName: "my-pipeline", Score: score}
-//	e := &dataprism.Explainer{System: sys, Tau: 0.3}
-//	res, err := e.ExplainGreedy(passing, failing)
+//	sys := &dataprism.ContextSystemFunc{SystemName: "my-pipeline", Score: score}
+//	res, err := dataprism.Explain(ctx, sys, 0.3, passing, failing)
 //	if err == nil {
 //	    fmt.Println(res.ExplanationString()) // the root causes
 //	}
+//
+// An Explainer configures the search; each search is one context-first
+// method over the candidate set that Candidates discovers:
+//
+//	e := &dataprism.Explainer{ContextSystem: sys, Tau: 0.3, Workers: 4}
+//	res, err := e.ExplainGroupTestPVTsContext(ctx, e.Candidates(passing, failing), failing)
 //
 // The subpackages under internal implement the substrates: the relational
 // dataset, statistics, pattern learning, causal coefficients, profiles,
@@ -96,10 +101,8 @@ type (
 	// ContextSystem.
 	ContextSystemFunc = pipeline.CtxFunc
 	// ExternalSystem treats an external program (CSV on stdin, score on
-	// stdout) as the black-box system.
+	// stdout) as the black-box system; it implements FallibleSystem.
 	ExternalSystem = pipeline.External
-	// Oracle wraps a System and counts score evaluations.
-	Oracle = pipeline.Oracle
 	// FallibleSystem is a black-box system exposing the error-aware scoring
 	// contract: a measurement failure (timeout, fork error, cancellation) is
 	// reported as an error instead of being conflated with a malfunction
@@ -160,17 +163,15 @@ var ErrTransient = pipeline.ErrTransient
 // running because the circuit breaker is open.
 var ErrBreakerOpen = pipeline.ErrBreakerOpen
 
-// AsContextSystem adapts a legacy System into a ContextSystem. Systems that
-// additionally implement MalfunctionScoreCtx (like ExternalSystem) keep
-// their context-aware path; plain Systems are wrapped with the context
-// ignored during scoring.
+// AsContextSystem adapts a System into a ContextSystem that ignores the
+// context while scoring.
 func AsContextSystem(sys System) ContextSystem { return pipeline.AsContext(sys) }
 
 // AsFallibleSystem adapts a ContextSystem into the error-aware contract.
-// Systems that already implement FallibleSystem (like ExternalSystem, even
-// through AsContextSystem) keep their precise failure classification; plain
-// systems report every returned score as a success, except scores computed
-// under an already-cancelled context, which become transient failures.
+// Systems that already implement FallibleSystem keep their own failure
+// classification; plain systems report every returned score as a success,
+// except scores computed under an already-cancelled context, which become
+// transient failures.
 func AsFallibleSystem(sys ContextSystem) FallibleSystem { return pipeline.AsFallible(sys) }
 
 // NewDataset returns an empty dataset.
@@ -284,38 +285,31 @@ func DiscoverPVTs(pass, fail *Dataset, opts DiscoveryOptions, eps float64) []*PV
 }
 
 // Explain is the one-call entry point: it runs the greedy DataPrismGRD
-// search with default options and returns the minimal explanation.
-func Explain(sys System, tau float64, pass, fail *Dataset) (*Result, error) {
-	e := &Explainer{System: sys, Tau: tau}
-	return e.ExplainGreedy(pass, fail)
-}
-
-// ExplainContext is Explain honoring the caller's context and running
-// independent interventions on workers goroutines (0 means GOMAXPROCS).
-// The search outcome is identical for any worker count.
-func ExplainContext(ctx context.Context, sys ContextSystem, tau float64, workers int, pass, fail *Dataset) (*Result, error) {
-	e := &Explainer{ContextSystem: sys, Tau: tau, Workers: workers}
-	return e.ExplainGreedyContext(ctx, pass, fail)
+// search with default options over the candidates discovered between pass
+// and fail, honoring ctx, and returns the minimal explanation.
+func Explain(ctx context.Context, sys ContextSystem, tau float64, pass, fail *Dataset) (*Result, error) {
+	e := &Explainer{ContextSystem: sys, Tau: tau}
+	return e.ExplainGreedyPVTsContext(ctx, e.Candidates(pass, fail), fail)
 }
 
 // VerifyExplanation independently re-verifies a reported explanation: the
 // composed transformations must bring the failing dataset to τ or below,
 // and (with checkMinimal) no proper subset may suffice.
-func VerifyExplanation(sys System, tau float64, fail *Dataset, expl []*PVT, seed int64, checkMinimal bool) (ok bool, oracleCalls int) {
-	return core.VerifyExplanation(sys, tau, fail, expl, seed, checkMinimal)
+func VerifyExplanation(ctx context.Context, sys ContextSystem, tau float64, fail *Dataset, expl []*PVT, seed int64, checkMinimal bool) (ok bool, oracleCalls int) {
+	return core.VerifyExplanationContext(ctx, sys, tau, fail, expl, seed, checkMinimal)
 }
 
 // BugDoc runs the BugDoc baseline on pre-discovered PVT candidates.
-func BugDoc(cfg BaselineConfig, pvts []*PVT, fail *Dataset) (*Result, error) {
-	return baselines.BugDoc(cfg, pvts, fail)
+func BugDoc(ctx context.Context, cfg BaselineConfig, pvts []*PVT, fail *Dataset) (*Result, error) {
+	return baselines.BugDocContext(ctx, cfg, pvts, fail)
 }
 
 // Anchor runs the Anchor baseline on pre-discovered PVT candidates.
-func Anchor(cfg BaselineConfig, pvts []*PVT, fail *Dataset) (*Result, error) {
-	return baselines.Anchor(cfg, pvts, fail)
+func Anchor(ctx context.Context, cfg BaselineConfig, pvts []*PVT, fail *Dataset) (*Result, error) {
+	return baselines.AnchorContext(ctx, cfg, pvts, fail)
 }
 
 // GrpTest runs the traditional adaptive group-testing baseline.
-func GrpTest(cfg BaselineConfig, pvts []*PVT, fail *Dataset) (*Result, error) {
-	return baselines.GrpTest(cfg, pvts, fail)
+func GrpTest(ctx context.Context, cfg BaselineConfig, pvts []*PVT, fail *Dataset) (*Result, error) {
+	return baselines.GrpTestContext(ctx, cfg, pvts, fail)
 }

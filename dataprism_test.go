@@ -1,6 +1,7 @@
 package dataprism_test
 
 import (
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
@@ -12,7 +13,7 @@ import (
 
 func TestPublicAPIQuickPath(t *testing.T) {
 	s := workload.NewSentimentScenario(400, 1)
-	res, err := dataprism.Explain(s.System, s.Tau, s.Pass, s.Fail)
+	res, err := dataprism.Explain(context.Background(), dataprism.AsContextSystem(s.System), s.Tau, s.Pass, s.Fail)
 	if err != nil {
 		t.Fatalf("Explain failed: %v", err)
 	}
@@ -50,12 +51,12 @@ func TestPublicAPIBaselines(t *testing.T) {
 	s := workload.NewSentimentScenario(300, 2)
 	pvts := dataprism.DiscoverPVTs(s.Pass, s.Fail, s.Options, 1e-9)
 	cfg := dataprism.BaselineConfig{System: s.System, Tau: s.Tau, Seed: 2}
-	for name, run := range map[string]func(dataprism.BaselineConfig, []*dataprism.PVT, *dataprism.Dataset) (*dataprism.Result, error){
+	for name, run := range map[string]func(context.Context, dataprism.BaselineConfig, []*dataprism.PVT, *dataprism.Dataset) (*dataprism.Result, error){
 		"bugdoc":  dataprism.BugDoc,
 		"anchor":  dataprism.Anchor,
 		"grptest": dataprism.GrpTest,
 	} {
-		res, err := run(cfg, pvts, s.Fail)
+		res, err := run(context.Background(), cfg, pvts, s.Fail)
 		if err != nil {
 			t.Errorf("%s failed: %v", name, err)
 			continue
@@ -83,8 +84,8 @@ func TestPublicAPICSVRoundTrip(t *testing.T) {
 
 func TestPublicAPIErrNoExplanation(t *testing.T) {
 	s := workload.NewSentimentScenario(200, 3)
-	stubborn := &dataprism.SystemFunc{SystemName: "stubborn", Score: func(*dataprism.Dataset) float64 { return 0.9 }}
-	_, err := dataprism.Explain(stubborn, 0.1, s.Pass, s.Fail)
+	stubborn := &dataprism.ContextSystemFunc{SystemName: "stubborn", Score: func(context.Context, *dataprism.Dataset) float64 { return 0.9 }}
+	_, err := dataprism.Explain(context.Background(), stubborn, 0.1, s.Pass, s.Fail)
 	if !errors.Is(err, dataprism.ErrNoExplanation) {
 		t.Errorf("err = %v, want ErrNoExplanation", err)
 	}
@@ -103,13 +104,15 @@ func TestExternalSystemEndToEnd(t *testing.T) {
 	sys := &dataprism.ExternalSystem{Command: []string{"sh", "-c", script}}
 
 	s := workload.NewSentimentScenario(120, 7)
-	if got := sys.MalfunctionScore(s.Pass); got != 0 {
-		t.Fatalf("external pass score = %g", got)
+	ctx := context.Background()
+	if r := sys.TryMalfunctionScore(ctx, s.Pass); r.Err != nil || r.Score != 0 {
+		t.Fatalf("external pass score = %+v", r)
 	}
-	if got := sys.MalfunctionScore(s.Fail); got != 1 {
-		t.Fatalf("external fail score = %g", got)
+	if r := sys.TryMalfunctionScore(ctx, s.Fail); r.Err != nil || r.Score != 1 {
+		t.Fatalf("external fail score = %+v", r)
 	}
-	res, err := dataprism.Explain(sys, 0.1, s.Pass, s.Fail)
+	e := &dataprism.Explainer{FallibleSystem: sys, Tau: 0.1}
+	res, err := e.ExplainGreedyPVTsContext(ctx, e.Candidates(s.Pass, s.Fail), s.Fail)
 	if err != nil {
 		t.Fatalf("Explain over external system failed: %v", err)
 	}
@@ -120,11 +123,11 @@ func TestExternalSystemEndToEnd(t *testing.T) {
 
 func TestVerifyExplanationPublic(t *testing.T) {
 	s := workload.NewSentimentScenario(300, 8)
-	res, err := dataprism.Explain(s.System, s.Tau, s.Pass, s.Fail)
+	res, err := dataprism.Explain(context.Background(), dataprism.AsContextSystem(s.System), s.Tau, s.Pass, s.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, calls := dataprism.VerifyExplanation(s.System, s.Tau, s.Fail, res.Explanation, 8, true)
+	ok, calls := dataprism.VerifyExplanation(context.Background(), dataprism.AsContextSystem(s.System), s.Tau, s.Fail, res.Explanation, 8, true)
 	if !ok {
 		t.Error("verification failed on a reported explanation")
 	}

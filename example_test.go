@@ -1,6 +1,7 @@
 package dataprism_test
 
 import (
+	"context"
 	"fmt"
 
 	dataprism "repro"
@@ -14,7 +15,7 @@ import (
 func ExampleExplain() {
 	// A black-box system: the malfunction is the fraction of rows whose
 	// status is not a value the system understands.
-	sys := &dataprism.SystemFunc{SystemName: "status-consumer", Score: func(d *dataprism.Dataset) float64 {
+	sys := &dataprism.ContextSystemFunc{SystemName: "status-consumer", Score: func(_ context.Context, d *dataprism.Dataset) float64 {
 		c := d.Column("status")
 		if c == nil || d.NumRows() == 0 {
 			return 1
@@ -35,7 +36,7 @@ func ExampleExplain() {
 		MustAddCategorical("status", []string{"0", "1", "0", "0"}).
 		MustAddNumeric("latency", []float64{14, 290, 16, 12})
 
-	res, err := dataprism.Explain(sys, 0.1, pass, fail)
+	res, err := dataprism.Explain(context.Background(), sys, 0.1, pass, fail)
 	if err != nil {
 		fmt.Println("no explanation:", err)
 		return

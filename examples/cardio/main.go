@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -25,7 +26,7 @@ func main() {
 	fmt.Printf("height range, passing: [%.1f, %.1f] (cm)\n\n", pr.Min(), pr.Max())
 
 	e := &dataprism.Explainer{System: sc.System, Tau: sc.Tau, Options: &sc.Options, Seed: 4}
-	res, err := e.ExplainGreedy(sc.Pass, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(sc.Pass, sc.Fail), sc.Fail)
 	if err != nil {
 		fmt.Println("GRD: no explanation found:", err)
 		return
@@ -41,7 +42,7 @@ func main() {
 	// spurious weight–pressure dependence whose noise-based repair hurts
 	// the classifier (assumption A3 is violated; the paper reports NA).
 	gt := &dataprism.Explainer{System: sc.System, Tau: sc.Tau, Options: &sc.Options, Seed: 4}
-	gres, gerr := gt.ExplainGroupTest(sc.Pass, sc.Fail)
+	gres, gerr := gt.ExplainGroupTestPVTsContext(context.Background(), gt.Candidates(sc.Pass, sc.Fail), sc.Fail)
 	switch {
 	case errors.Is(gerr, dataprism.ErrNoExplanation):
 		fmt.Println("DataPrismGT: NA — the composed group interventions never verified (A3 violated), as the paper reports")

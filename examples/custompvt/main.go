@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -170,7 +171,7 @@ func main() {
 		sys.MalfunctionScore(pass), sys.MalfunctionScore(fail))
 
 	e := &dataprism.Explainer{System: sys, Tau: 0.05, Seed: 1}
-	res, err := e.ExplainGreedy(pass, fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail)
 	if err != nil {
 		fmt.Println("no explanation found:", err)
 		return

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -43,6 +44,7 @@ func genReadings(n int, seed int64, scale, offset float64) *dataprism.Dataset {
 
 func main() {
 	const tau = 0.05
+	ctx := context.Background()
 	pass := genReadings(2000, 1, 1, 0) // Celsius-era commissioning window
 
 	// The anomaly detector: alerts on readings outside the commissioning
@@ -94,9 +96,7 @@ func main() {
 			s := schedule[window]
 			return genReadings(2000, int64(2+window), s.scale, s.offset), nil
 		},
-		Oracle: func(d *dataset.Dataset) (float64, error) {
-			return sys.MalfunctionScore(d), nil
-		},
+		Oracle:  dataprism.AsFallibleSystem(dataprism.AsContextSystem(sys)),
 		Options: opts,
 		Eps:     0.03,
 	}
@@ -104,7 +104,7 @@ func main() {
 	firstEscalation, firstBreach := -1, -1
 	var lastFeed *dataset.Dataset
 	for window = 0; window < len(schedule); window++ {
-		ev, err := w.Tick()
+		ev, err := w.Tick(ctx)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "watch tick:", err)
 			os.Exit(1)
@@ -157,16 +157,16 @@ func main() {
 	for i, dp := range decoded {
 		pinned[i] = dp.Profile
 	}
-	e := &dataprism.Explainer{System: sys, Tau: tau, Options: &opts, Seed: 1}
-	e.BaselineProfiles, e.BaselineName = pinned, "baseline artifact "+baseline.Fingerprint
-	res, err := e.ExplainGreedy(pass, lastFeed)
+	e := &dataprism.Explainer{System: sys, Tau: tau, Options: &opts, Seed: 1, BaselineProfiles: pinned}
+	baselineName := "baseline artifact " + baseline.Fingerprint
+	res, err := e.ExplainGreedyPVTsContext(ctx, e.Candidates(pass, lastFeed), lastFeed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "no explanation found:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("\nDataPrismGRD over the pinned baseline: %d interventions over %d candidates\n",
 		res.Interventions, res.Discriminative)
-	fmt.Printf("minimal explanation (cites %s): %s\n", e.BaselineName, res.ExplanationString())
+	fmt.Printf("minimal explanation (cites %s): %s\n", baselineName, res.ExplanationString())
 	fmt.Printf("alert rate after repair: %.3f\n", res.FinalScore)
 	if res.Transformed != nil {
 		fmt.Printf("repaired reading mean: %.1f (baseline %.1f)\n",

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	dataprism "repro"
@@ -29,7 +30,7 @@ func main() {
 		100*hard.Selectivity(sc.Pass), 100*hard.Selectivity(sc.Fail))
 
 	e := &dataprism.Explainer{System: sc.System, Tau: sc.Tau, Options: &sc.Options, Seed: 1}
-	res, err := e.ExplainGreedy(sc.Pass, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(sc.Pass, sc.Fail), sc.Fail)
 	if err != nil {
 		fmt.Println("no explanation found:", err)
 		return

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	dataprism "repro"
@@ -23,14 +24,14 @@ func main() {
 	for seed := int64(0); seed < seeds; seed++ {
 		sc := synth.Figure6Scenario()
 		gt := &dataprism.Explainer{System: sc.System, Tau: 0.05, Seed: seed}
-		r1, err := gt.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+		r1, err := gt.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if err != nil {
 			fmt.Println("GT failed:", err)
 			return
 		}
 		sc2 := synth.Figure6Scenario()
 		rnd := &dataprism.Explainer{System: sc2.System, Tau: 0.05, Seed: seed, RandomBisection: true}
-		r2, err := rnd.ExplainGroupTestPVTs(sc2.PVTs, sc2.Fail)
+		r2, err := rnd.ExplainGroupTestPVTsContext(context.Background(), sc2.PVTs, sc2.Fail)
 		if err != nil {
 			fmt.Println("random GT failed:", err)
 			return

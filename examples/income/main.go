@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	dataprism "repro"
@@ -35,7 +36,7 @@ func main() {
 	}
 
 	e := &dataprism.Explainer{System: sc.System, Tau: sc.Tau, Options: &sc.Options, Seed: 2}
-	res, err := e.ExplainGreedy(sc.Pass, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(sc.Pass, sc.Fail), sc.Fail)
 	if err != nil {
 		fmt.Println("no explanation found:", err)
 		return

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	dataprism "repro"
@@ -42,7 +43,7 @@ func main() {
 		sc.System.MalfunctionScore(sc.Pass), sc.System.MalfunctionScore(sc.Fail), sc.Tau)
 
 	e := &dataprism.Explainer{System: sc.System, Tau: sc.Tau, Options: &sc.Options, Seed: 4}
-	res, err := e.ExplainGreedy(sc.Pass, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(sc.Pass, sc.Fail), sc.Fail)
 	if err != nil {
 		fmt.Println("no explanation found:", err)
 		return

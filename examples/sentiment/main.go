@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	dataprism "repro"
@@ -25,11 +26,11 @@ func main() {
 	for name, run := range map[string]func() (*dataprism.Result, error){
 		"DataPrismGRD": func() (*dataprism.Result, error) {
 			e := &dataprism.Explainer{System: sc.System, Tau: sc.Tau, Options: &sc.Options, Seed: 1}
-			return e.ExplainGreedy(sc.Pass, sc.Fail)
+			return e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(sc.Pass, sc.Fail), sc.Fail)
 		},
 		"DataPrismGT": func() (*dataprism.Result, error) {
 			e := &dataprism.Explainer{System: sc.System, Tau: sc.Tau, Options: &sc.Options, Seed: 1}
-			return e.ExplainGroupTest(sc.Pass, sc.Fail)
+			return e.ExplainGroupTestPVTsContext(context.Background(), e.Candidates(sc.Pass, sc.Fail), sc.Fail)
 		},
 	} {
 		res, err := run()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/pipeline"
 	"repro/internal/profile"
 )
 
@@ -56,8 +57,9 @@ type Watcher struct {
 	// Source produces the current snapshot of the watched feed. Required.
 	Source func() (*dataset.Dataset, error)
 	// Oracle, when set, scores the system's malfunction on the current feed
-	// so events correlate structural drift with observed behavior.
-	Oracle func(d *dataset.Dataset) (float64, error)
+	// under the tick's context, so events correlate structural drift with
+	// observed behavior.
+	Oracle pipeline.FallibleSystem
 	// Options configures re-profiling. Build forces the class selection to
 	// the baseline's recorded class list, so watch diffs are always
 	// like-for-like even if defaults change.
@@ -74,8 +76,9 @@ type Watcher struct {
 }
 
 // Tick performs one observation: snapshot the feed, re-profile it, diff
-// against the baseline, and classify the drift.
-func (w *Watcher) Tick() (*Event, error) {
+// against the baseline, and classify the drift. ctx bounds the oracle
+// evaluation.
+func (w *Watcher) Tick(ctx context.Context) (*Event, error) {
 	if w.Baseline == nil {
 		return nil, fmt.Errorf("artifact: watcher without a baseline")
 	}
@@ -133,22 +136,27 @@ func (w *Watcher) Tick() (*Event, error) {
 	}
 	ev.Escalated = len(ev.Alerts) > 0 || (w.Threshold > 0 && diff.Exceeds(w.Threshold))
 	if w.Oracle != nil {
-		score, err := w.Oracle(d)
-		if err != nil {
-			return nil, fmt.Errorf("artifact: watch oracle: %w", err)
+		r := w.Oracle.TryMalfunctionScore(ctx, d)
+		if r.Err != nil {
+			return nil, fmt.Errorf("artifact: watch oracle: %w", r.Err)
 		}
-		ev.Score, ev.HasScore = score, true
+		ev.Score, ev.HasScore = r.Score, true
 	}
 	return ev, nil
 }
 
 // Run ticks the watcher every interval until the context is cancelled,
 // invoking onEvent for every observation. Errors from a tick abort the run.
+// No tick starts once ctx is done, even when a slow tick left the ticker
+// ready.
 func (w *Watcher) Run(ctx context.Context, interval time.Duration, onEvent func(*Event)) error {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
-		ev, err := w.Tick()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		ev, err := w.Tick(ctx)
 		if err != nil {
 			return err
 		}

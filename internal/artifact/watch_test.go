@@ -2,10 +2,12 @@ package artifact
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/pipeline"
 	"repro/internal/profile"
 )
 
@@ -29,19 +31,19 @@ func TestWatcherTick(t *testing.T) {
 			}
 			return sensorData(1500, 2, 1, 0), nil
 		},
-		Oracle: func(d *dataset.Dataset) (float64, error) {
+		Oracle: &pipeline.TryFunc{SystemName: "alerts", Try: func(context.Context, *dataset.Dataset) pipeline.ScoreResult {
 			if drifting {
-				return 0.9, nil
+				return pipeline.ScoreResult{Score: 0.9, Attempts: 1}
 			}
-			return 0.01, nil
-		},
+			return pipeline.ScoreResult{Score: 0.01, Attempts: 1}
+		}},
 		// Eps 0.1 tolerates the re-draw noise between the two stable seeds
 		// while the injected drift's violations saturate near 1.
 		Options: opts,
 		Eps:     0.1,
 	}
 
-	stable, err := w.Tick()
+	stable, err := w.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestWatcherTick(t *testing.T) {
 	}
 
 	drifting = true
-	drifted, err := w.Tick()
+	drifted, err := w.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestWatcherPinsBaselineClasses(t *testing.T) {
 		Source:   func() (*dataset.Dataset, error) { return sensorData(800, 1, 1, 0), nil },
 		Options:  wide,
 	}
-	ev, err := w.Tick()
+	ev, err := w.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestWatcherThresholdGate(t *testing.T) {
 		Eps:       1,
 		Threshold: 0.01,
 	}
-	ev, err := w.Tick()
+	ev, err := w.Tick(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +171,88 @@ func TestWatcherRun(t *testing.T) {
 	}
 }
 
+// TestWatcherRunNoTickAfterCancel checks that Run starts no tick once its
+// context is cancelled, even when a tick slower than the interval left the
+// ticker ready: the select between ctx.Done and a ready ticker picks at
+// random, so each of 20 runs gets a chance to show an extra tick.
+func TestWatcherRunNoTickAfterCancel(t *testing.T) {
+	baseline, err := Build(sensorData(200, 1, 1, 0), profile.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := sensorData(200, 1, 1, 0)
+	extra := 0
+	for run := 0; run < 20; run++ {
+		ticks := 0
+		w := &Watcher{
+			Baseline: baseline,
+			Source: func() (*dataset.Dataset, error) {
+				ticks++
+				time.Sleep(5 * time.Millisecond)
+				return feed, nil
+			},
+			Options: profile.DefaultOptions(),
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		err := w.Run(ctx, time.Millisecond, func(*Event) { cancel() })
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: Run returned %v, want context.Canceled", run, err)
+		}
+		extra += ticks - 1
+	}
+	if extra != 0 {
+		t.Errorf("%d ticks started after cancellation over 20 runs, want 0", extra)
+	}
+}
+
+// TestWatcherRunCancelsOracle checks that cancelling Run interrupts an
+// in-flight oracle evaluation: the oracle sees the run's context, and Run
+// returns an error wrapping context.Canceled.
+func TestWatcherRunCancelsOracle(t *testing.T) {
+	baseline, err := Build(sensorData(200, 1, 1, 0), profile.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := make(chan struct{})
+	w := &Watcher{
+		Baseline: baseline,
+		Source:   func() (*dataset.Dataset, error) { return sensorData(200, 1, 1, 0), nil },
+		Options:  profile.DefaultOptions(),
+		Oracle: &pipeline.TryFunc{SystemName: "blocking", Try: func(ctx context.Context, _ *dataset.Dataset) pipeline.ScoreResult {
+			close(started)
+			<-ctx.Done()
+			return pipeline.ScoreResult{Err: pipeline.ContextFailure(ctx), Transient: true, Attempts: 1}
+		}},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-started
+		cancel()
+	}()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx, time.Hour, nil) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Run returned %v, want an error wrapping context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return after its context was cancelled")
+	}
+}
+
 // TestWatcherValidation: a watcher without its required collaborators fails
 // with a descriptive error instead of panicking.
 func TestWatcherValidation(t *testing.T) {
-	if _, err := (&Watcher{}).Tick(); err == nil {
+	if _, err := (&Watcher{}).Tick(context.Background()); err == nil {
 		t.Error("watcher without a baseline ticked")
 	}
 	a, err := Build(sensorData(50, 1, 1, 0), profile.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Watcher{Baseline: a}).Tick(); err == nil {
+	if _, err := (&Watcher{Baseline: a}).Tick(context.Background()); err == nil {
 		t.Error("watcher without a source ticked")
 	}
 }

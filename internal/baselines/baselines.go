@@ -14,9 +14,12 @@
 //     by core.Explainer's RandomBisection flag and re-exported here for a
 //     uniform interface.
 //
+// Each baseline is one context-first run over a candidate PVT set:
+// BugDocContext, AnchorContext and GrpTestContext.
+//
 // All baselines consume the same discriminative PVT candidates and
 // evaluate through the same intervention engine as DataPrism — one
-// context-aware oracle, worker pool, memo cache, and budget — so
+// error-aware oracle, worker pool, memo cache, and budget — so
 // intervention counts are directly comparable. Configuration generation
 // and application stay on the caller's goroutine in a fixed rng order;
 // only the pure scoring step is batched, so results are identical for any
@@ -64,23 +67,25 @@ func (c *Config) maxInterventions() int {
 	return c.MaxInterventions
 }
 
-// newEval builds the evaluation substrate for one baseline run.
+// newEval builds the evaluation substrate for one baseline run over the
+// configured system, resolved to the error-aware contract: FallibleSystem
+// takes precedence over ContextSystem, which takes precedence over System.
 func (c *Config) newEval() (*engine.Eval, error) {
-	ecfg := engine.Config{
+	var sys pipeline.FallibleSystem
+	switch {
+	case c.FallibleSystem != nil:
+		sys = c.FallibleSystem
+	case c.ContextSystem != nil:
+		sys = pipeline.AsFallible(c.ContextSystem)
+	case c.System != nil:
+		sys = pipeline.AsFallible(pipeline.AsContext(c.System))
+	default:
+		return nil, errors.New("baselines: Config requires a System, ContextSystem, or FallibleSystem")
+	}
+	return engine.New(sys, engine.Config{
 		Workers:          c.Workers,
 		MaxInterventions: c.maxInterventions(),
-	}
-	if c.FallibleSystem != nil {
-		return engine.NewFallible(c.FallibleSystem, ecfg), nil
-	}
-	cs := c.ContextSystem
-	if cs == nil {
-		if c.System == nil {
-			return nil, errors.New("baselines: Config requires a System, ContextSystem, or FallibleSystem")
-		}
-		cs = pipeline.AsContext(c.System)
-	}
-	return engine.New(cs, ecfg), nil
+	}), nil
 }
 
 // finish stamps the engine's counters and the wall clock onto the result.
@@ -121,15 +126,10 @@ func applyConfig(fail *dataset.Dataset, pvts []*core.PVT, on []bool, rng *rand.R
 	return cur
 }
 
-// BugDoc explores on/off configurations of the candidate PVTs: a sampling
-// phase of ~2·log₂|X| random configurations narrows the candidates to those
-// enabled in every passing configuration, and a linear shrink then verifies
-// each remaining candidate's necessity.
-func BugDoc(cfg Config, pvts []*core.PVT, fail *dataset.Dataset) (*core.Result, error) {
-	return BugDocContext(context.Background(), cfg, pvts, fail)
-}
-
-// BugDocContext is BugDoc honoring the caller's context. The sampling
+// BugDocContext explores on/off configurations of the candidate PVTs: a
+// sampling phase of ~2·log₂|X| random configurations narrows the
+// candidates to those enabled in every passing configuration, and a linear
+// shrink then verifies each remaining candidate's necessity. The sampling
 // phase's configurations are generated serially (fixed rng order) and
 // scored as one engine batch; the shrink phase is inherently sequential.
 func BugDocContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *dataset.Dataset) (*core.Result, error) {
@@ -331,19 +331,14 @@ func ceilLog2(n int) int {
 	return l
 }
 
-// Anchor learns a surrogate rule by local perturbation: starting from the
-// empty rule it greedily adds the PVT whose inclusion maximizes the rule's
-// estimated precision — the fraction of perturbed configurations (rule PVTs
-// forced repaired, the rest repaired at random) on which the system passes.
-// Every perturbation sample costs one intervention, which is why Anchor
-// requires orders of magnitude more interventions than DataPrism.
-func Anchor(cfg Config, pvts []*core.PVT, fail *dataset.Dataset) (*core.Result, error) {
-	return AnchorContext(context.Background(), cfg, pvts, fail)
-}
-
-// AnchorContext is Anchor honoring the caller's context. Each rule's
-// perturbation samples are generated serially (fixed rng order) and scored
-// as one engine batch — the big win for Anchor's sample-heavy loop.
+// AnchorContext learns a surrogate rule by local perturbation: starting
+// from the empty rule it greedily adds the PVT whose inclusion maximizes
+// the rule's estimated precision — the fraction of perturbed
+// configurations (rule PVTs forced repaired, the rest repaired at random)
+// on which the system passes. Every perturbation sample costs one
+// intervention, which is why Anchor requires orders of magnitude more
+// interventions than DataPrism. Each rule's perturbation samples are
+// generated serially (fixed rng order) and scored as one engine batch.
 func AnchorContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *dataset.Dataset) (*core.Result, error) {
 	start := time.Now()
 	ev, err := cfg.newEval()
@@ -483,13 +478,9 @@ func AnchorContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 	return res, nil
 }
 
-// GrpTest is the traditional adaptive group-testing baseline: DataPrismGT
-// with uniformly random bisection instead of the PVT-dependency min-cut.
-func GrpTest(cfg Config, pvts []*core.PVT, fail *dataset.Dataset) (*core.Result, error) {
-	return GrpTestContext(context.Background(), cfg, pvts, fail)
-}
-
-// GrpTestContext is GrpTest honoring the caller's context.
+// GrpTestContext is the traditional adaptive group-testing baseline:
+// DataPrismGT with uniformly random bisection instead of the
+// PVT-dependency min-cut.
 func GrpTestContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *dataset.Dataset) (*core.Result, error) {
 	e := &core.Explainer{
 		System:           cfg.System,
@@ -501,9 +492,5 @@ func GrpTestContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *dat
 		Workers:          cfg.Workers,
 		RandomBisection:  true,
 	}
-	res, err := e.ExplainGroupTestPVTsContext(ctx, pvts, fail)
-	if err != nil && !errors.Is(err, core.ErrNoExplanation) {
-		return res, err
-	}
-	return res, err
+	return e.ExplainGroupTestPVTsContext(ctx, pvts, fail)
 }

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -22,7 +23,7 @@ func hasIndex(expl []*core.PVT, idx int) bool {
 func TestBugDocSingleCause(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 20, NumAttrs: 5, Conjunction: 1, Seed: 21})
 	cfg := Config{System: sc.System, Tau: 0.05, Seed: 21}
-	res, err := BugDoc(cfg, sc.PVTs, sc.Fail)
+	res, err := BugDocContext(context.Background(), cfg, sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("bugdoc failed: %v", err)
 	}
@@ -41,7 +42,7 @@ func TestBugDocSingleCause(t *testing.T) {
 func TestBugDocConjunction(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 16, NumAttrs: 4, Conjunction: 3, Seed: 22})
 	cfg := Config{System: sc.System, Tau: 0.05, Seed: 22}
-	res, err := BugDoc(cfg, sc.PVTs, sc.Fail)
+	res, err := BugDocContext(context.Background(), cfg, sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("bugdoc failed: %v", err)
 	}
@@ -56,7 +57,7 @@ func TestBugDocNoExplanation(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 8, NumAttrs: 2, Seed: 23})
 	stubborn := &pipeline.Func{SystemName: "stubborn", Score: func(*dataset.Dataset) float64 { return 0.9 }}
 	cfg := Config{System: stubborn, Tau: 0.1, Seed: 23}
-	if _, err := BugDoc(cfg, sc.PVTs, sc.Fail); !errors.Is(err, core.ErrNoExplanation) {
+	if _, err := BugDocContext(context.Background(), cfg, sc.PVTs, sc.Fail); !errors.Is(err, core.ErrNoExplanation) {
 		t.Errorf("err = %v, want ErrNoExplanation", err)
 	}
 }
@@ -64,7 +65,7 @@ func TestBugDocNoExplanation(t *testing.T) {
 func TestAnchorSingleCause(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 6, NumAttrs: 3, Conjunction: 1, Seed: 24})
 	cfg := Config{System: sc.System, Tau: 0.05, Seed: 24}
-	res, err := Anchor(cfg, sc.PVTs, sc.Fail)
+	res, err := AnchorContext(context.Background(), cfg, sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("anchor failed: %v", err)
 	}
@@ -73,7 +74,7 @@ func TestAnchorSingleCause(t *testing.T) {
 	}
 	// Anchor burns far more interventions than DataPrism on the same task.
 	grd := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 24}
-	resGRD, err := grd.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	resGRD, err := grd.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestAnchorBudgetExhaustion(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 10, NumAttrs: 2, Conjunction: 1, Seed: 25})
 	stubborn := &pipeline.Func{SystemName: "stubborn", Score: func(*dataset.Dataset) float64 { return 0.9 }}
 	cfg := Config{System: stubborn, Tau: 0.1, Seed: 25, MaxInterventions: 30}
-	res, err := Anchor(cfg, sc.PVTs, sc.Fail)
+	res, err := AnchorContext(context.Background(), cfg, sc.PVTs, sc.Fail)
 	if !errors.Is(err, core.ErrNoExplanation) {
 		t.Fatalf("err = %v", err)
 	}
@@ -99,7 +100,7 @@ func TestAnchorBudgetExhaustion(t *testing.T) {
 func TestGrpTestBaseline(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 32, NumAttrs: 8, Conjunction: 1, Seed: 26})
 	cfg := Config{System: sc.System, Tau: 0.05, Seed: 26}
-	res, err := GrpTest(cfg, sc.PVTs, sc.Fail)
+	res, err := GrpTestContext(context.Background(), cfg, sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("grptest failed: %v", err)
 	}
@@ -115,10 +116,10 @@ func TestBaselinesEmptyCandidates(t *testing.T) {
 	sys := &pipeline.Func{SystemName: "s", Score: func(*dataset.Dataset) float64 { return 0.9 }}
 	cfg := Config{System: sys, Tau: 0.1}
 	fail := synth.FailingDataset(1)
-	if _, err := BugDoc(cfg, nil, fail); !errors.Is(err, core.ErrNoExplanation) {
+	if _, err := BugDocContext(context.Background(), cfg, nil, fail); !errors.Is(err, core.ErrNoExplanation) {
 		t.Error("bugdoc with no candidates should fail cleanly")
 	}
-	if _, err := Anchor(cfg, nil, fail); !errors.Is(err, core.ErrNoExplanation) {
+	if _, err := AnchorContext(context.Background(), cfg, nil, fail); !errors.Is(err, core.ErrNoExplanation) {
 		t.Error("anchor with no candidates should fail cleanly")
 	}
 }
@@ -130,10 +131,10 @@ func TestTracesIndexCandidates(t *testing.T) {
 	cfg := Config{System: sc.System, Tau: 0.05, Seed: 27}
 	for _, tc := range []struct {
 		name string
-		run  func(Config, []*core.PVT, *dataset.Dataset) (*core.Result, error)
-	}{{"bugdoc", BugDoc}, {"anchor", Anchor}} {
+		run  func(context.Context, Config, []*core.PVT, *dataset.Dataset) (*core.Result, error)
+	}{{"bugdoc", BugDocContext}, {"anchor", AnchorContext}} {
 		name := tc.name
-		res, err := tc.run(cfg, sc.PVTs, sc.Fail)
+		res, err := tc.run(context.Background(), cfg, sc.PVTs, sc.Fail)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

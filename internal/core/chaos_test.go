@@ -34,10 +34,10 @@ func TestChaosExplanationsMatchFaultFree(t *testing.T) {
 	type runner func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error)
 	algos := map[string]runner{
 		"GRD": func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error) {
-			return e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+			return e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		},
 		"GT": func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error) {
-			return e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+			return e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		},
 	}
 	for _, failFirst := range []int{1, 2} {
@@ -100,7 +100,7 @@ func TestChaosDeterminismAcrossWorkers(t *testing.T) {
 	run := func(workers int) (*core.Result, error) {
 		_, fall := chaosChain(sc.System, 2, 3)
 		e := &core.Explainer{FallibleSystem: fall, Tau: 0.05, Seed: seed, Workers: workers}
-		return e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+		return e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	}
 	seq, serr := run(1)
 	par, perr := run(8)
@@ -152,7 +152,7 @@ func TestChaosBreakerAbortsSearch(t *testing.T) {
 		Cooldown:         time.Hour,
 	}
 	e := &core.Explainer{FallibleSystem: fall, Tau: 0.05, Seed: seed, Workers: 1}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if !errors.Is(err, pipeline.ErrBreakerOpen) {
 		t.Fatalf("err = %v, want ErrBreakerOpen surfaced by the search", err)
 	}
@@ -177,7 +177,7 @@ func TestChaosBudgetRefundLeavesRoom(t *testing.T) {
 	seed := int64(2)
 	sc := synth.New(synth.Options{NumPVTs: 12, NumAttrs: 5, Conjunction: 1, CauseTopBenefit: true, Seed: seed})
 	clean := &core.Explainer{System: sc.System, Tau: 0.05, Seed: seed, Workers: 1}
-	want, wantErr := clean.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	want, wantErr := clean.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if wantErr != nil {
 		t.Fatalf("fault-free run failed: %v", wantErr)
 	}
@@ -186,7 +186,7 @@ func TestChaosBudgetRefundLeavesRoom(t *testing.T) {
 	// budget and the search would fall short.
 	_, fall := chaosChain(sc.System, 2, 3)
 	e := &core.Explainer{FallibleSystem: fall, Tau: 0.05, Seed: seed, Workers: 1, MaxInterventions: want.Interventions}
-	got, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	got, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("chaos run under exact budget failed: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -26,7 +27,7 @@ func containsIndex(expl []*core.PVT, idx int) bool {
 func TestGreedySingleCause(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 20, NumAttrs: 5, Conjunction: 1, Seed: 1})
 	e := &core.Explainer{System: sc.System, Tau: 0.1, Seed: 1}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("greedy failed: %v", err)
 	}
@@ -51,7 +52,7 @@ func TestGreedySingleCause(t *testing.T) {
 func TestGreedyConjunctiveCause(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 24, NumAttrs: 6, Conjunction: 3, Seed: 2})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 2}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("greedy failed: %v", err)
 	}
@@ -70,7 +71,7 @@ func TestGreedyMinimality(t *testing.T) {
 	// malfunction above tau (Definition 11), verified against the system.
 	sc := synth.New(synth.Options{NumPVTs: 16, NumAttrs: 4, Conjunction: 2, Seed: 3})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 3}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestGreedyMinimality(t *testing.T) {
 func TestGroupTestSingleCause(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 32, NumAttrs: 8, Conjunction: 1, Seed: 4})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 4}
-	res, err := e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("group test failed: %v", err)
 	}
@@ -116,7 +117,7 @@ func TestGroupTestSingleCause(t *testing.T) {
 func TestGroupTestDisjunction(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 32, NumAttrs: 8, Disjunction: 3, Seed: 5})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 5}
-	res, err := e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("group test failed: %v", err)
 	}
@@ -138,7 +139,7 @@ func TestGroupTestDisjunction(t *testing.T) {
 func TestRandomBisectionBaseline(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 32, NumAttrs: 8, Conjunction: 1, Seed: 6})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 6, RandomBisection: true}
-	res, err := e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("GrpTest baseline failed: %v", err)
 	}
@@ -152,7 +153,7 @@ func TestAdversarialRankScenario(t *testing.T) {
 	// interventions while GT stays logarithmic.
 	sc := synth.New(synth.Options{NumPVTs: 60, NumAttrs: 1, Conjunction: 1, Seed: 7, CauseCoverageRank: 54})
 	grd := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 7}
-	resGRD, err := grd.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	resGRD, err := grd.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestAdversarialRankScenario(t *testing.T) {
 		t.Errorf("GRD interventions = %d, want 54", resGRD.Interventions)
 	}
 	gt := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 7}
-	resGT, err := gt.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+	resGT, err := gt.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestFigure6GroupTestBeatsRandom(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		sc := synth.Figure6Scenario()
 		gt := &core.Explainer{System: sc.System, Tau: 0.05, Seed: seed}
-		r1, err := gt.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+		r1, err := gt.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestFigure6GroupTestBeatsRandom(t *testing.T) {
 
 		sc2 := synth.Figure6Scenario()
 		rnd := &core.Explainer{System: sc2.System, Tau: 0.05, Seed: seed, RandomBisection: true}
-		r2, err := rnd.ExplainGroupTestPVTs(sc2.PVTs, sc2.Fail)
+		r2, err := rnd.ExplainGroupTestPVTsContext(context.Background(), sc2.PVTs, sc2.Fail)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +227,7 @@ func TestAlignedBisectionBeatsRandom(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		sc := build()
 		gt := &core.Explainer{System: sc.System, Tau: 0.05, Seed: seed}
-		r1, err := gt.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+		r1, err := gt.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +235,7 @@ func TestAlignedBisectionBeatsRandom(t *testing.T) {
 
 		sc2 := build()
 		rnd := &core.Explainer{System: sc2.System, Tau: 0.05, Seed: seed, RandomBisection: true}
-		r2, err := rnd.ExplainGroupTestPVTs(sc2.PVTs, sc2.Fail)
+		r2, err := rnd.ExplainGroupTestPVTsContext(context.Background(), sc2.PVTs, sc2.Fail)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,10 +252,10 @@ func TestNoExplanation(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 8, NumAttrs: 2, Conjunction: 1, Seed: 8})
 	stubborn := &pipeline.Func{SystemName: "stubborn", Score: func(*dataset.Dataset) float64 { return 0.9 }}
 	e := &core.Explainer{System: stubborn, Tau: 0.1, Seed: 8}
-	if _, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail); !errors.Is(err, core.ErrNoExplanation) {
+	if _, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail); !errors.Is(err, core.ErrNoExplanation) {
 		t.Errorf("greedy err = %v, want ErrNoExplanation", err)
 	}
-	if _, err := e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail); !errors.Is(err, core.ErrNoExplanation) {
+	if _, err := e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail); !errors.Is(err, core.ErrNoExplanation) {
 		t.Errorf("group test err = %v, want ErrNoExplanation", err)
 	}
 }
@@ -263,7 +264,7 @@ func TestAlreadyPassing(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 8, NumAttrs: 2, Conjunction: 1, Seed: 9})
 	fine := &pipeline.Func{SystemName: "fine", Score: func(*dataset.Dataset) float64 { return 0 }}
 	e := &core.Explainer{System: fine, Tau: 0.1, Seed: 9}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil || !res.Found || len(res.Explanation) != 0 || res.Interventions != 0 {
 		t.Errorf("already-passing dataset should need no interventions: %+v err=%v", res, err)
 	}
@@ -272,7 +273,7 @@ func TestAlreadyPassing(t *testing.T) {
 func TestInterventionBudget(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 40, NumAttrs: 1, Conjunction: 1, Seed: 10, CauseCoverageRank: 40})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 10, MaxInterventions: 5}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if !errors.Is(err, core.ErrNoExplanation) {
 		t.Fatalf("err = %v, want budget exhaustion", err)
 	}
@@ -288,7 +289,7 @@ func TestBenefitModesAblation(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 30, NumAttrs: 1, Conjunction: 1, Seed: 11, CauseCoverageRank: 1})
 	for _, mode := range []core.BenefitMode{core.BenefitFull, core.BenefitViolationOnly, core.BenefitCoverageOnly, core.BenefitRandom} {
 		e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 11, Benefit: mode}
-		res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+		res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if err != nil {
 			t.Errorf("mode %d failed: %v", mode, err)
 			continue
@@ -305,7 +306,7 @@ func TestBenefitModesAblation(t *testing.T) {
 func TestDisableGraphPriorityAblation(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 20, NumAttrs: 5, Conjunction: 1, Seed: 12})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 12, DisableGraphPriority: true}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil || !containsIndex(res.Explanation, sc.GroundTruth[0][0]) {
 		t.Errorf("graph-priority ablation failed: %v %s", err, res.ExplanationString())
 	}
@@ -337,7 +338,7 @@ func TestDecisionTreeInteractingPVTs(t *testing.T) {
 
 	// Greedy cannot make progress: no single intervention reduces the score.
 	grd := &core.Explainer{System: sys, Tau: 0.1, Seed: 14}
-	if _, err := grd.ExplainGreedyPVTs(pvts, fail); !errors.Is(err, core.ErrNoExplanation) {
+	if _, err := grd.ExplainGreedyPVTsContext(context.Background(), pvts, fail); !errors.Is(err, core.ErrNoExplanation) {
 		t.Fatalf("greedy err = %v, want ErrNoExplanation under violated A2", err)
 	}
 
@@ -356,7 +357,7 @@ func TestDecisionTreeInteractingPVTs(t *testing.T) {
 		repair(2, 3),    // fails
 	}
 	dt := &core.Explainer{System: sys, Tau: 0.1, Seed: 14}
-	res, err := dt.ExplainWithDecisionTreePVTs(pvts, examples, fail)
+	res, err := dt.ExplainWithDecisionTreePVTsContext(context.Background(), pvts, examples, fail)
 	if err != nil {
 		t.Fatalf("decision tree failed: %v", err)
 	}
@@ -371,7 +372,7 @@ func TestDecisionTreeInteractingPVTs(t *testing.T) {
 func TestTraceRecordsSteps(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 12, NumAttrs: 3, Conjunction: 2, Seed: 13})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 13}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -81,7 +82,7 @@ func TestDecisionTreeCoveringArrayBootstrap(t *testing.T) {
 	}}
 	fail := synth.FailingDataset(k)
 	e := &core.Explainer{System: sys, Tau: 0.1, Seed: 51, BootstrapCoveringArray: true}
-	res, err := e.ExplainWithDecisionTreePVTs(sc.PVTs, nil, fail)
+	res, err := e.ExplainWithDecisionTreePVTsContext(context.Background(), sc.PVTs, nil, fail)
 	if err != nil {
 		t.Fatalf("bootstrap decision tree failed: %v", err)
 	}

@@ -11,53 +11,21 @@ import (
 	"repro/internal/engine"
 )
 
-// ExplainWithDecisionTree implements the Appendix B extension (Algorithm 5)
-// for settings where assumption A2 fails — interventions on single PVTs do
-// not reduce malfunction, only certain conjunctions do. It leverages
-// multiple passing and failing datasets: a decision tree is fitted over
-// binary violation features (one per candidate PVT) with the pass/fail
-// outcome as the label; each root-to-pure-pass-leaf path yields a candidate
-// conjunction of PVTs whose joint repair is then verified by intervention
-// on the failing dataset. Failed candidates are added as new training
-// instances and the tree is rebuilt (Algorithm 5's update loop).
+// ExplainWithDecisionTreePVTsContext implements the Appendix B extension
+// (Algorithm 5) for settings where assumption A2 fails — interventions on
+// single PVTs do not reduce malfunction, only certain conjunctions do. It
+// leverages multiple passing and failing datasets: a decision tree is
+// fitted over binary violation features (one per candidate PVT in pvts)
+// with the pass/fail outcome as the label; each root-to-pure-pass-leaf path
+// yields a candidate conjunction of PVTs whose joint repair is then
+// verified by intervention on the failing dataset. Failed candidates are
+// added as new training instances and the tree is rebuilt (Algorithm 5's
+// update loop).
 //
-// examples are the known datasets (at least one passing and one failing);
-// fail is the failing dataset to explain. Candidates are the PVTs
-// discriminative between the first passing example and fail.
-func (e *Explainer) ExplainWithDecisionTree(examples []*dataset.Dataset, fail *dataset.Dataset) (*Result, error) {
-	return e.ExplainWithDecisionTreeContext(context.Background(), examples, fail)
-}
-
-// ExplainWithDecisionTreeContext is ExplainWithDecisionTree honoring the
-// caller's context.
-func (e *Explainer) ExplainWithDecisionTreeContext(ctx context.Context, examples []*dataset.Dataset, fail *dataset.Dataset) (*Result, error) {
-	cs := e.contextSystem()
-	if cs == nil {
-		return nil, errors.New("core: Explainer requires a System or ContextSystem")
-	}
-	// Pick a passing exemplar to anchor candidate discovery.
-	var pass *dataset.Dataset
-	for _, d := range examples {
-		if cs.MalfunctionScore(ctx, d) <= e.Tau {
-			pass = d
-			break
-		}
-	}
-	var pvts []*PVT
-	if pass != nil {
-		pvts = e.discoverPVTs(pass, fail)
-	}
-	return e.ExplainWithDecisionTreePVTsContext(ctx, pvts, examples, fail)
-}
-
-// ExplainWithDecisionTreePVTs runs the Appendix B algorithm on a pre-built
-// candidate PVT set (see ExplainWithDecisionTree).
-func (e *Explainer) ExplainWithDecisionTreePVTs(pvts []*PVT, examples []*dataset.Dataset, fail *dataset.Dataset) (*Result, error) {
-	return e.ExplainWithDecisionTreePVTsContext(context.Background(), pvts, examples, fail)
-}
-
-// ExplainWithDecisionTreePVTsContext is ExplainWithDecisionTreePVTs
-// honoring the caller's context.
+// examples are the known datasets (typically at least one passing and one
+// failing), labeled through the engine like any other evaluation; fail is
+// the failing dataset to explain. Candidates builds pvts from a passing
+// example and fail.
 func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts []*PVT, examples []*dataset.Dataset, fail *dataset.Dataset) (*Result, error) {
 	//lint:ignore seededrand wall-clock stamp for Result.Runtime reporting; never feeds scoring
 	start := time.Now()

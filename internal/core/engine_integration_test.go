@@ -22,10 +22,10 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	type runner func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error)
 	algos := map[string]runner{
 		"GRD": func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error) {
-			return e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+			return e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		},
 		"GT": func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error) {
-			return e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+			return e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		},
 	}
 	for seed := int64(0); seed < 6; seed++ {
@@ -137,7 +137,7 @@ func TestMemoCacheHitsDuringSearch(t *testing.T) {
 	fail := synth.FailingDataset(2)
 
 	e := &core.Explainer{System: sys, Tau: 0.05, Seed: 3}
-	res, err := e.ExplainGroupTestPVTs(pvts, fail)
+	res, err := e.ExplainGroupTestPVTsContext(context.Background(), pvts, fail)
 	if err != nil {
 		t.Fatalf("GT failed: %v", err)
 	}

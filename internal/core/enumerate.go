@@ -10,21 +10,15 @@ import (
 	"repro/internal/pipeline"
 )
 
-// VerifyExplanation independently re-verifies an explanation: it applies
-// the PVTs' transformations to the failing dataset (Definition 9's
+// VerifyExplanationContext independently re-verifies an explanation: it
+// applies the PVTs' transformations to the failing dataset (Definition 9's
 // composition) and checks the malfunction drops to τ or below, and — when
 // checkMinimal is set — that no proper subset suffices (Definition 11).
-// It reports the number of oracle calls spent.
-func VerifyExplanation(sys pipeline.System, tau float64, fail *dataset.Dataset, expl []*PVT, seed int64, checkMinimal bool) (ok bool, calls int) {
-	return VerifyExplanationContext(context.Background(), pipeline.AsContext(sys), tau, fail, expl, seed, checkMinimal)
-}
-
-// VerifyExplanationContext is VerifyExplanation over a context-aware
-// system. The leave-one-out subset checks are independent, so they are
-// evaluated as one engine batch.
+// It reports the number of oracle calls spent. The leave-one-out subset
+// checks are independent, so they are evaluated as one engine batch.
 func VerifyExplanationContext(ctx context.Context, sys pipeline.ContextSystem, tau float64, fail *dataset.Dataset, expl []*PVT, seed int64, checkMinimal bool) (ok bool, calls int) {
 	e := &Explainer{Tau: tau, Seed: seed}
-	ev := engine.New(sys, engine.Config{})
+	ev := engine.New(pipeline.AsFallible(sys), engine.Config{})
 	rng := e.rng()
 	composed := composeAll(fail, expl, nil, rng)
 	s, err := ev.Score(ctx, composed)
@@ -63,33 +57,15 @@ func VerifyExplanationContext(ctx context.Context, sys pipeline.ContextSystem, t
 	return err == nil, ev.Stats().Interventions
 }
 
-// EnumerateExplanations returns up to maxCount distinct minimal
-// explanations of the mismatch, an extension beyond the paper's
-// "any minimal explanation" contract: after each explanation is found, its
-// PVTs are removed from the candidate pool one combination at a time
-// (banning one member per found explanation) and the greedy search reruns.
-// Explanations are distinct as PVT sets. The search stops early when no
-// further explanation exists.
-func (e *Explainer) EnumerateExplanations(pass, fail *dataset.Dataset, maxCount int) ([][]*PVT, error) {
-	return e.EnumerateExplanationsContext(context.Background(), pass, fail, maxCount)
-}
-
-// EnumerateExplanationsContext is EnumerateExplanations honoring the
-// caller's context.
-func (e *Explainer) EnumerateExplanationsContext(ctx context.Context, pass, fail *dataset.Dataset, maxCount int) ([][]*PVT, error) {
-	return e.EnumerateExplanationsPVTsContext(ctx, e.discoverPVTs(pass, fail), fail, maxCount)
-}
-
-// EnumerateExplanationsPVTs is EnumerateExplanations over a pre-built
-// candidate PVT set.
-func (e *Explainer) EnumerateExplanationsPVTs(all []*PVT, fail *dataset.Dataset, maxCount int) ([][]*PVT, error) {
-	return e.EnumerateExplanationsPVTsContext(context.Background(), all, fail, maxCount)
-}
-
-// EnumerateExplanationsPVTsContext is EnumerateExplanationsPVTs honoring
-// the caller's context. All greedy reruns share one evaluation substrate,
-// so the overlapping prefixes of successive searches are served from the
-// memo cache instead of re-querying the system.
+// EnumerateExplanationsPVTsContext returns up to maxCount distinct minimal
+// explanations among the candidate set all, an extension beyond the
+// paper's "any minimal explanation" contract: after each explanation is
+// found, its PVTs are removed from the candidate pool one combination at a
+// time (banning one member per found explanation) and the greedy search
+// reruns. Explanations are distinct as PVT sets. The search stops early
+// when no further explanation exists. All greedy reruns share one
+// evaluation substrate, so the overlapping prefixes of successive searches
+// are served from the memo cache instead of re-querying the system.
 func (e *Explainer) EnumerateExplanationsPVTsContext(ctx context.Context, all []*PVT, fail *dataset.Dataset, maxCount int) ([][]*PVT, error) {
 	if len(all) == 0 {
 		return nil, ErrNoExplanation

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestEnumerateExplanationsDisjunction(t *testing.T) {
 	// explanations should be enumerable.
 	sc := synth.New(synth.Options{NumPVTs: 18, NumAttrs: 6, Disjunction: 3, Seed: 41})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 41}
-	expls, err := e.EnumerateExplanationsPVTs(sc.PVTs, sc.Fail, 5)
+	expls, err := e.EnumerateExplanationsPVTsContext(context.Background(), sc.PVTs, sc.Fail, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestEnumerateExplanationsDisjunction(t *testing.T) {
 func TestEnumerateExplanationsSingle(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 12, NumAttrs: 4, Conjunction: 1, Seed: 42})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 42}
-	expls, err := e.EnumerateExplanationsPVTs(sc.PVTs, sc.Fail, 5)
+	expls, err := e.EnumerateExplanationsPVTsContext(context.Background(), sc.PVTs, sc.Fail, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +60,10 @@ func TestEnumerateExplanationsNone(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 6, NumAttrs: 2, Seed: 43})
 	stubborn := &pipeline.Func{SystemName: "s", Score: func(*dataset.Dataset) float64 { return 0.9 }}
 	e := &core.Explainer{System: stubborn, Tau: 0.1, Seed: 43}
-	if _, err := e.EnumerateExplanationsPVTs(sc.PVTs, sc.Fail, 3); !errors.Is(err, core.ErrNoExplanation) {
+	if _, err := e.EnumerateExplanationsPVTsContext(context.Background(), sc.PVTs, sc.Fail, 3); !errors.Is(err, core.ErrNoExplanation) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := e.EnumerateExplanationsPVTs(nil, sc.Fail, 3); !errors.Is(err, core.ErrNoExplanation) {
+	if _, err := e.EnumerateExplanationsPVTsContext(context.Background(), nil, sc.Fail, 3); !errors.Is(err, core.ErrNoExplanation) {
 		t.Errorf("empty pool err = %v", err)
 	}
 }
@@ -70,11 +71,11 @@ func TestEnumerateExplanationsNone(t *testing.T) {
 func TestVerifyExplanation(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 16, NumAttrs: 4, Conjunction: 2, Seed: 44})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 44}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, calls := core.VerifyExplanation(sc.System, e.Tau, sc.Fail, res.Explanation, 44, true)
+	ok, calls := core.VerifyExplanationContext(context.Background(), pipeline.AsContext(sc.System), e.Tau, sc.Fail, res.Explanation, 44, true)
 	if !ok {
 		t.Error("reported explanation failed independent verification")
 	}
@@ -96,15 +97,15 @@ func TestVerifyExplanation(t *testing.T) {
 		}
 	}
 	padded := append(append([]*core.PVT(nil), res.Explanation...), extra)
-	if ok, _ := core.VerifyExplanation(sc.System, e.Tau, sc.Fail, padded, 44, true); ok {
+	if ok, _ := core.VerifyExplanationContext(context.Background(), pipeline.AsContext(sc.System), e.Tau, sc.Fail, padded, 44, true); ok {
 		t.Error("padded explanation should fail minimality verification")
 	}
 	// But it passes without the minimality check (it does fix the system).
-	if ok, _ := core.VerifyExplanation(sc.System, e.Tau, sc.Fail, padded, 44, false); !ok {
+	if ok, _ := core.VerifyExplanationContext(context.Background(), pipeline.AsContext(sc.System), e.Tau, sc.Fail, padded, 44, false); !ok {
 		t.Error("padded explanation should still repair the system")
 	}
 	// An unrelated singleton fails outright.
-	if ok, _ := core.VerifyExplanation(sc.System, e.Tau, sc.Fail, []*core.PVT{extra}, 44, false); ok {
+	if ok, _ := core.VerifyExplanationContext(context.Background(), pipeline.AsContext(sc.System), e.Tau, sc.Fail, []*core.PVT{extra}, 44, false); ok {
 		t.Error("non-cause explanation should fail verification")
 	}
 }

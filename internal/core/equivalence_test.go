@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -25,7 +26,7 @@ func searchSignature(t *testing.T, sys pipeline.System, tau float64, pass, fail 
 		keys[i] = p.String()
 	}
 	e := &core.Explainer{System: sys, Tau: tau, Seed: 7, Options: &opts, Workers: workers}
-	res, err := e.ExplainGreedy(pass, fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail)
 	if err != nil && !errors.Is(err, core.ErrNoExplanation) {
 		t.Fatalf("search failed: %v", err)
 	}

@@ -32,13 +32,18 @@ const (
 // Explainer configures DataPrism's root-cause search. The zero value plus a
 // System and Tau is usable; defaults mirror the paper's setup.
 //
+// Each search is one context-first method over a candidate PVT set, which
+// Candidates builds from a (pass, fail) pair:
+//
+//	res, err := e.ExplainGreedyPVTsContext(ctx, e.Candidates(pass, fail), fail)
+//
 // All searches evaluate through the intervention engine
-// (internal/engine): a context-aware oracle with a bounded worker pool and
+// (internal/engine): an error-aware oracle with a bounded worker pool and
 // a memoized score cache, under one intervention budget. Same seed means
 // same explanation and same counted interventions regardless of Workers.
 type Explainer struct {
 	// System is the black box under debugging (required unless
-	// ContextSystem is set).
+	// ContextSystem or FallibleSystem is set).
 	System pipeline.System
 	// ContextSystem, when set, takes precedence over System and receives
 	// the search's context on every evaluation — cancelling the context
@@ -88,21 +93,17 @@ type Explainer struct {
 	// repair configurations, so it works without example datasets.
 	BootstrapCoveringArray bool
 	// BaselineProfiles, when non-empty, replaces profile discovery on the
-	// passing dataset: the pinned profiles — typically decoded from a
-	// versioned baseline artifact (internal/artifact) — are the candidate
-	// set, and discrimination is checked directly against the failing
-	// dataset. The explanation then cites profiles exactly as the baseline
-	// recorded them, fit bounds included, instead of a fresh re-discovery
-	// that may have drifted with the passing data.
+	// passing dataset in Candidates: the pinned profiles — typically
+	// decoded from a versioned baseline artifact (internal/artifact) — are
+	// the candidate set, and discrimination is checked directly against the
+	// failing dataset. The explanation then cites profiles exactly as the
+	// baseline recorded them, fit bounds included, instead of a fresh
+	// re-discovery that may have drifted with the passing data.
 	BaselineProfiles []profile.Profile
-	// BaselineName labels the baseline artifact (e.g. its file path or
-	// fingerprint) in results and reports. Only meaningful alongside
-	// BaselineProfiles.
-	BaselineName string
 
 	// eval, when set, is a pre-built evaluation substrate shared across
-	// searches (EnumerateExplanations uses this so repeated greedy runs
-	// share one memo cache and one budget).
+	// searches (EnumerateExplanationsPVTsContext uses this so repeated
+	// greedy runs share one memo cache and one budget).
 	eval *engine.Eval
 }
 
@@ -180,10 +181,12 @@ func (e *Explainer) options() profile.Options {
 	return o
 }
 
-// discoverPVTs resolves the discriminative candidate set for one search:
-// pinned baseline profiles when configured (filtered down to what fail
-// violates), otherwise fresh discovery on the passing dataset.
-func (e *Explainer) discoverPVTs(pass, fail *dataset.Dataset) []*PVT {
+// Candidates resolves the discriminative PVT set a search runs on — lines
+// 1–4 of Algorithms 1 and 2: the pinned BaselineProfiles when configured
+// (filtered down to what fail violates), otherwise fresh profile discovery
+// on pass under Options, keeping the profiles fail violates beyond Eps.
+// Result.Runtime of the search excludes this discovery.
+func (e *Explainer) Candidates(pass, fail *dataset.Dataset) []*PVT {
 	if len(e.BaselineProfiles) > 0 {
 		return BuildPVTs(profile.DiscriminativeFrom(e.BaselineProfiles, fail, e.eps()))
 	}
@@ -208,38 +211,30 @@ func (e *Explainer) rng() *rand.Rand {
 	return rand.New(rand.NewSource(e.Seed + 0x9e3779b9))
 }
 
-// contextSystem resolves the configured system to its context-aware form.
-func (e *Explainer) contextSystem() pipeline.ContextSystem {
-	if e.FallibleSystem != nil {
-		return pipeline.FallibleAsContext(e.FallibleSystem)
-	}
-	if e.ContextSystem != nil {
-		return e.ContextSystem
-	}
-	if e.System != nil {
-		return pipeline.AsContext(e.System)
-	}
-	return nil
-}
-
-// newEval builds (or reuses) the evaluation substrate for one search.
+// newEval builds (or reuses) the evaluation substrate for one search over
+// the configured system, resolved to the error-aware contract:
+// FallibleSystem takes precedence over ContextSystem, which takes
+// precedence over System.
 func (e *Explainer) newEval() (*engine.Eval, error) {
 	if e.eval != nil {
 		return e.eval, nil
 	}
-	cfg := engine.Config{
+	var sys pipeline.FallibleSystem
+	switch {
+	case e.FallibleSystem != nil:
+		sys = e.FallibleSystem
+	case e.ContextSystem != nil:
+		sys = pipeline.AsFallible(e.ContextSystem)
+	case e.System != nil:
+		sys = pipeline.AsFallible(pipeline.AsContext(e.System))
+	default:
+		return nil, errors.New("core: Explainer requires a System, ContextSystem, or FallibleSystem")
+	}
+	return engine.New(sys, engine.Config{
 		Workers:          e.Workers,
 		MaxInterventions: e.maxInterventions(),
 		Store:            e.Store,
-	}
-	if e.FallibleSystem != nil {
-		return engine.NewFallible(e.FallibleSystem, cfg), nil
-	}
-	cs := e.contextSystem()
-	if cs == nil {
-		return nil, errors.New("core: Explainer requires a System, ContextSystem, or FallibleSystem")
-	}
-	return engine.New(cs, cfg), nil
+	}), nil
 }
 
 // finish stamps the engine's counters and the wall clock onto the result.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -42,7 +43,7 @@ func TestGreedySurvivesNaNScores(t *testing.T) {
 		return sc.System.MalfunctionScore(d)
 	}}
 	e := &core.Explainer{System: flaky, Tau: 0.05, Seed: 31, MaxInterventions: 100}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil && !errors.Is(err, core.ErrNoExplanation) {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -66,7 +67,7 @@ func TestGreedySkipsBrokenTransforms(t *testing.T) {
 		}
 	}
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 32}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("greedy failed: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestGroupTestSurvivesBrokenTransforms(t *testing.T) {
 		}
 	}
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 33}
-	res, err := e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatalf("group test failed: %v", err)
 	}
@@ -96,7 +97,7 @@ func TestGroupTestSurvivesBrokenTransforms(t *testing.T) {
 func TestExplainGreedyEmptyCandidates(t *testing.T) {
 	sys := &pipeline.Func{SystemName: "s", Score: func(*dataset.Dataset) float64 { return 0.9 }}
 	e := &core.Explainer{System: sys, Tau: 0.1, Seed: 34}
-	res, err := e.ExplainGreedyPVTs(nil, synth.FailingDataset(1))
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), nil, synth.FailingDataset(1))
 	if !errors.Is(err, core.ErrNoExplanation) {
 		t.Errorf("err = %v", err)
 	}
@@ -160,7 +161,7 @@ func TestExtendedProfilesEndToEnd(t *testing.T) {
 	opts := profile.DefaultOptions()
 	opts.Classes = map[string]bool{"fd": true, "distribution": true}
 	e := &core.Explainer{System: sys, Tau: 0.05, Options: &opts, Seed: 35}
-	res, err := e.ExplainGreedy(pass, fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail)
 	if err != nil {
 		t.Fatalf("greedy failed: %v", err)
 	}

@@ -11,35 +11,16 @@ import (
 	"repro/internal/transform"
 )
 
-// ExplainGreedy runs DataPrismGRD (Algorithm 1): it discovers the
-// discriminative PVTs, prioritizes them by the PVT-attribute graph and the
-// benefit score, intervenes one PVT at a time, and post-processes the
-// accumulated explanation to a minimal one.
+// ExplainGreedyPVTsContext runs DataPrismGRD (Algorithm 1) on a
+// discriminative PVT set — Candidates builds one from a (pass, fail) pair:
+// it prioritizes the PVTs by the PVT-attribute graph and the benefit score,
+// intervenes one PVT at a time, and post-processes the accumulated
+// explanation to a minimal one.
 //
 // It returns ErrNoExplanation (with the partial Result) when the candidate
 // PVTs are exhausted or the intervention budget runs out before the
-// malfunction score drops below τ.
-func (e *Explainer) ExplainGreedy(pass, fail *dataset.Dataset) (*Result, error) {
-	return e.ExplainGreedyContext(context.Background(), pass, fail)
-}
-
-// ExplainGreedyContext is ExplainGreedy honoring the caller's context:
-// cancelling ctx aborts the search promptly with the context's error and a
-// partial Result.
-func (e *Explainer) ExplainGreedyContext(ctx context.Context, pass, fail *dataset.Dataset) (*Result, error) {
-	// Lines 1-4: discriminative PVTs.
-	return e.ExplainGreedyPVTsContext(ctx, e.discoverPVTs(pass, fail), fail)
-}
-
-// ExplainGreedyPVTs runs DataPrismGRD on a pre-built discriminative PVT set,
-// bypassing profile discovery — used by the synthetic-pipeline experiments
-// that construct PVTs directly.
-func (e *Explainer) ExplainGreedyPVTs(pvts []*PVT, fail *dataset.Dataset) (*Result, error) {
-	return e.ExplainGreedyPVTsContext(context.Background(), pvts, fail)
-}
-
-// ExplainGreedyPVTsContext is ExplainGreedyPVTs honoring the caller's
-// context.
+// malfunction score drops below τ. Cancelling ctx aborts the search
+// promptly with the context's error and a partial Result.
 func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, fail *dataset.Dataset) (*Result, error) {
 	//lint:ignore seededrand wall-clock stamp for Result.Runtime reporting; never feeds scoring
 	start := time.Now()

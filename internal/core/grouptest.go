@@ -33,36 +33,18 @@ type gtGroupState struct {
 	err   error // first context/engine error other than budget exhaustion
 }
 
-// ExplainGroupTest runs DataPrismGT (Algorithm 2): the discriminative PVTs
-// are recursively partitioned — by min-bisection of the PVT-dependency
-// graph, or uniformly at random when RandomBisection is set (the paper's
-// GrpTest baseline) — and intervened on as groups (Algorithm 3), followed
-// by the Make-Minimal post-pass.
+// ExplainGroupTestPVTsContext runs DataPrismGT (Algorithm 2) on a
+// discriminative PVT set — Candidates builds one from a (pass, fail) pair:
+// the PVTs are recursively partitioned — by min-bisection of the
+// PVT-dependency graph, or uniformly at random when RandomBisection is set
+// (the paper's GrpTest baseline) — and intervened on as groups
+// (Algorithm 3), followed by the Make-Minimal post-pass.
 //
 // Group testing additionally requires assumption A3 (Section 4.4); when it
 // does not hold the final composed fix may fail verification, in which case
 // ErrNoExplanation is returned with the partial Result — the paper reports
-// exactly this as "NA" for the cardiovascular case study.
-func (e *Explainer) ExplainGroupTest(pass, fail *dataset.Dataset) (*Result, error) {
-	return e.ExplainGroupTestContext(context.Background(), pass, fail)
-}
-
-// ExplainGroupTestContext is ExplainGroupTest honoring the caller's
-// context.
-func (e *Explainer) ExplainGroupTestContext(ctx context.Context, pass, fail *dataset.Dataset) (*Result, error) {
-	// Algorithm 2, lines 1-4: discriminative PVTs.
-	return e.ExplainGroupTestPVTsContext(ctx, e.discoverPVTs(pass, fail), fail)
-}
-
-// ExplainGroupTestPVTs runs DataPrismGT on a pre-built discriminative PVT
-// set, bypassing profile discovery — used by the synthetic-pipeline
-// experiments that construct PVTs directly.
-func (e *Explainer) ExplainGroupTestPVTs(pvts []*PVT, fail *dataset.Dataset) (*Result, error) {
-	return e.ExplainGroupTestPVTsContext(context.Background(), pvts, fail)
-}
-
-// ExplainGroupTestPVTsContext is ExplainGroupTestPVTs honoring the caller's
-// context.
+// exactly this as "NA" for the cardiovascular case study. Cancelling ctx
+// aborts the search with the context's error and a partial Result.
 func (e *Explainer) ExplainGroupTestPVTsContext(ctx context.Context, pvts []*PVT, fail *dataset.Dataset) (*Result, error) {
 	//lint:ignore seededrand wall-clock stamp for Result.Runtime reporting; never feeds scoring
 	start := time.Now()

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func statusScenario() (sys pipeline.System, pass, fail *dataset.Dataset) {
 func TestDatasetLevelGroupTest(t *testing.T) {
 	sys, pass, fail := statusScenario()
 	e := &core.Explainer{System: sys, Tau: 0.1, Seed: 81}
-	res, err := e.ExplainGroupTest(pass, fail)
+	res, err := e.ExplainGroupTestPVTsContext(context.Background(), e.Candidates(pass, fail), fail)
 	if err != nil {
 		t.Fatalf("dataset-level GT failed: %v", err)
 	}
@@ -60,7 +61,7 @@ func TestDatasetLevelGroupTest(t *testing.T) {
 func TestDatasetLevelEnumerate(t *testing.T) {
 	sys, pass, fail := statusScenario()
 	e := &core.Explainer{System: sys, Tau: 0.1, Seed: 82}
-	expls, err := e.EnumerateExplanations(pass, fail, 4)
+	expls, err := e.EnumerateExplanationsPVTsContext(context.Background(), e.Candidates(pass, fail), fail, 4)
 	if err != nil {
 		t.Fatalf("enumeration failed: %v", err)
 	}
@@ -83,7 +84,7 @@ func TestDatasetLevelEnumerate(t *testing.T) {
 func TestDatasetLevelDecisionTree(t *testing.T) {
 	sys, pass, fail := statusScenario()
 	e := &core.Explainer{System: sys, Tau: 0.1, Seed: 83}
-	res, err := e.ExplainWithDecisionTree([]*dataset.Dataset{pass}, fail)
+	res, err := e.ExplainWithDecisionTreePVTsContext(context.Background(), e.Candidates(pass, fail), []*dataset.Dataset{pass}, fail)
 	if err != nil {
 		t.Fatalf("dataset-level decision tree failed: %v", err)
 	}
@@ -95,8 +96,13 @@ func TestDatasetLevelDecisionTree(t *testing.T) {
 func TestDatasetLevelDecisionTreeNoPassingExample(t *testing.T) {
 	sys, _, fail := statusScenario()
 	e := &core.Explainer{System: sys, Tau: 0.1, Seed: 84}
-	// Only failing examples supplied: candidate discovery has no anchor.
-	if _, err := e.ExplainWithDecisionTree([]*dataset.Dataset{fail.Clone()}, fail); err == nil {
+	// Only failing examples supplied: discovery anchored on a failing
+	// dataset finds no discriminative candidates.
+	pvts := e.Candidates(fail.Clone(), fail)
+	if len(pvts) != 0 {
+		t.Fatalf("%d candidates discriminate fail from itself, want 0", len(pvts))
+	}
+	if _, err := e.ExplainWithDecisionTreePVTsContext(context.Background(), pvts, []*dataset.Dataset{fail.Clone()}, fail); err == nil {
 		t.Error("no passing exemplar should fail cleanly")
 	}
 }
@@ -107,7 +113,7 @@ func TestExplainerDefaults(t *testing.T) {
 	opts := profile.DefaultOptions()
 	opts.Classes = map[string]bool{"selectivity": false, "indep": false}
 	e := &core.Explainer{System: sys, Tau: 0.1, Options: &opts, Seed: 85, Eps: 1e-6}
-	res, err := e.ExplainGreedy(pass, fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"repro/internal/pipeline"
 	"testing"
 	"testing/quick"
 
@@ -31,24 +33,24 @@ func TestExplanationsAlwaysVerifyProperty(t *testing.T) {
 		const tau = 0.05
 
 		grd := &core.Explainer{System: sc.System, Tau: tau, Seed: seed}
-		res, err := grd.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+		res, err := grd.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if err != nil {
 			if !errors.Is(err, core.ErrNoExplanation) {
 				return false
 			}
 		} else {
-			if ok, _ := core.VerifyExplanation(sc.System, tau, sc.Fail, res.Explanation, seed, true); !ok {
+			if ok, _ := core.VerifyExplanationContext(context.Background(), pipeline.AsContext(sc.System), tau, sc.Fail, res.Explanation, seed, true); !ok {
 				t.Logf("seed %d: greedy explanation %s failed verification", seed, res.ExplanationString())
 				return false
 			}
 		}
 
 		gt := &core.Explainer{System: sc.System, Tau: tau, Seed: seed}
-		gres, gerr := gt.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+		gres, gerr := gt.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if gerr != nil {
 			return errors.Is(gerr, core.ErrNoExplanation)
 		}
-		if ok, _ := core.VerifyExplanation(sc.System, tau, sc.Fail, gres.Explanation, seed, true); !ok {
+		if ok, _ := core.VerifyExplanationContext(context.Background(), pipeline.AsContext(sc.System), tau, sc.Fail, gres.Explanation, seed, true); !ok {
 			t.Logf("seed %d: GT explanation %s failed verification", seed, gres.ExplanationString())
 			return false
 		}
@@ -70,7 +72,7 @@ func TestInterventionCountsBoundedProperty(t *testing.T) {
 		const tau = 0.05
 
 		grd := &core.Explainer{System: sc.System, Tau: tau, Seed: seed}
-		res, err := grd.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+		res, err := grd.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if err != nil {
 			return false
 		}
@@ -81,7 +83,7 @@ func TestInterventionCountsBoundedProperty(t *testing.T) {
 		}
 
 		gt := &core.Explainer{System: sc.System, Tau: tau, Seed: seed}
-		gres, gerr := gt.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+		gres, gerr := gt.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if gerr != nil {
 			return false
 		}

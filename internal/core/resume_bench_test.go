@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func BenchmarkWarmCacheRerun(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := &core.Explainer{System: slow, Tau: 0.05, Seed: seed, Workers: 1}
-			if _, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail); err != nil {
+			if _, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -53,14 +54,14 @@ func BenchmarkWarmCacheRerun(b *testing.B) {
 			b.Fatal(err)
 		}
 		e := &core.Explainer{System: slow, Tau: 0.05, Seed: seed, Workers: 1, Store: seedStore}
-		if _, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail); err != nil {
+		if _, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail); err != nil {
 			b.Fatal(err)
 		}
 		if err := seedStore.Close(); err != nil {
 			b.Fatal(err)
 		}
 
-		oracle := pipeline.NewOracle(slow)
+		oracle := counting(slow)
 		store, err := scorestore.Open(dir, slow.Name(), scorestore.Options{})
 		if err != nil {
 			b.Fatal(err)
@@ -69,7 +70,7 @@ func BenchmarkWarmCacheRerun(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e := &core.Explainer{System: oracle, Tau: 0.05, Seed: seed, Workers: 1, Store: store}
-			if _, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail); err != nil {
+			if _, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail); err != nil {
 				b.Fatal(err)
 			}
 		}

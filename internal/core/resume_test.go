@@ -1,13 +1,31 @@
 package core_test
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/pipeline"
 	"repro/internal/scorestore"
 	"repro/internal/synth"
 )
+
+// countingSystem wraps a System and counts its raw oracle calls.
+type countingSystem struct {
+	pipeline.System
+	calls atomic.Int64
+}
+
+func counting(sys pipeline.System) *countingSystem { return &countingSystem{System: sys} }
+
+func (c *countingSystem) MalfunctionScore(d *dataset.Dataset) float64 {
+	c.calls.Add(1)
+	return c.System.MalfunctionScore(d)
+}
+
+func (c *countingSystem) Calls() int { return int(c.calls.Load()) }
 
 // openStore opens a score store rooted in dir for the scenario's oracle.
 func openStore(t *testing.T, dir string, sys pipeline.System) *scorestore.Store {
@@ -28,10 +46,10 @@ func TestResumeWarmStoreZeroOracleCalls(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 16, NumAttrs: 6, Conjunction: 2, CauseTopBenefit: true, Seed: seed})
 	dir := t.TempDir()
 
-	cold := pipeline.NewOracle(sc.System)
+	cold := counting(sc.System)
 	store := openStore(t, dir, sc.System)
 	e1 := &core.Explainer{System: cold, Tau: 0.05, Seed: seed, Workers: 1, Store: store}
-	want, err := e1.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	want, err := e1.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +61,11 @@ func TestResumeWarmStoreZeroOracleCalls(t *testing.T) {
 	}
 
 	// Fresh process image: new oracle counter, reopened store.
-	warm := pipeline.NewOracle(sc.System)
+	warm := counting(sc.System)
 	store2 := openStore(t, dir, sc.System)
 	defer store2.Close()
 	e2 := &core.Explainer{System: warm, Tau: 0.05, Seed: seed, Workers: 1, Store: store2}
-	got, err := e2.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	got, err := e2.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +99,9 @@ func TestResumeKilledSearchReScoresOnlyLostWork(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 16, NumAttrs: 6, Conjunction: 2, CauseTopBenefit: true, Seed: seed})
 
 	// Reference: the uninterrupted, storeless run.
-	ref := pipeline.NewOracle(sc.System)
+	ref := counting(sc.System)
 	clean := &core.Explainer{System: ref, Tau: 0.05, Seed: seed, Workers: 1}
-	want, err := clean.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	want, err := clean.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +111,11 @@ func TestResumeKilledSearchReScoresOnlyLostWork(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	first := pipeline.NewOracle(sc.System)
+	first := counting(sc.System)
 	store := openStore(t, dir, sc.System)
 	e1 := &core.Explainer{System: first, Tau: 0.05, Seed: seed, Workers: 1,
 		MaxInterventions: full / 2, Store: store}
-	if _, err := e1.ExplainGreedyPVTs(sc.PVTs, sc.Fail); err == nil {
+	if _, err := e1.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail); err == nil {
 		t.Fatal("half-budget run unexpectedly completed")
 	}
 	if err := store.Close(); err != nil {
@@ -107,11 +125,11 @@ func TestResumeKilledSearchReScoresOnlyLostWork(t *testing.T) {
 		t.Fatalf("interrupted run made %d calls, want within (0, %d)", first.Calls(), full)
 	}
 
-	second := pipeline.NewOracle(sc.System)
+	second := counting(sc.System)
 	store2 := openStore(t, dir, sc.System)
 	defer store2.Close()
 	e2 := &core.Explainer{System: second, Tau: 0.05, Seed: seed, Workers: 1, Store: store2}
-	got, err := e2.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	got, err := e2.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}

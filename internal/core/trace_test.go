@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -95,9 +96,9 @@ func TestTraceRecordsCandidateIDs(t *testing.T) {
 					var res *core.Result
 					var err error
 					if algo == "grd" {
-						res, err = e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+						res, err = e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 					} else {
-						res, err = e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+						res, err = e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 					}
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -120,7 +121,7 @@ func TestTraceRecordsCandidateIDs(t *testing.T) {
 func TestDecisionTreeTraceRecordsConjunctionIDs(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 6, NumAttrs: 3, Conjunction: 2, Seed: 3})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 3, BootstrapCoveringArray: true}
-	res, err := e.ExplainWithDecisionTreePVTs(sc.PVTs, nil, sc.Fail)
+	res, err := e.ExplainWithDecisionTreePVTsContext(context.Background(), sc.PVTs, nil, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}

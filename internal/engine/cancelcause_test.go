@@ -23,7 +23,7 @@ var errNodeLost = errors.New("worker node lost")
 // cancel cause — and the cause must stay visible in the message and chain.
 func TestCancellationErrorsWrapContextCanceled(t *testing.T) {
 	sys := &valueSystem{}
-	ev := New(sys, Config{Workers: 2})
+	ev := New(pipeline.AsFallible(sys), Config{Workers: 2})
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(errNodeLost)
 
@@ -73,7 +73,7 @@ func TestCancellationErrorsWrapContextCanceled(t *testing.T) {
 // shape.
 func TestMidBatchCancellationSkipsWrapCause(t *testing.T) {
 	sys := &valueSystem{delay: 50 * time.Millisecond}
-	ev := New(sys, Config{Workers: 1})
+	ev := New(pipeline.AsFallible(sys), Config{Workers: 1})
 	ctx, cancel := context.WithCancelCause(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -106,7 +106,7 @@ func TestMidBatchCancellationSkipsWrapCause(t *testing.T) {
 // reports through the context.DeadlineExceeded sentinel so Fatal and caller
 // errors.Is checks see a deadline, not an anonymous engine error.
 func TestDeadlineGateWrapsDeadlineExceeded(t *testing.T) {
-	ev := New(&valueSystem{}, Config{Deadline: time.Now().Add(-time.Second)})
+	ev := New(pipeline.AsFallible(&valueSystem{}), Config{Deadline: time.Now().Add(-time.Second)})
 	_, err := ev.Baseline(context.Background(), flagData(0.5))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired Config.Deadline: errors.Is(err, context.DeadlineExceeded) = false; err = %v", err)

@@ -1,7 +1,7 @@
 // Package engine is the shared evaluation substrate behind every root-cause
 // search. The paper's cost model is oracle calls: DataPrismGRD (Algorithm 1),
 // DataPrismGT (Algorithms 2–3), and the BugDoc/Anchor/GrpTest baselines are
-// all bottlenecked on System.MalfunctionScore. Instead of each algorithm
+// all bottlenecked on the malfunction score. Instead of each algorithm
 // driving the oracle ad hoc — budgets threaded as raw counters, strictly
 // sequential evaluation, duplicate datasets re-scored from scratch — the
 // engine centralizes:
@@ -137,8 +137,7 @@ func (s Stats) Failures() int { return s.TransientFailures + s.DeterministicFail
 // budget. Safe for use from a single search goroutine; the internal pool
 // fans evaluations out and joins them before returning.
 type Eval struct {
-	sys      pipeline.ContextSystem
-	fall     pipeline.FallibleSystem
+	sys      pipeline.FallibleSystem
 	workers  int
 	max      int
 	deadline time.Time
@@ -149,28 +148,16 @@ type Eval struct {
 	stats Stats
 }
 
-// New builds an Eval over the given context-aware system. Systems that
-// implement pipeline.FallibleSystem (External, Retry, Breaker,
-// FaultInjector, or adapters preserving them) keep their own failure
-// classification; plain scorers are wrapped so that a score computed under
-// a cancelled context is discarded instead of cached.
-func New(sys pipeline.ContextSystem, cfg Config) *Eval {
-	return newEval(sys, pipeline.AsFallible(sys), cfg)
-}
-
-// NewFallible builds an Eval directly over an error-aware system.
-func NewFallible(sys pipeline.FallibleSystem, cfg Config) *Eval {
-	return newEval(pipeline.FallibleAsContext(sys), sys, cfg)
-}
-
-func newEval(sys pipeline.ContextSystem, fall pipeline.FallibleSystem, cfg Config) *Eval {
+// New builds an Eval over an error-aware system. A plain scorer enters
+// through pipeline.AsFallible, which discards a score computed under a
+// cancelled context instead of caching it.
+func New(sys pipeline.FallibleSystem, cfg Config) *Eval {
 	w := cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return &Eval{
 		sys:      sys,
-		fall:     fall,
 		workers:  w,
 		max:      cfg.MaxInterventions,
 		deadline: cfg.Deadline,
@@ -179,21 +166,15 @@ func newEval(sys pipeline.ContextSystem, fall pipeline.FallibleSystem, cfg Confi
 	}
 }
 
-// System returns the underlying context-aware system.
-func (ev *Eval) System() pipeline.ContextSystem { return ev.sys }
-
-// Workers reports the configured pool width.
-func (ev *Eval) Workers() int { return ev.workers }
-
 // Stats returns a snapshot of the counters.
 func (ev *Eval) Stats() Stats {
 	ev.mu.Lock()
 	st := ev.stats
 	ev.mu.Unlock()
-	if tc, ok := ev.fall.(pipeline.TripCounter); ok {
+	if tc, ok := ev.sys.(pipeline.TripCounter); ok {
 		st.BreakerTrips = tc.BreakerTrips()
 	}
-	if fr, ok := ev.fall.(pipeline.FleetReporter); ok {
+	if fr, ok := ev.sys.(pipeline.FleetReporter); ok {
 		st.Fleet = fr.FleetSnapshot()
 	}
 	return st
@@ -473,7 +454,7 @@ func (ev *Eval) gate(ctx context.Context) error {
 func (ev *Eval) evalOne(ctx context.Context, d *dataset.Dataset) pipeline.ScoreResult {
 	//lint:ignore seededrand latency-histogram timing only; never feeds scoring or search order
 	start := time.Now()
-	r := ev.fall.TryMalfunctionScore(ctx, d)
+	r := ev.sys.TryMalfunctionScore(ctx, d)
 	elapsed := time.Since(start)
 	ev.mu.Lock()
 	if r.Attempts > 0 {

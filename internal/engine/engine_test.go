@@ -44,7 +44,7 @@ func (s *valueSystem) MalfunctionScore(ctx context.Context, d *dataset.Dataset) 
 func TestEvalBatchOrderAndCounters(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		sys := &valueSystem{}
-		ev := New(sys, Config{Workers: workers})
+		ev := New(pipeline.AsFallible(sys), Config{Workers: workers})
 		ds := []*dataset.Dataset{flagData(0.3), flagData(0.7), flagData(0.1), flagData(0.9)}
 		scores, err := ev.EvalBatch(context.Background(), ds)
 		if err != nil {
@@ -68,7 +68,7 @@ func TestEvalBatchOrderAndCounters(t *testing.T) {
 
 func TestMemoizationAndWithinBatchDedup(t *testing.T) {
 	sys := &valueSystem{}
-	ev := New(sys, Config{Workers: 4})
+	ev := New(pipeline.AsFallible(sys), Config{Workers: 4})
 	// Duplicate fingerprints within one batch: one evaluation, one hit.
 	scores, err := ev.EvalBatch(context.Background(), []*dataset.Dataset{flagData(0.5), flagData(0.5)})
 	if err != nil {
@@ -95,7 +95,7 @@ func TestMemoizationAndWithinBatchDedup(t *testing.T) {
 
 func TestBaselineUncountedButCached(t *testing.T) {
 	sys := &valueSystem{}
-	ev := New(sys, Config{MaxInterventions: 5})
+	ev := New(pipeline.AsFallible(sys), Config{MaxInterventions: 5})
 	if s, err := ev.Baseline(context.Background(), flagData(0.8)); err != nil || s != 0.8 {
 		t.Fatalf("baseline = %v, %v", s, err)
 	}
@@ -113,7 +113,7 @@ func TestBaselineUncountedButCached(t *testing.T) {
 
 func TestBudgetTruncationIsPrefixOrdered(t *testing.T) {
 	sys := &valueSystem{}
-	ev := New(sys, Config{Workers: 1, MaxInterventions: 2})
+	ev := New(pipeline.AsFallible(sys), Config{Workers: 1, MaxInterventions: 2})
 	ds := []*dataset.Dataset{flagData(0.1), flagData(0.2), flagData(0.3), flagData(0.4)}
 	scores, err := ev.EvalBatch(context.Background(), ds)
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -136,7 +136,7 @@ func TestBudgetTruncationIsPrefixOrdered(t *testing.T) {
 
 func TestCancellationStopsBatch(t *testing.T) {
 	sys := &valueSystem{delay: 5 * time.Millisecond}
-	ev := New(sys, Config{Workers: 2})
+	ev := New(pipeline.AsFallible(sys), Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	var ds []*dataset.Dataset
 	for i := 0; i < 64; i++ {
@@ -163,7 +163,7 @@ func TestCancellationStopsBatch(t *testing.T) {
 
 func TestDeadlineGate(t *testing.T) {
 	sys := &valueSystem{}
-	ev := New(sys, Config{Deadline: time.Now().Add(-time.Second)})
+	ev := New(pipeline.AsFallible(sys), Config{Deadline: time.Now().Add(-time.Second)})
 	_, err := ev.Score(context.Background(), flagData(0.5))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
@@ -175,7 +175,7 @@ func TestDeadlineGate(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	build := func(workers int) (Stats, []float64) {
-		ev := New(&valueSystem{}, Config{Workers: workers, MaxInterventions: 40})
+		ev := New(pipeline.AsFallible(&valueSystem{}), Config{Workers: workers, MaxInterventions: 40})
 		var all []float64
 		for round := 0; round < 4; round++ {
 			var ds []*dataset.Dataset
@@ -261,7 +261,7 @@ func TestConcurrentFingerprintsSharedChunks(t *testing.T) {
 			batch = append(batch, c)
 		}
 		batch = append(batch, parent)
-		ev := New(sumSystem{}, Config{Workers: workers})
+		ev := New(pipeline.AsFallible(sumSystem{}), Config{Workers: workers})
 		scores, err := ev.EvalBatch(context.Background(), batch)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -305,12 +305,9 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestLegacyAdapter(t *testing.T) {
 	legacy := &pipeline.Func{SystemName: "legacy", Score: func(d *dataset.Dataset) float64 { return d.Num("x", 0) }}
-	ev := New(pipeline.AsContext(legacy), Config{Workers: 4})
+	ev := New(pipeline.AsFallible(pipeline.AsContext(legacy)), Config{Workers: 4})
 	scores, err := ev.EvalBatch(context.Background(), []*dataset.Dataset{flagData(0.25), flagData(0.75)})
 	if err != nil || scores[0] != 0.25 || scores[1] != 0.75 {
 		t.Fatalf("adapter scores = %v, %v", scores, err)
-	}
-	if ev.System().Name() != "legacy" {
-		t.Fatalf("name = %q", ev.System().Name())
 	}
 }

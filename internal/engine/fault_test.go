@@ -27,7 +27,7 @@ func TestCachePoisonRegression(t *testing.T) {
 		}
 		return 0.2
 	}}
-	ev := New(legacy, Config{Workers: 1})
+	ev := New(pipeline.AsFallible(legacy), Config{Workers: 1})
 	d := flagData(0.0)
 
 	s, err := ev.Score(ctx, d)
@@ -67,7 +67,7 @@ func TestFailedEvaluationNeverCachedAndRefunded(t *testing.T) {
 		}
 		return pipeline.ScoreResult{Score: 0.3, Attempts: 1}
 	}}
-	ev := NewFallible(sys, Config{MaxInterventions: 10})
+	ev := New(sys, Config{MaxInterventions: 10})
 	d := flagData(0.0)
 	for i := 0; i < 2; i++ {
 		if _, err := ev.Score(context.Background(), d); !errors.Is(err, pipeline.ErrTransient) {
@@ -97,7 +97,7 @@ func TestFailedEvaluationNeverCachedAndRefunded(t *testing.T) {
 // run the oracle anyway; it must refuse like every other path.
 func TestBaselineGate(t *testing.T) {
 	sys := &valueSystem{}
-	ev := New(sys, Config{Deadline: time.Now().Add(-time.Second)})
+	ev := New(pipeline.AsFallible(sys), Config{Deadline: time.Now().Add(-time.Second)})
 	if _, err := ev.Baseline(context.Background(), flagData(0.5)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -107,7 +107,7 @@ func TestBaselineGate(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ev2 := New(&valueSystem{}, Config{})
+	ev2 := New(pipeline.AsFallible(&valueSystem{}), Config{})
 	if _, err := ev2.Baseline(ctx, flagData(0.5)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
@@ -123,7 +123,7 @@ func TestBaselineFailureUncached(t *testing.T) {
 		}
 		return pipeline.ScoreResult{Score: 0.7, Attempts: 1}
 	}}
-	ev := NewFallible(sys, Config{})
+	ev := New(sys, Config{})
 	d := flagData(0.0)
 	if _, err := ev.Baseline(context.Background(), d); err == nil {
 		t.Fatal("first baseline should fail")
@@ -146,7 +146,7 @@ func TestRetryAndTripCountersFlowIntoStats(t *testing.T) {
 	}))
 	fi := &pipeline.FaultInjector{System: inner, FailFirst: 1}
 	retry := &pipeline.Retry{System: fi, Max: 3, BaseDelay: time.Millisecond}
-	ev := NewFallible(retry, Config{Workers: 4, MaxInterventions: 10})
+	ev := New(retry, Config{Workers: 4, MaxInterventions: 10})
 
 	ds := []*dataset.Dataset{flagData(0.1), flagData(0.2), flagData(0.3)}
 	scores, err := ev.EvalBatch(context.Background(), ds)
@@ -177,7 +177,7 @@ func TestBreakerOpenSurfacedAndRefunded(t *testing.T) {
 		return pipeline.ScoreResult{Score: math.NaN(), Err: pipeline.ErrTransient, Transient: true, Attempts: 1}
 	}}
 	br := &pipeline.Breaker{System: dead, FailureThreshold: 1, Cooldown: time.Hour}
-	ev := NewFallible(br, Config{MaxInterventions: 10})
+	ev := New(br, Config{MaxInterventions: 10})
 	d := flagData(0.0)
 
 	if _, err := ev.Score(context.Background(), d); !errors.Is(err, pipeline.ErrTransient) {
@@ -222,7 +222,7 @@ func TestDeterministicCrashScoreIsCachedAndCounted(t *testing.T) {
 		calls.Add(1)
 		return pipeline.ScoreResult{Score: 1, Deterministic: true, Attempts: 1}
 	}}
-	ev := NewFallible(sys, Config{MaxInterventions: 5})
+	ev := New(sys, Config{MaxInterventions: 5})
 	d := flagData(0.0)
 	if s, err := ev.Score(context.Background(), d); err != nil || s != 1 {
 		t.Fatalf("crash score = %v, %v", s, err)

@@ -45,7 +45,7 @@ func TestStoreReadThroughSkipsOracleAndBudget(t *testing.T) {
 	store.m[d1.Fingerprint()] = 0.1
 
 	sys := &valueSystem{}
-	ev := New(sys, Config{Workers: 1, MaxInterventions: 10, Store: store})
+	ev := New(pipeline.AsFallible(sys), Config{Workers: 1, MaxInterventions: 10, Store: store})
 
 	scores, err := ev.EvalBatch(context.Background(), []*dataset.Dataset{d1, d2})
 	if err != nil {
@@ -83,7 +83,7 @@ func TestStoreReadThroughSkipsOracleAndBudget(t *testing.T) {
 func TestStoreBaselineReadWriteThrough(t *testing.T) {
 	store := newMemStore()
 	sys := &valueSystem{}
-	ev := New(sys, Config{Store: store})
+	ev := New(pipeline.AsFallible(sys), Config{Store: store})
 	d := flagData(0.4)
 
 	if s, err := ev.Baseline(context.Background(), d); err != nil || s != 0.4 {
@@ -96,7 +96,7 @@ func TestStoreBaselineReadWriteThrough(t *testing.T) {
 	// A fresh Eval over the same store serves the baseline without the
 	// oracle.
 	sys2 := &valueSystem{}
-	ev2 := New(sys2, Config{Store: store})
+	ev2 := New(pipeline.AsFallible(sys2), Config{Store: store})
 	if s, err := ev2.Baseline(context.Background(), d); err != nil || s != 0.4 {
 		t.Fatalf("restored baseline = %v, %v", s, err)
 	}
@@ -115,7 +115,7 @@ func TestStoreNeverSeesFailures(t *testing.T) {
 	fails := &pipeline.TryFunc{SystemName: "dead", Try: func(context.Context, *dataset.Dataset) pipeline.ScoreResult {
 		return pipeline.ScoreResult{Score: math.NaN(), Err: pipeline.ErrTransient, Transient: true, Attempts: 1}
 	}}
-	ev := NewFallible(fails, Config{Store: store})
+	ev := New(fails, Config{Store: store})
 	d := flagData(0.0)
 	if _, err := ev.Score(context.Background(), d); err == nil {
 		t.Fatal("failure expected")
@@ -135,7 +135,7 @@ func TestStoreDeterministicFlagPropagates(t *testing.T) {
 	crash := &pipeline.TryFunc{SystemName: "crasher", Try: func(context.Context, *dataset.Dataset) pipeline.ScoreResult {
 		return pipeline.ScoreResult{Score: 1, Deterministic: true, Attempts: 1}
 	}}
-	ev := NewFallible(crash, Config{Store: store})
+	ev := New(crash, Config{Store: store})
 	d := flagData(0.0)
 	if s, err := ev.Score(context.Background(), d); err != nil || s != 1 {
 		t.Fatalf("score = %v, %v", s, err)
@@ -154,7 +154,7 @@ func TestStoreHitsRefundNothing(t *testing.T) {
 		store.m[d.Fingerprint()] = d.Num("x", 0)
 	}
 	sys := &valueSystem{}
-	ev := New(sys, Config{MaxInterventions: 1, Store: store})
+	ev := New(pipeline.AsFallible(sys), Config{MaxInterventions: 1, Store: store})
 	scores, err := ev.EvalBatch(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -82,18 +83,19 @@ func runAll(sys pipeline.System, tau float64, seed int64, pvts []*core.PVT, fail
 			cells[i] = Cell{NA: true, Seconds: secs}
 		}
 	}
+	ctx := context.Background()
 	run(0, func() (*core.Result, error) {
 		e := &core.Explainer{System: sys, Tau: tau, Seed: seed}
-		return e.ExplainGreedyPVTs(pvts, fail)
+		return e.ExplainGreedyPVTsContext(ctx, pvts, fail)
 	})
 	run(1, func() (*core.Result, error) {
 		e := &core.Explainer{System: sys, Tau: tau, Seed: seed}
-		return e.ExplainGroupTestPVTs(pvts, fail)
+		return e.ExplainGroupTestPVTsContext(ctx, pvts, fail)
 	})
 	cfg := baselines.Config{System: sys, Tau: tau, Seed: seed}
-	run(2, func() (*core.Result, error) { return baselines.BugDoc(cfg, pvts, fail) })
-	run(3, func() (*core.Result, error) { return baselines.Anchor(cfg, pvts, fail) })
-	run(4, func() (*core.Result, error) { return baselines.GrpTest(cfg, pvts, fail) })
+	run(2, func() (*core.Result, error) { return baselines.BugDocContext(ctx, cfg, pvts, fail) })
+	run(3, func() (*core.Result, error) { return baselines.AnchorContext(ctx, cfg, pvts, fail) })
+	run(4, func() (*core.Result, error) { return baselines.GrpTestContext(ctx, cfg, pvts, fail) })
 	return cells
 }
 
@@ -162,14 +164,14 @@ func Figure8PVTs(pvtCounts []int, seed int64) []Point {
 func timeGRDGT(sc *synth.Scenario, seed int64) []float64 {
 	grd := &core.Explainer{System: sc.System, Tau: 0.05, Seed: seed}
 	start := time.Now()
-	if _, err := grd.ExplainGreedyPVTs(sc.PVTs, sc.Fail); err != nil {
+	if _, err := grd.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail); err != nil {
 		return []float64{-1, -1}
 	}
 	grdSecs := time.Since(start).Seconds()
 
 	gt := &core.Explainer{System: sc.System, Tau: 0.05, Seed: seed}
 	start = time.Now()
-	if _, err := gt.ExplainGroupTestPVTs(sc.PVTs, sc.Fail); err != nil {
+	if _, err := gt.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail); err != nil {
 		return []float64{grdSecs, -1}
 	}
 	return []float64{grdSecs, time.Since(start).Seconds()}
@@ -284,12 +286,12 @@ func GRDvsGTAdversarial(seed int64) (grd, gt int, err error) {
 		CauseCoverageRank: 54,
 	})
 	eg := &core.Explainer{System: sc.System, Tau: 0.05, Seed: seed}
-	rg, err := eg.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	rg, err := eg.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		return 0, 0, err
 	}
 	et := &core.Explainer{System: sc.System, Tau: 0.05, Seed: seed}
-	rt, err := et.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+	rt, err := et.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		return rg.Interventions, 0, err
 	}
@@ -304,7 +306,7 @@ func Figure6(seeds int) (gtAvg, randAvg float64, err error) {
 	for s := 0; s < seeds; s++ {
 		sc := synth.Figure6Scenario()
 		gt := &core.Explainer{System: sc.System, Tau: 0.05, Seed: int64(s)}
-		r1, e1 := gt.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+		r1, e1 := gt.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if e1 != nil {
 			return 0, 0, e1
 		}
@@ -312,7 +314,7 @@ func Figure6(seeds int) (gtAvg, randAvg float64, err error) {
 
 		sc2 := synth.Figure6Scenario()
 		rnd := &core.Explainer{System: sc2.System, Tau: 0.05, Seed: int64(s), RandomBisection: true}
-		r2, e2 := rnd.ExplainGroupTestPVTs(sc2.PVTs, sc2.Fail)
+		r2, e2 := rnd.ExplainGroupTestPVTsContext(context.Background(), sc2.PVTs, sc2.Fail)
 		if e2 != nil {
 			return 0, 0, e2
 		}
@@ -332,7 +334,7 @@ func AblationBenefit(seed int64) ([]int, error) {
 	out := make([]int, len(modes))
 	for i, m := range modes {
 		e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: seed, Benefit: m}
-		res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+		res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +354,7 @@ func AblationDegree(seeds int) (withGraph, withoutGraph float64, err error) {
 		// Both arms use random benefit so the comparison isolates the
 		// graph-priority effect.
 		e1 := &core.Explainer{System: sc.System, Tau: 0.05, Seed: int64(s), Benefit: core.BenefitRandom}
-		r1, err1 := e1.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+		r1, err1 := e1.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if err1 != nil {
 			return 0, 0, err1
 		}
@@ -360,7 +362,7 @@ func AblationDegree(seeds int) (withGraph, withoutGraph float64, err error) {
 
 		sc2 := degreeScenario(int64(s))
 		e2 := &core.Explainer{System: sc2.System, Tau: 0.05, Seed: int64(s), DisableGraphPriority: true, Benefit: core.BenefitRandom}
-		r2, err2 := e2.ExplainGreedyPVTs(sc2.PVTs, sc2.Fail)
+		r2, err2 := e2.ExplainGreedyPVTsContext(context.Background(), sc2.PVTs, sc2.Fail)
 		if err2 != nil {
 			return 0, 0, err2
 		}
@@ -396,7 +398,7 @@ func AblationBisection(seeds int) (minBis, randBis float64, err error) {
 	for s := 0; s < seeds; s++ {
 		sc := alignedScenario()
 		gt := &core.Explainer{System: sc.System, Tau: 0.05, Seed: int64(s)}
-		r1, e1 := gt.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+		r1, e1 := gt.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		if e1 != nil {
 			return 0, 0, e1
 		}
@@ -404,7 +406,7 @@ func AblationBisection(seeds int) (minBis, randBis float64, err error) {
 
 		sc2 := alignedScenario()
 		rnd := &core.Explainer{System: sc2.System, Tau: 0.05, Seed: int64(s), RandomBisection: true}
-		r2, e2 := rnd.ExplainGroupTestPVTs(sc2.PVTs, sc2.Fail)
+		r2, e2 := rnd.ExplainGroupTestPVTsContext(context.Background(), sc2.PVTs, sc2.Fail)
 		if e2 != nil {
 			return 0, 0, e2
 		}

@@ -54,52 +54,11 @@ func (f *CtxFunc) MalfunctionScore(ctx context.Context, d *dataset.Dataset) floa
 	return f.Score(ctx, d)
 }
 
-// ctxScorer is the optional capability a legacy System can implement to
-// receive the caller's context without changing its System signature
-// (External does this: the ctx reaches exec.CommandContext).
-type ctxScorer interface {
-	MalfunctionScoreCtx(ctx context.Context, d *dataset.Dataset) float64
-}
-
-// AsContext adapts a legacy System to a ContextSystem. Systems that expose
-// the MalfunctionScoreCtx capability get the real context threaded through;
-// all others are wrapped with the context ignored (the caller still gets
-// between-evaluation cancellation from the engine layer). A system that
-// additionally implements FallibleSystem (External does) keeps its
-// error-aware classification visible through the adapter, so AsFallible on
-// the result recovers the precise failure taxonomy instead of the
-// conservative generic wrapper.
+// AsContext adapts a System to a ContextSystem that ignores the context
+// while scoring; the engine still checks the context between evaluations.
 func AsContext(sys System) ContextSystem {
-	a := ctxAdapter{name: sys.Name}
-	if cs, ok := sys.(ctxScorer); ok {
-		a.score = cs.MalfunctionScoreCtx
-	} else {
-		a.score = func(_ context.Context, d *dataset.Dataset) float64 { return sys.MalfunctionScore(d) }
+	return &CtxFunc{
+		SystemName: sys.Name(),
+		Score:      func(_ context.Context, d *dataset.Dataset) float64 { return sys.MalfunctionScore(d) },
 	}
-	if f, ok := sys.(FallibleSystem); ok {
-		return &fallibleCtxAdapter{ctxAdapter: a, try: f.TryMalfunctionScore}
-	}
-	return &a
-}
-
-type ctxAdapter struct {
-	name  func() string
-	score func(ctx context.Context, d *dataset.Dataset) float64
-}
-
-func (a *ctxAdapter) Name() string { return a.name() }
-
-func (a *ctxAdapter) MalfunctionScore(ctx context.Context, d *dataset.Dataset) float64 {
-	return a.score(ctx, d)
-}
-
-// fallibleCtxAdapter is a ctxAdapter whose underlying system is error-aware;
-// it satisfies both ContextSystem and FallibleSystem.
-type fallibleCtxAdapter struct {
-	ctxAdapter
-	try func(ctx context.Context, d *dataset.Dataset) ScoreResult
-}
-
-func (a *fallibleCtxAdapter) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset) ScoreResult {
-	return a.try(ctx, d)
 }

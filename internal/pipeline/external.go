@@ -43,52 +43,31 @@ const failureRingSize = 16
 //   - permanent failure, no score: misconfiguration (no command, CSV
 //     encoding error). Retrying is pointless.
 //
-// The legacy System/ContextSystem entry points keep their historical
-// contract of scoring 1 on any failure. Failure reasons are retained in a
-// bounded ring (RecentFailures) and, optionally, reported through Logf.
+// Failure reasons are retained in a bounded ring (RecentFailures) and,
+// optionally, reported through Logf.
 type External struct {
 	// Command is the program and its arguments.
 	Command []string
 	// Timeout bounds one evaluation; zero means 30 seconds. A timeout is
-	// a transient failure under the fallible contract and scores 1 under
-	// the legacy one.
+	// a transient failure.
 	Timeout time.Duration
 	// Logf, when set, receives a diagnostic line for every failed
 	// evaluation (timeout, non-zero exit, unparsable or out-of-range
-	// output). Useful for surfacing misconfigured scorer commands that
-	// would otherwise silently score 1 forever.
+	// output). Useful for surfacing misconfigured scorer commands.
 	Logf func(format string, args ...any)
 
-	mu          sync.Mutex
-	lastFailure string
-	ring        [failureRingSize]string
-	ringN       int // total failures ever recorded
+	mu    sync.Mutex
+	ring  [failureRingSize]string
+	ringN int // total failures ever recorded
 }
 
-// Name implements System.
+// Name implements FallibleSystem.
 func (s *External) Name() string { return strings.Join(s.Command, " ") }
 
-// MalfunctionScore implements System, evaluating under a background context
-// bounded only by Timeout.
-func (s *External) MalfunctionScore(d *dataset.Dataset) float64 {
-	return s.MalfunctionScoreCtx(context.Background(), d)
-}
-
-// MalfunctionScoreCtx evaluates the external program under the caller's
-// context: cancelling ctx kills the in-flight process, so deadlined or
-// cancelled searches stop promptly instead of waiting out Timeout. Any
-// failure — transient or not — scores 1, the legacy contract; use
-// TryMalfunctionScore to tell them apart.
-func (s *External) MalfunctionScoreCtx(ctx context.Context, d *dataset.Dataset) float64 {
-	r := s.TryMalfunctionScore(ctx, d)
-	if r.Err != nil {
-		return 1
-	}
-	return r.Score
-}
-
 // TryMalfunctionScore implements FallibleSystem with the failure taxonomy
-// described on External.
+// described on External. Cancelling ctx kills the in-flight process, so
+// deadlined or cancelled searches stop promptly instead of waiting out
+// Timeout.
 func (s *External) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset) ScoreResult {
 	if len(s.Command) == 0 {
 		return s.permanent("no command configured")
@@ -148,18 +127,7 @@ func (s *External) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset) 
 	if score < 0 || score > 1 {
 		return s.deterministic("score %v outside [0,1]", score)
 	}
-	s.mu.Lock()
-	s.lastFailure = ""
-	s.mu.Unlock()
 	return ScoreResult{Score: score, Attempts: 1}
-}
-
-// LastFailure reports why the most recent evaluation failed (timeout,
-// process failure, or parse failure), or "" if it succeeded.
-func (s *External) LastFailure() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastFailure
 }
 
 // RecentFailures returns up to n recent failure reasons, newest first. The
@@ -183,12 +151,11 @@ func (s *External) RecentFailures(n int) []string {
 	return out
 }
 
-// record stores the failure reason in LastFailure and the diagnostic ring,
-// and emits it through Logf when configured.
+// record stores the failure reason in the diagnostic ring and emits it
+// through Logf when configured.
 func (s *External) record(format string, args ...any) string {
 	reason := fmt.Sprintf(format, args...)
 	s.mu.Lock()
-	s.lastFailure = reason
 	s.ring[s.ringN%failureRingSize] = reason
 	s.ringN++
 	s.mu.Unlock()

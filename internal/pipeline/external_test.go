@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os/exec"
 	"strings"
@@ -24,11 +25,24 @@ func extData() *dataset.Dataset {
 	return d
 }
 
+// try scores extData under a background context.
+func try(sys *External) ScoreResult {
+	return sys.TryMalfunctionScore(context.Background(), extData())
+}
+
+// lastReason returns the newest entry of the failure ring, or "".
+func lastReason(sys *External) string {
+	if tail := sys.RecentFailures(1); len(tail) == 1 {
+		return tail[0]
+	}
+	return ""
+}
+
 func TestExternalScore(t *testing.T) {
 	requireSh(t)
 	sys := &External{Command: []string{"sh", "-c", "cat > /dev/null; echo 0.25"}}
-	if got := sys.MalfunctionScore(extData()); got != 0.25 {
-		t.Errorf("score = %g, want 0.25", got)
+	if r := try(sys); r.Err != nil || r.Score != 0.25 || r.Deterministic {
+		t.Errorf("result = %+v, want score 0.25", r)
 	}
 	if sys.Name() == "" {
 		t.Error("Name empty")
@@ -40,31 +54,52 @@ func TestExternalReceivesCSV(t *testing.T) {
 	// The command counts input lines (header + 3 rows = 4) and maps the
 	// count to a score, proving the dataset actually reaches stdin.
 	sys := &External{Command: []string{"sh", "-c", `n=$(wc -l); if [ "$n" -eq 4 ]; then echo 0; else echo 1; fi`}}
-	if got := sys.MalfunctionScore(extData()); got != 0 {
-		t.Errorf("score = %g, want 0 (4 CSV lines seen)", got)
+	if r := try(sys); r.Err != nil || r.Score != 0 {
+		t.Errorf("result = %+v, want score 0 (4 CSV lines seen)", r)
 	}
 }
 
+// TestExternalFailureModes checks each failure lands in its class: a
+// crash or protocol violation is the deterministic malfunction 1, a
+// timeout is a transient failure, and a missing command is permanent.
 func TestExternalFailureModes(t *testing.T) {
 	requireSh(t)
-	cases := map[string]*External{
-		"nonzero exit":  {Command: []string{"sh", "-c", "exit 3"}},
-		"garbage":       {Command: []string{"sh", "-c", "echo not-a-number"}},
-		"negative":      {Command: []string{"sh", "-c", "echo -0.5"}},
-		"above one":     {Command: []string{"sh", "-c", "echo 7"}},
-		"empty command": {Command: nil},
-		"timeout":       {Command: []string{"sh", "-c", "sleep 5; echo 0"}, Timeout: 50 * time.Millisecond},
+	const (
+		deterministic = "deterministic"
+		transient     = "transient"
+		permanent     = "permanent"
+	)
+	cases := map[string]struct {
+		sys   *External
+		class string
+	}{
+		"nonzero exit":  {&External{Command: []string{"sh", "-c", "exit 3"}}, deterministic},
+		"garbage":       {&External{Command: []string{"sh", "-c", "echo not-a-number"}}, deterministic},
+		"negative":      {&External{Command: []string{"sh", "-c", "echo -0.5"}}, deterministic},
+		"above one":     {&External{Command: []string{"sh", "-c", "echo 7"}}, deterministic},
+		"empty command": {&External{Command: nil}, permanent},
+		"timeout":       {&External{Command: []string{"sh", "-c", "sleep 5; echo 0"}, Timeout: 50 * time.Millisecond}, transient},
 	}
-	for name, sys := range cases {
-		if got := sys.MalfunctionScore(extData()); got != 1 {
-			t.Errorf("%s: score = %g, want 1", name, got)
+	for name, tc := range cases {
+		r := try(tc.sys)
+		var got string
+		switch {
+		case r.Err == nil && r.Deterministic && r.Score == 1:
+			got = deterministic
+		case r.Err != nil && r.Transient && errors.Is(r.Err, ErrTransient):
+			got = transient
+		case r.Err != nil && !r.Transient:
+			got = permanent
+		}
+		if got != tc.class {
+			t.Errorf("%s: result %+v, want class %s", name, r, tc.class)
 		}
 	}
 }
 
-// TestExternalFailureReasons checks that LastFailure distinguishes the
-// failure classes — in particular timeout vs. parse failure, which score
-// identically (1) but need very different operator responses.
+// TestExternalFailureReasons checks that the failure ring distinguishes
+// the failure classes — in particular timeout vs. parse failure, which need
+// very different operator responses.
 func TestExternalFailureReasons(t *testing.T) {
 	requireSh(t)
 	cases := []struct {
@@ -79,11 +114,15 @@ func TestExternalFailureReasons(t *testing.T) {
 		{"process failed", &External{Command: []string{"sh", "-c", "exit 3"}}, "process failed"},
 	}
 	for _, tc := range cases {
-		if got := tc.sys.MalfunctionScore(extData()); got != 1 {
-			t.Errorf("%s: score = %g, want 1", tc.name, got)
+		r := try(tc.sys)
+		if r.Err == nil && !r.Deterministic {
+			t.Errorf("%s: result %+v, want a failure", tc.name, r)
 		}
-		if reason := tc.sys.LastFailure(); !strings.Contains(reason, tc.want) {
-			t.Errorf("%s: LastFailure = %q, want substring %q", tc.name, reason, tc.want)
+		if reason := lastReason(tc.sys); !strings.Contains(reason, tc.want) {
+			t.Errorf("%s: RecentFailures(1) = %q, want substring %q", tc.name, reason, tc.want)
+		}
+		if r.Err != nil && !strings.Contains(r.Err.Error(), tc.want) {
+			t.Errorf("%s: Err = %v, want substring %q", tc.name, r.Err, tc.want)
 		}
 	}
 }
@@ -93,42 +132,26 @@ func TestExternalFailureReasons(t *testing.T) {
 func TestExternalStderrCaptured(t *testing.T) {
 	requireSh(t)
 	sys := &External{Command: []string{"sh", "-c", "echo boom-diagnostic >&2; exit 2"}}
-	if got := sys.MalfunctionScore(extData()); got != 1 {
-		t.Fatalf("score = %g, want 1", got)
+	if r := try(sys); !r.Deterministic || r.Score != 1 {
+		t.Fatalf("result = %+v, want the deterministic malfunction 1", r)
 	}
-	if reason := sys.LastFailure(); !strings.Contains(reason, "boom-diagnostic") {
-		t.Errorf("LastFailure = %q, want stderr excerpt", reason)
+	if reason := lastReason(sys); !strings.Contains(reason, "boom-diagnostic") {
+		t.Errorf("RecentFailures(1) = %q, want stderr excerpt", reason)
 	}
 }
 
 // TestExternalStdoutCapped checks a runaway child printing far more than the
-// 1 MiB cap scores 1 with a truncation reason instead of buffering it all.
+// 1 MiB cap fails transiently with a truncation reason instead of buffering
+// it all.
 func TestExternalStdoutCapped(t *testing.T) {
 	requireSh(t)
 	sys := &External{Command: []string{"sh", "-c", "head -c 3000000 /dev/zero | tr '\\0' 'x'"}}
-	if got := sys.MalfunctionScore(extData()); got != 1 {
-		t.Fatalf("score = %g, want 1", got)
+	r := try(sys)
+	if r.Err == nil || !r.Transient {
+		t.Fatalf("result = %+v, want a transient failure", r)
 	}
-	if reason := sys.LastFailure(); !strings.Contains(reason, "stdout exceeded") {
-		t.Errorf("LastFailure = %q, want stdout-cap reason", reason)
-	}
-}
-
-// TestExternalSuccessClearsFailure checks LastFailure resets after a
-// successful evaluation.
-func TestExternalSuccessClearsFailure(t *testing.T) {
-	requireSh(t)
-	sys := &External{Command: []string{"sh", "-c", "cat > /dev/null; echo bad"}}
-	sys.MalfunctionScore(extData())
-	if sys.LastFailure() == "" {
-		t.Fatal("expected a failure reason")
-	}
-	sys.Command = []string{"sh", "-c", "cat > /dev/null; echo 0.5"}
-	if got := sys.MalfunctionScore(extData()); got != 0.5 {
-		t.Fatalf("score = %g, want 0.5", got)
-	}
-	if reason := sys.LastFailure(); reason != "" {
-		t.Errorf("LastFailure = %q after success, want empty", reason)
+	if !strings.Contains(r.Err.Error(), "stdout exceeded") {
+		t.Errorf("Err = %v, want stdout-cap reason", r.Err)
 	}
 }
 
@@ -143,14 +166,15 @@ func TestExternalCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	if got := sys.MalfunctionScoreCtx(ctx, extData()); got != 1 {
-		t.Fatalf("score = %g, want 1", got)
+	r := sys.TryMalfunctionScore(ctx, extData())
+	if !errors.Is(r.Err, context.Canceled) || !r.Transient {
+		t.Fatalf("result = %+v, want a transient failure wrapping context.Canceled", r)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("cancellation not prompt: %v", elapsed)
 	}
-	if reason := sys.LastFailure(); !strings.Contains(reason, "cancelled") {
-		t.Errorf("LastFailure = %q, want cancellation reason", reason)
+	if reason := lastReason(sys); !strings.Contains(reason, "cancelled") {
+		t.Errorf("RecentFailures(1) = %q, want cancellation reason", reason)
 	}
 }
 
@@ -162,7 +186,7 @@ func TestExternalLogf(t *testing.T) {
 		Command: []string{"sh", "-c", "echo nope"},
 		Logf:    func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
 	}
-	sys.MalfunctionScore(extData())
+	try(sys)
 	if len(logged) != 1 || !strings.Contains(logged[0], "unparsable") {
 		t.Errorf("logged = %q, want one unparsable-score line", logged)
 	}

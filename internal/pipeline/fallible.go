@@ -77,12 +77,11 @@ func transientResult(attempts int, format string, args ...any) ScoreResult {
 }
 
 // AsFallible adapts a context-aware system to the error-aware contract.
-// Systems that already implement FallibleSystem (External, Retry, Breaker,
-// FaultInjector) keep their own failure classification. Plain scorers are
-// wrapped conservatively: a score computed under a cancelled context is
-// discarded as a transient failure rather than trusted — the score may be a
-// cancellation artifact (External's legacy path returns 1 when its process
-// is killed), and caching such an artifact poisons every later lookup.
+// Systems that already implement FallibleSystem keep their own failure
+// classification. Plain scorers are wrapped conservatively: a score
+// computed under a cancelled context is discarded as a transient failure
+// rather than trusted — the score may be a cancellation artifact, and
+// caching such an artifact poisons every later lookup.
 func AsFallible(sys ContextSystem) FallibleSystem {
 	if f, ok := sys.(FallibleSystem); ok {
 		return f
@@ -98,25 +97,6 @@ func AsFallible(sys ContextSystem) FallibleSystem {
 				return transientResult(1, "cancelled mid-evaluation: %w", ContextFailure(ctx))
 			}
 			return ScoreResult{Score: s, Attempts: 1}
-		},
-	}
-}
-
-// FallibleAsContext adapts an error-aware system back to the legacy
-// ContextSystem shape for callers that only understand scores: any
-// measurement failure collapses to the extreme malfunction 1, exactly like
-// the pre-fallible External. Prefer the FallibleSystem contract where the
-// caller can handle errors — this adapter exists for display paths and
-// backward compatibility, not for searches.
-func FallibleAsContext(sys FallibleSystem) ContextSystem {
-	return &CtxFunc{
-		SystemName: sys.Name(),
-		Score: func(ctx context.Context, d *dataset.Dataset) float64 {
-			r := sys.TryMalfunctionScore(ctx, d)
-			if r.Err != nil {
-				return 1
-			}
-			return r.Score
 		},
 	}
 }

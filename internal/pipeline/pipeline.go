@@ -1,12 +1,14 @@
 // Package pipeline defines the black-box system abstraction DataPrism
-// debugs: a System exposes only a malfunction score over datasets
-// (Definition 3 of the paper). The Oracle wrapper counts score evaluations,
-// which is how the paper measures intervention cost across techniques.
+// debugs: a system exposes only a malfunction score over datasets
+// (Definition 3 of the paper). Searches consume the error-aware
+// FallibleSystem contract, which tells a malfunction score apart from a
+// failed measurement; System and ContextSystem are the plain-score forms
+// that AsContext and AsFallible adapt to it. Intervention cost is counted
+// once, by the engine that every search evaluates through
+// (internal/engine, Stats.Interventions).
 package pipeline
 
 import (
-	"sync"
-
 	"repro/internal/dataset"
 )
 
@@ -31,47 +33,3 @@ func (f *Func) Name() string { return f.SystemName }
 
 // MalfunctionScore implements System.
 func (f *Func) MalfunctionScore(d *dataset.Dataset) float64 { return f.Score(d) }
-
-// Oracle wraps a System and counts malfunction-score evaluations. Every
-// evaluation of a transformed dataset is one intervention in the paper's
-// cost model; baseline evaluations can be excluded via Exempt.
-type Oracle struct {
-	sys System
-
-	mu    sync.Mutex
-	calls int
-}
-
-// NewOracle wraps a system in a counting oracle.
-func NewOracle(sys System) *Oracle { return &Oracle{sys: sys} }
-
-// Name implements System.
-func (o *Oracle) Name() string { return o.sys.Name() }
-
-// MalfunctionScore implements System, counting the call.
-func (o *Oracle) MalfunctionScore(d *dataset.Dataset) float64 {
-	o.mu.Lock()
-	o.calls++
-	o.mu.Unlock()
-	return o.sys.MalfunctionScore(d)
-}
-
-// Exempt evaluates the score without counting — for the baseline
-// m_S(D_pass) / m_S(D_fail) measurements that precede any intervention.
-func (o *Oracle) Exempt(d *dataset.Dataset) float64 {
-	return o.sys.MalfunctionScore(d)
-}
-
-// Calls returns the number of counted evaluations so far.
-func (o *Oracle) Calls() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.calls
-}
-
-// Reset zeroes the call counter.
-func (o *Oracle) Reset() {
-	o.mu.Lock()
-	o.calls = 0
-	o.mu.Unlock()
-}

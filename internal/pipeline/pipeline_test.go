@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -18,51 +17,5 @@ func TestFuncAdapter(t *testing.T) {
 	}
 	if got := sys.MalfunctionScore(dataset.New()); got != 0.42 {
 		t.Errorf("score = %g", got)
-	}
-}
-
-func TestOracleCounting(t *testing.T) {
-	o := NewOracle(constSystem(0.5))
-	d := dataset.New()
-	if o.Calls() != 0 {
-		t.Fatal("fresh oracle has calls")
-	}
-	o.MalfunctionScore(d)
-	o.MalfunctionScore(d)
-	if o.Calls() != 2 {
-		t.Errorf("Calls = %d, want 2", o.Calls())
-	}
-	// Exempt evaluations are not counted.
-	if got := o.Exempt(d); got != 0.5 {
-		t.Errorf("Exempt = %g", got)
-	}
-	if o.Calls() != 2 {
-		t.Errorf("Exempt incremented the counter: %d", o.Calls())
-	}
-	o.Reset()
-	if o.Calls() != 0 {
-		t.Error("Reset did not zero the counter")
-	}
-	if o.Name() != "const" {
-		t.Error("oracle should expose the wrapped system's name")
-	}
-}
-
-func TestOracleConcurrentCounting(t *testing.T) {
-	o := NewOracle(constSystem(0.1))
-	d := dataset.New()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				o.MalfunctionScore(d)
-			}
-		}()
-	}
-	wg.Wait()
-	if o.Calls() != 800 {
-		t.Errorf("Calls = %d, want 800", o.Calls())
 	}
 }

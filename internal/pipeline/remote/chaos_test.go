@@ -49,10 +49,10 @@ func TestRemoteChaosMatchesInProcessFaultFree(t *testing.T) {
 	type runner func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error)
 	algos := map[string]runner{
 		"GRD": func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error) {
-			return e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+			return e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		},
 		"GT": func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error) {
-			return e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+			return e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 		},
 	}
 	seed := int64(1)
@@ -128,7 +128,7 @@ func TestRemoteChaosWithHedgingStaysDeterministic(t *testing.T) {
 	seed := int64(2)
 	sc := synth.New(synth.Options{NumPVTs: 16, NumAttrs: 6, Conjunction: 2, CauseTopBenefit: true, Seed: seed})
 	clean := &core.Explainer{System: sc.System, Tau: 0.05, Seed: seed, Workers: 1}
-	want, err := clean.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	want, err := clean.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRemoteChaosWithHedgingStaysDeterministic(t *testing.T) {
 	})
 	defer fleet.Close()
 	e := &core.Explainer{FallibleSystem: fleet, Tau: 0.05, Seed: seed, Workers: 4}
-	got, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	got, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRemoteFleetStatsReachEngine(t *testing.T) {
 	defer fleet.Close()
 	wrapped := &pipeline.Retry{System: fleet, Max: 2, BaseDelay: time.Millisecond}
 	e := &core.Explainer{FallibleSystem: wrapped, Tau: 0.05, Seed: seed, Workers: 2}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func sampleSummary(t *testing.T) Summary {
 	t.Helper()
 	sc := synth.New(synth.Options{NumPVTs: 10, NumAttrs: 3, Conjunction: 2, Seed: 61})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 61}
-	res, err := e.ExplainGreedyPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func groupTestSummary(tb testing.TB, pvts int) Summary {
 	tb.Helper()
 	sc := synth.New(synth.Options{NumPVTs: pvts, NumAttrs: pvts, Conjunction: 1, Seed: 1, CauseTopBenefit: true})
 	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 1}
-	res, err := e.ExplainGroupTestPVTs(sc.PVTs, sc.Fail)
+	res, err := e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
 	if err != nil {
 		tb.Fatal(err)
 	}

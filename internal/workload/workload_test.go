@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestSentimentScenario(t *testing.T) {
 		t.Fatalf("fail score = %g, want 1.0 (no {0,4} label ever matches)", failScore)
 	}
 	e := &core.Explainer{System: s.System, Tau: s.Tau, Options: &s.Options, Seed: 1}
-	res, err := e.ExplainGreedy(s.Pass, s.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(s.Pass, s.Fail), s.Fail)
 	if err != nil {
 		t.Fatalf("GRD failed: %v", err)
 	}
@@ -65,7 +66,7 @@ func TestSentimentScenario(t *testing.T) {
 func TestSentimentGroupTest(t *testing.T) {
 	s := NewSentimentScenario(600, 1)
 	e := &core.Explainer{System: s.System, Tau: s.Tau, Options: &s.Options, Seed: 1}
-	res, err := e.ExplainGroupTest(s.Pass, s.Fail)
+	res, err := e.ExplainGroupTestPVTsContext(context.Background(), e.Candidates(s.Pass, s.Fail), s.Fail)
 	if err != nil {
 		t.Fatalf("GT failed: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestIncomeScenario(t *testing.T) {
 		t.Fatalf("fail score = %g, want strong disparity", failScore)
 	}
 	e := &core.Explainer{System: s.System, Tau: s.Tau, Options: &s.Options, Seed: 2}
-	res, err := e.ExplainGreedy(s.Pass, s.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(s.Pass, s.Fail), s.Fail)
 	if err != nil {
 		t.Fatalf("GRD failed: %v", err)
 	}
@@ -121,7 +122,7 @@ func TestCardioScenario(t *testing.T) {
 		t.Fatalf("fail score = %g, want recall collapse (paper: 0.71)", failScore)
 	}
 	e := &core.Explainer{System: s.System, Tau: s.Tau, Options: &s.Options, Seed: 4}
-	res, err := e.ExplainGreedy(s.Pass, s.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(s.Pass, s.Fail), s.Fail)
 	if err != nil {
 		t.Fatalf("GRD failed: %v", err)
 	}
@@ -144,7 +145,7 @@ func TestBiasScenario(t *testing.T) {
 		t.Fatalf("fail score = %g, want strong bias", failScore)
 	}
 	e := &core.Explainer{System: s.System, Tau: s.Tau, Options: &s.Options, Seed: 4}
-	res, err := e.ExplainGreedy(s.Pass, s.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(s.Pass, s.Fail), s.Fail)
 	if err != nil {
 		t.Fatalf("GRD failed: %v", err)
 	}
@@ -175,7 +176,7 @@ func TestEZGoScenario(t *testing.T) {
 		t.Fatalf("fail overrun = %g, want near 1", got)
 	}
 	e := &core.Explainer{System: s.System, Tau: s.Tau, Options: &s.Options, Seed: 1}
-	res, err := e.ExplainGreedy(s.Pass, s.Fail)
+	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(s.Pass, s.Fail), s.Fail)
 	if err != nil {
 		t.Fatalf("GRD failed: %v", err)
 	}
