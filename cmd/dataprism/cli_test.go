@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	dataprism "repro"
 )
 
 // statusScorer is a one-line external system: the malfunction is the
@@ -182,6 +185,44 @@ func TestScoreCacheServesSecondProcess(t *testing.T) {
 	requireStatusExplanation(t, "warm", warm)
 	if warm.Interventions != 0 || warm.StoreHits == 0 {
 		t.Errorf("warm run: %d interventions, %d store hits; want 0 and > 0", warm.Interventions, warm.StoreHits)
+	}
+}
+
+// TestFailingDatasetScoredOnce checks that a run scores the failing
+// dataset exactly once, for both search algorithms: the report's fail
+// score is the search's own baseline measurement. The scorer appends the
+// cksum of every CSV it receives to a log.
+func TestFailingDatasetScoredOnce(t *testing.T) {
+	dir, args := statusFixture(t)
+	log := filepath.Join(dir, "scored.log")
+	writeFile(t, dir, "logging.sh", "in=$(cat)\n"+
+		"printf '%s\\n' \"$in\" | cksum >> "+log+"\n"+
+		"printf '%s\\n' \"$in\" | "+statusScorer+"\n")
+	fail, err := dataprism.ReadCSVFile(filepath.Join(dir, "fail.csv"), dataprism.CSVInferOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent bytes.Buffer
+	if err := fail.WriteCSV(&sent); err != nil {
+		t.Fatal(err)
+	}
+	sum := exec.Command("cksum")
+	sum.Stdin = &sent
+	want, err := sum.Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"grd", "gt"} {
+		os.Remove(log)
+		rep := explain(t, append(args, "-algo", algo, "-system-cmd", "sh "+filepath.Join(dir, "logging.sh"))...)
+		requireStatusExplanation(t, algo, rep)
+		scored, err := os.ReadFile(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(scored), string(want)); n != 1 {
+			t.Errorf("%s: the failing CSV was scored %d times, want once\nlog:\n%s", algo, n, scored)
+		}
 	}
 }
 

@@ -211,8 +211,9 @@ func main() {
 		defer cancel()
 	}
 
+	// The failing score is the search's own baseline (res.InitialScore):
+	// measuring it here as well would cost a second oracle call.
 	passScore := baselineScore(ctx, sys, pass)
-	failScore := baselineScore(ctx, sys, fail)
 
 	e := &dataprism.Explainer{FallibleSystem: sys, Tau: threshold, Options: &opts, Seed: *seed, Workers: *workers}
 	if store != nil {
@@ -244,7 +245,7 @@ func main() {
 	}
 	if errors.Is(err, dataprism.ErrNoExplanation) {
 		if *jsonOut {
-			emitJSON(sys.Name(), threshold, passScore, failScore, res, false)
+			emitJSON(sys.Name(), threshold, passScore, res, false)
 			exit(1)
 		}
 		fmt.Printf("no explanation found after %d interventions (final score %.3f)\n",
@@ -256,9 +257,9 @@ func main() {
 	}
 	if *jsonOut || *mdOut {
 		if *jsonOut {
-			emitJSON(sys.Name(), threshold, passScore, failScore, res, true)
+			emitJSON(sys.Name(), threshold, passScore, res, true)
 		} else {
-			fmt.Print(report.Summary{SystemName: sys.Name(), Tau: threshold, PassScore: passScore, FailScore: failScore, Baseline: baselinePath, BaselineFingerprint: baselineFingerprint, Result: res}.Markdown())
+			fmt.Print(report.Summary{SystemName: sys.Name(), Tau: threshold, PassScore: passScore, FailScore: res.InitialScore, Baseline: baselinePath, BaselineFingerprint: baselineFingerprint, Result: res}.Markdown())
 		}
 		if *outPath != "" && res.Transformed != nil {
 			if err := res.Transformed.WriteCSVFile(*outPath); err != nil {
@@ -268,7 +269,7 @@ func main() {
 		return
 	}
 
-	summary := report.Summary{SystemName: sys.Name(), Tau: threshold, PassScore: passScore, FailScore: failScore, Baseline: baselinePath, BaselineFingerprint: baselineFingerprint, Result: res}
+	summary := report.Summary{SystemName: sys.Name(), Tau: threshold, PassScore: passScore, FailScore: res.InitialScore, Baseline: baselinePath, BaselineFingerprint: baselineFingerprint, Result: res}
 	if !*verbose {
 		res.Trace = nil // keep the default text report compact
 	}
@@ -425,14 +426,14 @@ type jsonTraceStep struct {
 	Accepted  bool     `json:"accepted"`
 }
 
-func emitJSON(system string, tau, passScore, failScore float64, res *dataprism.Result, found bool) {
+func emitJSON(system string, tau, passScore float64, res *dataprism.Result, found bool) {
 	out := jsonResult{
 		System:         system,
 		Baseline:       baselinePath,
 		BaselineFP:     baselineFingerprint,
 		Tau:            tau,
 		PassScore:      passScore,
-		FailScore:      failScore,
+		FailScore:      res.InitialScore,
 		Found:          found,
 		Discriminative: res.Discriminative,
 		Interventions:  res.Interventions,
@@ -599,9 +600,9 @@ func serveOracle(args []string) {
 	}
 }
 
-// baselineScore measures one dataset's malfunction outside the search. It
-// warns (instead of silently reporting a malfunction) when the measurement
-// itself failed.
+// baselineScore measures the passing dataset's malfunction, which the
+// search never scores. It warns (instead of silently reporting a
+// malfunction) when the measurement itself failed.
 func baselineScore(ctx context.Context, sys dataprism.FallibleSystem, d *dataprism.Dataset) float64 {
 	r := sys.TryMalfunctionScore(ctx, d)
 	if r.Err != nil {

@@ -196,13 +196,13 @@ func (c Clause) maskAnd(d *Dataset, mask []bool) {
 		return
 	}
 	for k := 0; k < col.NumChunks(); k++ {
-		c.maskAndChunk(col.Kind, col.Chunk(k), mask)
+		w := col.Chunk(k)
+		c.maskAndChunk(col.Kind, w, mask[w.Start:w.Start+w.Len()])
 	}
 }
 
-// maskAndChunk ANDs the clause into the mask window covering one chunk.
-func (c Clause) maskAndChunk(kind Kind, w ChunkView, full []bool) {
-	mask := full[w.Start : w.Start+w.Len()]
+// maskAndChunk ANDs the clause into mask, the window covering chunk w.
+func (c Clause) maskAndChunk(kind Kind, w ChunkView, mask []bool) {
 	null := w.Null
 	switch c.Op {
 	case IsNull:
@@ -269,20 +269,43 @@ func (c Clause) maskAndChunk(kind Kind, w ChunkView, full []bool) {
 	}
 }
 
+// Count returns the number of rows satisfying the predicate. It ANDs the
+// clauses one chunk window at a time into a scratch mask of at most one
+// chunk, so its cost in memory does not grow with the row count. Every
+// column of a dataset shares its chunk layout, so window k is chunk k of
+// each clause's column.
+func (p Predicate) Count(d *Dataset) int {
+	rows := d.NumRows()
+	mask := make([]bool, min(rows, d.csize))
+	n := 0
+	for start, k := 0, 0; start < rows; start, k = start+d.csize, k+1 {
+		w := mask[:min(d.csize, rows-start)]
+		for i := range w {
+			w[i] = true
+		}
+		for _, c := range p.Clauses {
+			col := d.Column(c.Attr)
+			if col == nil {
+				return 0
+			}
+			c.maskAndChunk(col.Kind, col.Chunk(k), w)
+		}
+		for _, ok := range w {
+			if ok {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Selectivity returns the fraction of rows satisfying the predicate.
 // An empty dataset has selectivity 0.
 func (p Predicate) Selectivity(d *Dataset) float64 {
 	if d.NumRows() == 0 {
 		return 0
 	}
-	mask := p.Mask(d, nil)
-	n := 0
-	for _, ok := range mask {
-		if ok {
-			n++
-		}
-	}
-	return float64(n) / float64(d.NumRows())
+	return float64(p.Count(d)) / float64(d.NumRows())
 }
 
 // MatchingRows returns the indices of rows satisfying the predicate.

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -115,6 +117,52 @@ func TestPredicateSelectivityEmptyDataset(t *testing.T) {
 	p := And(EqStr("g", "x"))
 	if p.Selectivity(d) != 0 {
 		t.Error("selectivity on empty dataset should be 0")
+	}
+}
+
+// TestPredicateCountMatchesEval checks that the chunk-windowed Count
+// agrees with per-row Eval and with Mask at chunk sizes 1, 7, 16 and 64Ki,
+// for conjunctions of zero to three clauses over numeric and categorical
+// columns with NULLs, including a clause on a missing column.
+func TestPredicateCountMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const rows = 1000
+	nums, strs, null := make([]float64, rows), make([]string, rows), make([]bool, rows)
+	for i := range nums {
+		nums[i] = float64(rng.Intn(10))
+		strs[i] = fmt.Sprintf("v%d", rng.Intn(4))
+		null[i] = rng.Intn(7) == 0
+	}
+	clauses := []Clause{
+		EqStr("s", "v1"), {Attr: "s", Op: Ne, StrVal: "v2"}, {Attr: "s", Op: IsNull},
+		CmpNum("n", Lt, 5), CmpNum("n", Ge, 3), {Attr: "n", Op: NotNull}, EqStr("nosuch", "x"),
+	}
+	for _, csize := range []int{1, 7, 16, DefaultChunkSize} {
+		d := NewChunked(csize)
+		if err := d.AddNumericColumn("n", nums, null); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.AddCategoricalColumn("s", strs, nil); err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 50; trial++ {
+			p := And()
+			for k := rng.Intn(4); k > 0; k-- {
+				p.Clauses = append(p.Clauses, clauses[rng.Intn(len(clauses))])
+			}
+			want, masked := 0, 0
+			for r, ok := range p.Mask(d, nil) {
+				if p.Eval(d, r) {
+					want++
+				}
+				if ok {
+					masked++
+				}
+			}
+			if got := p.Count(d); got != want || masked != want {
+				t.Fatalf("chunk size %d: %s: Count %d, Mask %d, Eval %d", csize, p, got, masked, want)
+			}
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Class is a character class used in pattern runs.
@@ -105,75 +106,112 @@ type Pattern struct {
 	Classes map[Class]bool
 }
 
+// classMask is a set of Classes, one bit per class.
+type classMask uint8
+
+func (m classMask) has(c Class) bool { return m&(1<<c) != 0 }
+
+// maskOf returns the classes of a Classes map as a mask.
+func maskOf(classes map[Class]bool) classMask {
+	var m classMask
+	for c := Upper; c <= Punct; c++ {
+		if classes[c] {
+			m |= 1 << c
+		}
+	}
+	return m
+}
+
+// scanRun returns the maximal same-class run of s that starts at byte
+// offset i, and the offset just past it. Min and Max both hold the run's
+// rune count; Literal is its rune when all its runes are equal, else 0.
+func scanRun(s string, i int) (Run, int) {
+	r, w := utf8.DecodeRuneInString(s[i:])
+	run := Run{Class: classOf(r), Min: 1, Max: 1, Literal: r}
+	for i += w; i < len(s); i += w {
+		r, w = utf8.DecodeRuneInString(s[i:])
+		if classOf(r) != run.Class {
+			break
+		}
+		run.Min++
+		run.Max++
+		if run.Literal != r {
+			run.Literal = 0
+		}
+	}
+	return run, i
+}
+
 // tokenize splits s into maximal same-class runs.
 func tokenize(s string) []Run {
 	var runs []Run
-	var cur *Run
-	for _, r := range s {
-		c := classOf(r)
-		if cur != nil && cur.Class == c {
-			cur.Min++
-			cur.Max++
-			if cur.Literal != r {
-				cur.Literal = 0
-			}
-			continue
-		}
-		runs = append(runs, Run{Class: c, Min: 1, Max: 1, Literal: r})
-		cur = &runs[len(runs)-1]
+	for i := 0; i < len(s); {
+		var r Run
+		r, i = scanRun(s, i)
+		runs = append(runs, r)
 	}
 	return runs
 }
 
 // Learn induces a Pattern from non-empty example strings. Empty example
 // slices yield a degenerate pattern that matches only the empty string.
+// Only the first example is tokenized: every later one is scanned run by
+// run against that shared structure, so learning allocates nothing per
+// example.
 func Learn(examples []string) *Pattern {
 	p := &Pattern{Classes: make(map[Class]bool)}
 	if len(examples) == 0 {
 		p.Structured = true
 		return p
 	}
-	p.MinLen = len([]rune(examples[0]))
+	shared := tokenize(examples[0])
+	p.MinLen = utf8.RuneCountInString(examples[0])
 	p.MaxLen = p.MinLen
-	var shared []Run
+	var seen classMask
+	for _, r := range shared {
+		seen |= 1 << r.Class
+	}
 	structured := true
-	for i, ex := range examples {
-		n := len([]rune(ex))
+	for _, ex := range examples[1:] {
+		n := utf8.RuneCountInString(ex)
 		if n < p.MinLen {
 			p.MinLen = n
 		}
 		if n > p.MaxLen {
 			p.MaxLen = n
 		}
-		runs := tokenize(ex)
-		for _, r := range runs {
-			p.Classes[r.Class] = true
-		}
-		if i == 0 {
-			shared = runs
-			continue
-		}
-		if !structured {
-			continue
-		}
-		if len(runs) != len(shared) {
-			structured = false
-			continue
-		}
-		for j := range runs {
-			if runs[j].Class != shared[j].Class {
+		j := 0
+		for i := 0; i < len(ex); j++ {
+			var r Run
+			r, i = scanRun(ex, i)
+			seen |= 1 << r.Class
+			if !structured {
+				continue
+			}
+			// A mismatch ends the shared structure for good, so the runs
+			// merged before it no longer matter.
+			if j >= len(shared) || r.Class != shared[j].Class {
 				structured = false
-				break
+				continue
 			}
-			if runs[j].Min < shared[j].Min {
-				shared[j].Min = runs[j].Min
+			sh := &shared[j]
+			if r.Min < sh.Min {
+				sh.Min = r.Min
 			}
-			if runs[j].Max > shared[j].Max {
-				shared[j].Max = runs[j].Max
+			if r.Max > sh.Max {
+				sh.Max = r.Max
 			}
-			if runs[j].Literal != shared[j].Literal {
-				shared[j].Literal = 0
+			if r.Literal != sh.Literal {
+				sh.Literal = 0
 			}
+		}
+		if j != len(shared) {
+			structured = false
+		}
+	}
+	for c := Upper; c <= Punct; c++ {
+		if seen.has(c) {
+			p.Classes[c] = true
 		}
 	}
 	p.Structured = structured
@@ -183,27 +221,31 @@ func Learn(examples []string) *Pattern {
 	return p
 }
 
-// Matches reports whether s conforms to the pattern.
+// Matches reports whether s conforms to the pattern. It scans s run by run
+// without tokenizing it.
 func (p *Pattern) Matches(s string) bool {
-	n := len([]rune(s))
+	n := utf8.RuneCountInString(s)
 	if n < p.MinLen || n > p.MaxLen {
 		return false
 	}
 	if !p.Structured {
 		// Fallback: every rune must belong to an observed class.
+		allowed := maskOf(p.Classes)
 		for _, r := range s {
-			if !p.Classes[classOf(r)] {
+			if !allowed.has(classOf(r)) {
 				return false
 			}
 		}
 		return true
 	}
-	runs := tokenize(s)
-	if len(runs) != len(p.Runs) {
-		return false
-	}
-	for i, r := range runs {
-		want := p.Runs[i]
+	j := 0
+	for i := 0; i < len(s); j++ {
+		if j >= len(p.Runs) {
+			return false
+		}
+		var r Run
+		r, i = scanRun(s, i)
+		want := p.Runs[j]
 		if r.Class != want.Class || r.Min < want.Min || r.Max > want.Max {
 			return false
 		}
@@ -211,7 +253,7 @@ func (p *Pattern) Matches(s string) bool {
 			return false
 		}
 	}
-	return true
+	return j == len(p.Runs)
 }
 
 // Conform minimally edits s so that it matches the pattern: characters are

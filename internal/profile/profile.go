@@ -421,15 +421,74 @@ func (p *IndepChi) Key() string { return "indep-chi:" + p.AttrA + ":" + p.AttrB 
 
 // Statistic returns the chi-squared statistic of the pair in d, and whether
 // it is significant at p ≤ 0.05. A sample-fitted profile computes it on the
-// matching deterministic sample view of d (exact when d is small).
+// matching deterministic sample view of d (exact when d is small). The
+// contingency table is counted straight from the chunks over the rows where
+// both attributes are non-NULL, with each attribute's levels in sorted order.
 func (p *IndepChi) Statistic(d *dataset.Dataset) (chi2 float64, significant bool) {
-	a := pairedStrings(p.Fit.evalView(d), p.AttrA, p.AttrB)
-	if a[0] == nil {
+	d = p.Fit.evalView(d)
+	ca, cb := d.Column(p.AttrA), d.Column(p.AttrB)
+	if ca == nil || cb == nil || ca.Kind == dataset.Numeric || cb.Kind == dataset.Numeric {
 		return 0, false
 	}
-	table, _, _ := stats.ContingencyTable(a[0], a[1])
+	// Count pairs under first-seen level ids, then permute the counts into
+	// sorted level order: integer counts are exact in either order.
+	aIDs, bIDs := make(map[string]int), make(map[string]int)
+	var counts [][]float64
+	paired := 0
+	for k := 0; k < ca.NumChunks(); k++ {
+		va, vb := ca.Chunk(k), cb.Chunk(k)
+		for i := range va.Null {
+			if va.Null[i] || vb.Null[i] {
+				continue
+			}
+			ia, ok := aIDs[va.Strs[i]]
+			if !ok {
+				ia = len(aIDs)
+				aIDs[va.Strs[i]] = ia
+				counts = append(counts, nil)
+			}
+			ib, ok := bIDs[vb.Strs[i]]
+			if !ok {
+				ib = len(bIDs)
+				bIDs[vb.Strs[i]] = ib
+			}
+			for len(counts[ia]) <= ib {
+				counts[ia] = append(counts[ia], 0)
+			}
+			counts[ia][ib]++
+			paired++
+		}
+	}
+	if paired == 0 {
+		return 0, false
+	}
+	aRank, bRank := sortedRanks(aIDs), sortedRanks(bIDs)
+	table := make([][]float64, len(aRank))
+	for i := range table {
+		table[i] = make([]float64, len(bRank))
+	}
+	for ia, row := range counts {
+		for ib, n := range row {
+			table[aRank[ia]][bRank[ib]] = n
+		}
+	}
 	chi2, df := stats.ChiSquared(table)
 	return chi2, stats.ChiSquaredPValue(chi2, df) <= 0.05
+}
+
+// sortedRanks maps each level's id in ids to the level's position in
+// sorted order.
+func sortedRanks(ids map[string]int) []int {
+	levels := make([]string, 0, len(ids))
+	for l := range ids {
+		levels = append(levels, l)
+	}
+	sort.Strings(levels)
+	rank := make([]int, len(levels))
+	for r, l := range levels {
+		rank[ids[l]] = r
+	}
+	return rank
 }
 
 // Violation follows Figure 1 row 7: 1 − exp(−max(0, χ² − α)), gated on
@@ -451,28 +510,6 @@ func (p *IndepChi) SameParams(other Profile) bool {
 
 func (p *IndepChi) String() string {
 	return fmt.Sprintf("⟨Indep, %s, %s, χ²=%.3f⟩", p.AttrA, p.AttrB, p.Alpha)
-}
-
-// pairedStrings extracts the rows where both string attributes are non-NULL.
-func pairedStrings(d *dataset.Dataset, a, b string) [2][]string {
-	ca, cb := d.Column(a), d.Column(b)
-	if ca == nil || cb == nil || ca.Kind == dataset.Numeric || cb.Kind == dataset.Numeric {
-		return [2][]string{}
-	}
-	var xs, ys []string
-	for k := 0; k < ca.NumChunks(); k++ {
-		va, vb := ca.Chunk(k), cb.Chunk(k)
-		for i := range va.Null {
-			if !va.Null[i] && !vb.Null[i] {
-				xs = append(xs, va.Strs[i])
-				ys = append(ys, vb.Strs[i])
-			}
-		}
-	}
-	if xs == nil {
-		return [2][]string{}
-	}
-	return [2][]string{xs, ys}
 }
 
 // ---------------------------------------------------------------------------
@@ -502,14 +539,46 @@ func (p *IndepPearson) Key() string { return "indep-pearson:" + p.AttrA + ":" + 
 
 // Statistic returns the correlation of the pair in d and its significance.
 // A sample-fitted profile computes it on the matching deterministic sample
-// view of d (exact when d is small).
+// view of d (exact when d is small). It runs stats.Pearson's two passes —
+// sums, then centred products — over the rows where both attributes are
+// non-NULL, reading the chunks in place in row order.
 func (p *IndepPearson) Statistic(d *dataset.Dataset) (r float64, significant bool) {
-	xs, ys := pairedNums(p.Fit.evalView(d), p.AttrA, p.AttrB)
-	if xs == nil {
+	d = p.Fit.evalView(d)
+	ca, cb := d.Column(p.AttrA), d.Column(p.AttrB)
+	if ca == nil || cb == nil || ca.Kind != dataset.Numeric || cb.Kind != dataset.Numeric {
 		return 0, false
 	}
-	r = stats.Pearson(xs, ys)
-	return r, stats.PearsonPValue(r, len(xs)) <= 0.05
+	n, sx, sy := 0, 0.0, 0.0
+	for k := 0; k < ca.NumChunks(); k++ {
+		va, vb := ca.Chunk(k), cb.Chunk(k)
+		for i := range va.Null {
+			if !va.Null[i] && !vb.Null[i] {
+				n++
+				sx += va.Nums[i]
+				sy += vb.Nums[i]
+			}
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	mx, my := sx/float64(n), sy/float64(n)
+	var sxy, sxx, syy float64
+	for k := 0; k < ca.NumChunks(); k++ {
+		va, vb := ca.Chunk(k), cb.Chunk(k)
+		for i := range va.Null {
+			if !va.Null[i] && !vb.Null[i] {
+				dx, dy := va.Nums[i]-mx, vb.Nums[i]-my
+				sxy += dx * dy
+				sxx += dx * dx
+				syy += dy * dy
+			}
+		}
+	}
+	if sxx != 0 && syy != 0 {
+		r = math.Max(-1, math.Min(1, sxy/math.Sqrt(sxx*syy)))
+	}
+	return r, stats.PearsonPValue(r, n) <= 0.05
 }
 
 // Violation follows Figure 1 row 8: max(0, (|r| − |α|)/(1 − |α|)).
@@ -534,24 +603,6 @@ func (p *IndepPearson) SameParams(other Profile) bool {
 
 func (p *IndepPearson) String() string {
 	return fmt.Sprintf("⟨Indep, %s, %s, r=%.3f⟩", p.AttrA, p.AttrB, p.Alpha)
-}
-
-// pairedNums extracts the rows where both numeric attributes are non-NULL.
-func pairedNums(d *dataset.Dataset, a, b string) (xs, ys []float64) {
-	ca, cb := d.Column(a), d.Column(b)
-	if ca == nil || cb == nil || ca.Kind != dataset.Numeric || cb.Kind != dataset.Numeric {
-		return nil, nil
-	}
-	for k := 0; k < ca.NumChunks(); k++ {
-		va, vb := ca.Chunk(k), cb.Chunk(k)
-		for i := range va.Null {
-			if !va.Null[i] && !vb.Null[i] {
-				xs = append(xs, va.Nums[i])
-				ys = append(ys, vb.Nums[i])
-			}
-		}
-	}
-	return xs, ys
 }
 
 // ---------------------------------------------------------------------------

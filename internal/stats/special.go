@@ -12,20 +12,6 @@ const (
 	fpmin    = 1e-300
 )
 
-// RegIncGammaP is the lower regularized incomplete gamma function P(a, x).
-func RegIncGammaP(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaContinuedFraction(a, x)
-}
-
 // RegIncGammaQ is the upper regularized incomplete gamma function
 // Q(a, x) = 1 - P(a, x); it is the chi-squared survival function with
 // a = df/2, x = chi2/2.

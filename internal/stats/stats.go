@@ -7,10 +7,7 @@
 // continued-fraction expansions (Numerical Recipes style).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
 func Mean(xs []float64) float64 {
@@ -178,52 +175,6 @@ func ChiSquared(table [][]float64) (chi2 float64, df int) {
 	return chi2, (activeRows - 1) * (activeCols - 1)
 }
 
-// ContingencyTable tabulates joint counts of two categorical slices.
-// The returned level orders are sorted for determinism.
-func ContingencyTable(a, b []string) (table [][]float64, aLevels, bLevels []string) {
-	ai := levelIndex(a)
-	bi := levelIndex(b)
-	aLevels = sortedKeys(ai)
-	bLevels = sortedKeys(bi)
-	for i, l := range aLevels {
-		ai[l] = i
-	}
-	for i, l := range bLevels {
-		bi[l] = i
-	}
-	table = make([][]float64, len(aLevels))
-	for i := range table {
-		table[i] = make([]float64, len(bLevels))
-	}
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		table[ai[a[i]]][bi[b[i]]]++
-	}
-	return table, aLevels, bLevels
-}
-
-func levelIndex(xs []string) map[string]int {
-	m := make(map[string]int)
-	for _, x := range xs {
-		if _, ok := m[x]; !ok {
-			m[x] = len(m)
-		}
-	}
-	return m
-}
-
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ChiSquaredPValue returns P(X² ≥ chi2) for a chi-squared distribution with
 // df degrees of freedom: the upper regularized incomplete gamma Q(df/2, x/2).
 func ChiSquaredPValue(chi2 float64, df int) float64 {
@@ -231,11 +182,6 @@ func ChiSquaredPValue(chi2 float64, df int) float64 {
 		return 1
 	}
 	return RegIncGammaQ(float64(df)/2, chi2/2)
-}
-
-// NormalCDF is the standard normal cumulative distribution function.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
 // Standardize returns (xs - mean) / std; a constant slice maps to zeros.
@@ -249,23 +195,6 @@ func Standardize(xs []float64) []float64 {
 		out[i] = (x - m) / s
 	}
 	return out
-}
-
-// Skewness returns the standardized third moment of xs, 0 for degenerate input.
-func Skewness(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m, s := Mean(xs), StdDev(xs)
-	if s == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		d := (x - m) / s
-		sum += d * d * d
-	}
-	return sum / float64(len(xs))
 }
 
 // Kurtosis returns the standardized fourth moment (not excess), 0 for

@@ -94,7 +94,7 @@ func (t *Resample) Coverage(d *dataset.Dataset) float64 {
 	if n == 0 {
 		return 0
 	}
-	m := len(t.Profile.Pred.MatchingRows(d))
+	m := t.Profile.Pred.Count(d)
 	nonMatch := n - m
 	theta := t.Profile.Theta
 	var target float64

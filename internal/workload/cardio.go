@@ -31,19 +31,23 @@ func NewCardioScenario(n int, seed int64) *CardioScenario {
 	train := genPatients(n, seed, false)
 	pass := genPatients(n, seed+1, false)
 	fail := genPatients(n, seed+2, true)
-	sys := newCardioSystem(train)
-	// Domain knowledge (Section 2, Scope): the suspected issues are numeric
-	// format and dependence drifts, so selectivity profiles are excluded
-	// from the candidate classes for this pipeline.
-	opts := profile.DefaultOptions()
-	opts.Classes = map[string]bool{"selectivity": false}
 	return &CardioScenario{
 		Pass:    pass,
 		Fail:    fail,
-		System:  sys,
+		System:  newCardioSystem(train),
 		Tau:     0.3,
-		Options: opts,
+		Options: cardioOptions(),
 	}
+}
+
+// cardioOptions is the scenario's discovery configuration. Domain
+// knowledge (Section 2, Scope): the suspected faults are numeric format
+// and dependence drifts, so selectivity profiles are excluded from the
+// candidate classes for this pipeline.
+func cardioOptions() profile.Options {
+	opts := profile.DefaultOptions()
+	opts.Classes = map[string]bool{"selectivity": false}
+	return opts
 }
 
 // genPatients synthesizes patient records. Disease risk is driven by BMI
