@@ -70,6 +70,9 @@ type cliReport struct {
 	Interventions int             `json:"interventions"`
 	StoreHits     int             `json:"store_hits"`
 	Trace         json.RawMessage `json:"trace"`
+	Fleet         *struct {
+		FallbackEvals int `json:"fallback_evals"`
+	} `json:"fleet"`
 }
 
 // explain runs the CLI and decodes its -json report; it requires exit 0.
@@ -166,12 +169,20 @@ func TestRemoteWorkersMatchLocal(t *testing.T) {
 
 // TestRemoteFallbackOnDeadFleet checks that a fleet whose only worker is
 // unreachable degrades to the local -system-cmd when -remote-fallback is
-// set and the breaker opens on the first failure.
+// set: with the default breaker settings, where every evaluation fails on
+// the worker first, and with a breaker that opens on the first failure.
 func TestRemoteFallbackOnDeadFleet(t *testing.T) {
 	_, args := statusFixture(t)
-	rep := explain(t, append(args, "-remote-workers", "127.0.0.1:1", "-remote-fallback",
-		"-breaker-threshold", "1", "-retries", "0")...)
-	requireStatusExplanation(t, "fallback", rep)
+	for name, flags := range map[string][]string{
+		"default":         nil,
+		"breaker-opens-1": {"-breaker-threshold", "1", "-retries", "0"},
+	} {
+		rep := explain(t, append(append(args, "-remote-workers", "127.0.0.1:1", "-remote-fallback"), flags...)...)
+		requireStatusExplanation(t, name, rep)
+		if rep.Fleet == nil || rep.Fleet.FallbackEvals == 0 {
+			t.Errorf("%s: fleet report %+v, want fallback evaluations", name, rep.Fleet)
+		}
+	}
 }
 
 // TestScoreCacheServesSecondProcess checks that a second process on the
@@ -185,6 +196,146 @@ func TestScoreCacheServesSecondProcess(t *testing.T) {
 	requireStatusExplanation(t, "warm", warm)
 	if warm.Interventions != 0 || warm.StoreHits == 0 {
 		t.Errorf("warm run: %d interventions, %d store hits; want 0 and > 0", warm.Interventions, warm.StoreHits)
+	}
+}
+
+// TestScoreCacheResumesAfterKill checks that a search killed mid-run
+// resumes from what its -score-cache holds. The failing side of the
+// fixture also spells its zones in capitals, and the scorer charges both
+// faults, so the cold run needs three interventions. A gate file makes the
+// scorer's fifth call (after the passing score, the failing baseline and
+// two interventions) block; the first process is then SIGKILLed. The
+// command string, and with it the store key, is the same for both
+// processes.
+func TestScoreCacheResumesAfterKill(t *testing.T) {
+	dir, _ := statusFixture(t)
+	var fail strings.Builder
+	fail.WriteString("status,latency,zone\n")
+	zones := []string{"EU", "US", "AP"}
+	for i := 0; i < 60; i++ {
+		status := "okay"
+		if i%4 == 0 {
+			status = "err"
+		}
+		fmt.Fprintf(&fail, "%s,%d,%s\n", status, 10+(i*7)%40, zones[i%3])
+	}
+	writeFile(t, dir, "fail-zones.csv", fail.String())
+	calls, gate, blocked := filepath.Join(dir, "calls.log"), filepath.Join(dir, "gate"), filepath.Join(dir, "blocked")
+	writeFile(t, dir, "gated.sh", "echo call >> "+calls+"\n"+
+		"if [ -e "+gate+" ] && [ \"$(wc -l < "+calls+")\" -gt 4 ]; then\n"+
+		"  echo $$ > "+blocked+"\n"+
+		"  exec sleep 60\n"+
+		"fi\n"+
+		`awk -F, 'NR>1 { n++; if ($1 != "ok" && $1 != "error") bad++; if ($3 != "eu" && $3 != "us" && $3 != "ap") bad++ } END { if (n == 0) print 1; else printf "%.4f\n", bad/(2*n) }'`+"\n")
+	want := []string{wantStatusExplanation, "⟨Domain, zone, {ap,eu,us}⟩"}
+	for _, algo := range []string{"grd", "gt"} {
+		args := []string{
+			"-pass", filepath.Join(dir, "pass.csv"),
+			"-fail", filepath.Join(dir, "fail-zones.csv"),
+			"-system-cmd", "sh " + filepath.Join(dir, "gated.sh"),
+			"-tau", "0.1", "-json", "-algo", algo, "-workers", "1",
+		}
+		os.Remove(calls)
+		cold := explain(t, append(args, "-score-cache", filepath.Join(dir, algo+"-clean"))...)
+		got := slices.Clone(cold.Explanation)
+		slices.Sort(got)
+		if !slices.Equal(got, want) || cold.Interventions < 3 {
+			t.Fatalf("%s: clean cold run explains %q with %d interventions, want %q with at least 3", algo, cold.Explanation, cold.Interventions, want)
+		}
+
+		args = append(args, "-score-cache", filepath.Join(dir, algo+"-scores"))
+		os.Remove(calls)
+		writeFile(t, dir, "gate", "")
+		cmd := exec.Command(binary, args...)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- cmd.Wait() }()
+		var sleeper int
+		for deadline := time.Now().Add(30 * time.Second); sleeper == 0; time.Sleep(20 * time.Millisecond) {
+			if b, err := os.ReadFile(blocked); err == nil {
+				fmt.Sscan(string(b), &sleeper)
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("%s: the first process exited (%v) before its scorer blocked", algo, err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				cmd.Process.Kill()
+				<-done
+				t.Fatalf("%s: the scorer never blocked", algo)
+			}
+		}
+		cmd.Process.Kill()
+		<-done
+		syscall.Kill(sleeper, syscall.SIGKILL)
+		os.Remove(gate)
+		os.Remove(blocked)
+
+		resumed := explain(t, args...)
+		if !resumed.Found || !slices.Equal(resumed.Explanation, cold.Explanation) {
+			t.Errorf("%s: resumed explanation %q, clean cold run %q", algo, resumed.Explanation, cold.Explanation)
+		}
+		if resumed.StoreHits < 2 || resumed.Interventions >= cold.Interventions {
+			t.Errorf("%s: resumed run: %d store hits, %d interventions; want at least 2 hits and fewer than the clean run's %d interventions",
+				algo, resumed.StoreHits, resumed.Interventions, cold.Interventions)
+		}
+	}
+}
+
+// TestWatchTicksExitCodes pins `watch -ticks 1` as a CI gate: exit 0 on
+// the baseline's own feed, 3 on a drifted feed, 2 without -data.
+func TestWatchTicksExitCodes(t *testing.T) {
+	dir, _ := statusFixture(t)
+	base := filepath.Join(dir, "base.json")
+	if out, code := run(t, "profile", "-data", filepath.Join(dir, "pass.csv"), "-o", base); code != 0 {
+		t.Fatalf("profile: exit code %d\n%s", code, out)
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"own feed", []string{"-data", filepath.Join(dir, "pass.csv")}, 0},
+		{"drifted feed", []string{"-data", filepath.Join(dir, "fail.csv")}, 3},
+		{"no -data", nil, 2},
+	} {
+		out, code := run(t, append([]string{"watch", "-baseline", base, "-ticks", "1", "-interval", "10ms"}, c.args...)...)
+		if code != c.want {
+			t.Errorf("%s: exit code %d, want %d\n%s", c.name, code, c.want, out)
+		}
+	}
+}
+
+// TestWatchJSONKeys pins the top-level keys of a `watch -json` event on a
+// drifted feed without an oracle.
+func TestWatchJSONKeys(t *testing.T) {
+	dir, _ := statusFixture(t)
+	base := filepath.Join(dir, "base.json")
+	if out, code := run(t, "profile", "-data", filepath.Join(dir, "pass.csv"), "-o", base); code != 0 {
+		t.Fatalf("profile: exit code %d\n%s", code, out)
+	}
+	out, code := run(t, "watch", "-baseline", base, "-data", filepath.Join(dir, "fail.csv"), "-ticks", "1", "-json")
+	if code != 3 {
+		t.Fatalf("exit code %d, want 3\n%s", code, out)
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("%d output lines, want one event\n%s", len(lines), out)
+	}
+	var ev map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
+		t.Fatalf("event is not one JSON object: %v\n%s", err, out)
+	}
+	var keys []string
+	for k := range ev {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if want := []string{"alerts", "diff", "escalated", "seq"}; !slices.Equal(keys, want) {
+		t.Errorf("event keys %v, want %v", keys, want)
 	}
 }
 

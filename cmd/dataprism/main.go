@@ -86,7 +86,7 @@ func main() {
 		scoreCache     = flag.String("score-cache", "", "directory of the persistent score cache: scores keyed by dataset fingerprint and oracle name survive the process, so re-runs and killed-and-resumed searches skip every already-scored intervention")
 		remoteWorkers  = flag.String("remote-workers", "", "comma-separated host:port endpoints of remote oracle workers (see the serve-oracle subcommand); evaluations fan across the fleet")
 		hedgeAfter     = flag.Duration("hedge-after", 0, "speculatively duplicate an in-flight remote evaluation on another worker after this long (0 = no hedging)")
-		remoteFallback = flag.Bool("remote-fallback", false, "evaluate locally when every remote worker is unhealthy, instead of aborting the search")
+		remoteFallback = flag.Bool("remote-fallback", false, "evaluate locally when every remote worker failed an evaluation after its retries, or is unhealthy, instead of aborting the search")
 	)
 	flag.Parse()
 	if *listProfs {

@@ -140,17 +140,13 @@ func (st *gtGroupState) score(x *scoredDataset) float64 {
 }
 
 // applyGroup composes the transformations of all PVTs in X onto d —
-// the group intervention X_T(D) of Algorithm 3. d is never mutated: the
-// group works on one clone, using the in-place fast path where available.
+// the group intervention X_T(D) of Algorithm 3. d is never mutated.
 func (st *gtGroupState) applyGroup(d *dataset.Dataset, x []int) *dataset.Dataset {
-	cur := d.Clone()
+	c := compose(d)
 	for _, i := range x {
-		out, _, err := applyPVTOwned(cur, orderTransforms(st.pvts[i], st.g), st.rng)
-		if err == nil {
-			cur = out
-		}
+		c.apply(orderTransforms(st.pvts[i], st.g), st.rng)
 	}
-	return cur
+	return c.dataset()
 }
 
 // run is Algorithm 3 (Group-Test).

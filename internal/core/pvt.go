@@ -11,7 +11,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -132,54 +131,71 @@ type inPlaceTransformation interface {
 	ApplyInPlace(d *dataset.Dataset) error
 }
 
-// applyPVT applies a PVT's best applicable transformation to d (trying the
-// candidates in the given order), returning the transformed dataset and the
-// transformation used. It fails only if every candidate errors.
-func applyPVT(d *dataset.Dataset, ts []transform.Transformation, rng *rand.Rand) (*dataset.Dataset, transform.Transformation, error) {
-	var firstErr error
-	for _, t := range ts {
-		out, err := t.Apply(d, rng)
-		if err == nil {
-			return out, t, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return nil, nil, fmt.Errorf("core: no applicable transformation: %w", firstErr)
+// rowSelector is the other optional fast path: transformations whose output
+// is a selection of their input's rows (Resample, Deduplicate). Rows
+// returns the rows of d the output consists of when the rows sel of d (nil:
+// every row) are the input, so consecutive selections compose as row lists
+// and the dataset is gathered once.
+type rowSelector interface {
+	transform.Transformation
+	Rows(d *dataset.Dataset, sel []int, rng *rand.Rand) (rows []int, same bool, err error)
 }
 
-// applyPVTOwned is applyPVT for a dataset the caller owns: in-place-capable
-// transformations mutate it directly and return it, others go through the
-// cloning Apply. The returned dataset replaces the caller's ownership.
-func applyPVTOwned(owned *dataset.Dataset, ts []transform.Transformation, rng *rand.Rand) (*dataset.Dataset, transform.Transformation, error) {
-	var firstErr error
+// composition is the ◦ composition of Definition 9 over a dataset it owns.
+// Consecutive row selections compose into a pending row list of cur, which
+// is gathered into columns once: before the next transformation of another
+// kind, and at the end. So a group of k Selectivity repairs copies the
+// dataset once, not k times, and every composed dataset is cell for cell
+// what applying the transformations one after another gives.
+type composition struct {
+	cur  *dataset.Dataset
+	rows []int // rows of cur selected so far; nil: all of them, in order
+}
+
+// compose starts a composition over a clone of d; d is never mutated.
+func compose(d *dataset.Dataset) *composition {
+	return &composition{cur: d.Clone()}
+}
+
+// apply applies the first of ts that succeeds on the composed dataset,
+// trying them in order. If every one fails, the PVT is skipped.
+func (c *composition) apply(ts []transform.Transformation, rng *rand.Rand) {
 	for _, t := range ts {
-		if ip, ok := t.(inPlaceTransformation); ok {
-			if err := ip.ApplyInPlace(owned); err == nil {
-				return owned, t, nil
-			} else if firstErr == nil {
-				firstErr = err
+		switch t := t.(type) {
+		case rowSelector:
+			if rows, same, err := t.Rows(c.cur, c.rows, rng); err == nil {
+				if !same {
+					c.rows = rows
+				}
+				return
 			}
-			continue
-		}
-		out, err := t.Apply(owned, rng)
-		if err == nil {
-			return out, t, nil
-		}
-		if firstErr == nil {
-			firstErr = err
+		case inPlaceTransformation:
+			if t.ApplyInPlace(c.dataset()) == nil {
+				return
+			}
+		default:
+			if out, err := t.Apply(c.dataset(), rng); err == nil {
+				c.cur = out
+				return
+			}
 		}
 	}
-	return owned, nil, fmt.Errorf("core: no applicable transformation: %w", firstErr)
+}
+
+// dataset gathers the pending rows and returns the composed dataset.
+func (c *composition) dataset() *dataset.Dataset {
+	if c.rows != nil {
+		c.cur = c.cur.SelectRows(c.rows)
+		c.rows = nil
+	}
+	return c.cur
 }
 
 // composeAll applies one transformation per PVT in slice order (the ◦
 // composition of Definition 9), skipping PVTs whose transformations all
-// fail on the current dataset. d itself is never mutated: the composition
-// works on a single clone, using the in-place fast path where available.
+// fail on the current dataset. d itself is never mutated.
 func composeAll(d *dataset.Dataset, pvts []*PVT, chosen map[*PVT]transform.Transformation, rng *rand.Rand) *dataset.Dataset {
-	cur := d.Clone()
+	c := compose(d)
 	for _, p := range pvts {
 		ts := p.Transforms
 		if chosen != nil {
@@ -187,13 +203,9 @@ func composeAll(d *dataset.Dataset, pvts []*PVT, chosen map[*PVT]transform.Trans
 				ts = []transform.Transformation{t}
 			}
 		}
-		next, _, err := applyPVTOwned(cur, ts, rng)
-		if err != nil {
-			continue
-		}
-		cur = next
+		c.apply(ts, rng)
 	}
-	return cur
+	return c.dataset()
 }
 
 // pvtsAt returns the PVTs of pvts at the given indices, in the order of ids.

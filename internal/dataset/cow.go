@@ -56,11 +56,6 @@ func (d *Dataset) MutableColumn(name string) *Column {
 	if !ok {
 		return nil
 	}
-	return d.mutableAt(i)
-}
-
-// mutableAt is MutableColumn by schema index.
-func (d *Dataset) mutableAt(i int) *Column {
 	c := d.cols[i]
 	if c.shared.Load() {
 		c = c.cloneHeader()

@@ -141,12 +141,6 @@ func (d *Dataset) Column(name string) *Column {
 	return d.cols[i]
 }
 
-// HasColumn reports whether the dataset has an attribute with the given name.
-func (d *Dataset) HasColumn(name string) bool {
-	_, ok := d.byName[name]
-	return ok
-}
-
 // addColumn registers a column, enforcing unique names and consistent length.
 func (d *Dataset) addColumn(c *Column) error {
 	if c.Name == "" {
@@ -357,75 +351,6 @@ func (d *Dataset) Filter(keep func(row int) bool) *Dataset {
 		}
 	}
 	return d.SelectRows(idx)
-}
-
-// Append concatenates other's rows onto d and returns the combined dataset.
-// The schemas must match exactly (names, order, kinds); the chunk layouts
-// need not — the result reflows other's rows into d's canonical geometry.
-func (d *Dataset) Append(other *Dataset) (*Dataset, error) {
-	if len(d.cols) != len(other.cols) {
-		return nil, fmt.Errorf("dataset: schema mismatch: %d vs %d columns", len(d.cols), len(other.cols))
-	}
-	for i := range d.cols {
-		oc := other.cols[i]
-		if oc.Name != d.cols[i].Name || oc.Kind != d.cols[i].Kind {
-			return nil, fmt.Errorf("dataset: schema mismatch at column %d: %s/%s vs %s/%s",
-				i, d.cols[i].Name, d.cols[i].Kind, oc.Name, oc.Kind)
-		}
-	}
-	out := d.Clone()
-	for i := range out.cols {
-		c := out.mutableAt(i)
-		c.appendCells(other.cols[i])
-	}
-	out.rows += other.rows
-	return out, nil
-}
-
-// appendCells reflows every row of src onto the end of c, keeping c's
-// canonical chunk layout. The column header must be exclusively owned.
-func (c *Column) appendCells(src *Column) {
-	// The last chunk may need to grow: copy it out of sharing first.
-	if n := len(c.chunks); n > 0 && c.chunks[n-1].len() < c.csize {
-		last := c.chunks[n-1]
-		if last.shared.Load() {
-			last = last.clone()
-			c.chunks[n-1] = last
-		}
-		last.version.Add(1)
-		c.markDirty()
-	}
-	for _, sch := range src.chunks {
-		for off := 0; off < sch.len(); off++ {
-			var last *chunk
-			if n := len(c.chunks); n > 0 && c.chunks[n-1].len() < c.csize {
-				last = c.chunks[n-1]
-			} else {
-				last = &chunk{start: c.rows}
-				if c.Kind == Numeric {
-					last.nums = make([]float64, 0, c.csize)
-				} else {
-					last.strs = make([]string, 0, c.csize)
-				}
-				last.null = make([]bool, 0, c.csize)
-				c.chunks = append(c.chunks, last)
-				c.markDirty()
-			}
-			// Bulk-copy as many rows as fit in the last chunk.
-			n := c.csize - last.len()
-			if rem := sch.len() - off; n > rem {
-				n = rem
-			}
-			if c.Kind == Numeric {
-				last.nums = append(last.nums, sch.nums[off:off+n]...)
-			} else {
-				last.strs = append(last.strs, sch.strs[off:off+n]...)
-			}
-			last.null = append(last.null, sch.null[off:off+n]...)
-			c.rows += n
-			off += n - 1
-		}
-	}
 }
 
 // Shuffle returns a copy of the dataset with rows permuted by rng.

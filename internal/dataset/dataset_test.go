@@ -34,9 +34,6 @@ func TestAddColumnsAndAccess(t *testing.T) {
 	if got := d.Num("age", 2); got != 60 {
 		t.Errorf("Num(age,2) = %g, want 60", got)
 	}
-	if !d.HasColumn("name") || d.HasColumn("zip") {
-		t.Error("HasColumn wrong")
-	}
 	names := d.ColumnNames()
 	if len(names) != 3 || names[0] != "gender" || names[2] != "name" {
 		t.Errorf("ColumnNames = %v", names)
@@ -113,24 +110,6 @@ func TestSelectRowsAndFilter(t *testing.T) {
 	f := d.Filter(func(r int) bool { return d.Num("age", r) >= 40 })
 	if f.NumRows() != 3 {
 		t.Errorf("Filter rows = %d, want 3", f.NumRows())
-	}
-}
-
-func TestAppend(t *testing.T) {
-	d := sample()
-	both, err := d.Append(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if both.NumRows() != 8 {
-		t.Errorf("Append rows = %d, want 8", both.NumRows())
-	}
-	if both.Str("name", 4) != "Shanice" {
-		t.Error("Append values wrong")
-	}
-	other := New().MustAddNumeric("zzz", []float64{1})
-	if _, err := d.Append(other); err == nil {
-		t.Error("Append with mismatched schema accepted")
 	}
 }
 

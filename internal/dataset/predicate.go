@@ -66,11 +66,6 @@ type Clause struct {
 // EqStr builds an equality clause on a string column.
 func EqStr(attr, val string) Clause { return Clause{Attr: attr, Op: Eq, StrVal: val} }
 
-// EqNum builds an equality clause on a numeric column.
-func EqNum(attr string, val float64) Clause {
-	return Clause{Attr: attr, Op: Eq, NumVal: val, IsNum: true}
-}
-
 // CmpNum builds a numeric comparison clause.
 func CmpNum(attr string, op Op, val float64) Clause {
 	return Clause{Attr: attr, Op: op, NumVal: val, IsNum: true}

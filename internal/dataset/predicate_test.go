@@ -44,7 +44,7 @@ func TestClauseEvalNumeric(t *testing.T) {
 		{CmpNum("age", Le, 40), 1, true},
 		{CmpNum("age", Gt, 59), 2, true},
 		{CmpNum("age", Ge, 60), 2, true},
-		{EqNum("age", 22), 3, true},
+		{Clause{Attr: "age", Op: Eq, NumVal: 22, IsNum: true}, 3, true},
 		{Clause{Attr: "age", Op: Ne, NumVal: 22, IsNum: true}, 3, false},
 	}
 	for _, tc := range cases {

@@ -31,8 +31,10 @@ type Config struct {
 	// the name the workers' wrapped systems carry, since score caches key
 	// on it. Empty derives "fleet(addr, ...)".
 	SystemName string
-	// Fallback, when set, is a local scorer used while every worker is
-	// unhealthy — graceful degradation instead of a dead search.
+	// Fallback, when set, is a local scorer that serves an evaluation every
+	// healthy worker failed, each after its retries, and every evaluation
+	// while no worker is healthy — graceful degradation instead of a dead
+	// search.
 	Fallback pipeline.FallibleSystem
 	// HedgeAfter launches a speculative duplicate of an in-flight
 	// evaluation on the next healthy worker when the primary has not
@@ -104,9 +106,10 @@ type WorkerDiag struct {
 // FleetSystem implements pipeline.FallibleSystem over N remote workers:
 // per-worker Breaker{Retry{transport}} stacks, round-robin placement over
 // healthy workers, failover on worker failure, optional hedged dispatch,
-// and degradation to Fallback (or ErrFleetDown) when the whole fleet is
-// unhealthy. It also implements pipeline.FleetReporter and
-// pipeline.TripCounter, so the engine folds fleet behavior into its Stats.
+// and degradation to Fallback when every worker failed an evaluation (or
+// ErrFleetDown once the whole fleet is unhealthy and there is none). It
+// also implements pipeline.FleetReporter and pipeline.TripCounter, so the
+// engine folds fleet behavior into its Stats.
 type FleetSystem struct {
 	name       string
 	fallback   pipeline.FallibleSystem
@@ -232,10 +235,11 @@ func (f *FleetSystem) TryMalfunctionScore(ctx context.Context, d *dataset.Datase
 				continue
 			}
 			if received == launched {
-				// Every launched worker failed. If any breaker is still
-				// closed the failure stays transient (the engine refunds
-				// it); once the whole fleet's breakers are open, degrade.
-				if len(f.healthyOrder()) == 0 {
+				// Every launched worker failed this evaluation, each after
+				// its own retries: a configured fallback serves it. Without
+				// one the failure stays transient (the engine refunds it)
+				// until every breaker is open, and then the fleet is down.
+				if (f.fallback != nil && ctx.Err() == nil) || len(f.healthyOrder()) == 0 {
 					return f.degrade(ctx, d, attempts)
 				}
 				last.Attempts = attempts

@@ -82,7 +82,7 @@ func roundTrip(t testing.TB, d *dataset.Dataset) *dataset.Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := readFrame(bytes.NewReader(frame))
+	payload, err := readFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestWorkerRejectsFingerprintMismatch(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := readFrame(conn)
+	payload, err := readFrame(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestWorkerRejectsFingerprintMismatch(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	if payload, err = readFrame(conn); err != nil {
+	if payload, err = readFrame(conn, nil); err != nil {
 		t.Fatal(err)
 	}
 	if res, err = decodeResponse(payload); err != nil || res.Err != nil || res.Score != 0.25 {
@@ -229,11 +229,51 @@ func TestWorkerDropsOtherProtocolVersions(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(conn); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(conn, nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("read after a version-skewed request = %v, want EOF", err)
 	}
 	if n := scorer.calls.Load(); n != 0 {
 		t.Fatalf("oracle scored a version-skewed request %d times", n)
+	}
+}
+
+// TestReadFrameGrowsAsBytesArrive checks that a length prefix alone
+// cannot force a large allocation: a prefix claiming maxFrameSize followed
+// by EOF allocates at most 1 MiB. It also reads frames of mixed sizes
+// through one reused buffer and checks each payload.
+func TestReadFrameGrowsAsBytesArrive(t *testing.T) {
+	claim := binary.BigEndian.AppendUint32(nil, maxFrameSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bytes.NewReader(claim), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: err = %v, want EOF", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("a bare claim of %d bytes allocated %d bytes", maxFrameSize, n)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	var stream bytes.Buffer
+	var sent [][]byte
+	for _, size := range []int{0, 1, 300_000, 7, 65_536, 65_537, 1 << 20, 2} {
+		payload := make([]byte, size)
+		rng.Read(payload)
+		sent = append(sent, payload)
+		stream.Write(binary.BigEndian.AppendUint32(nil, uint32(size)))
+		stream.Write(payload)
+	}
+	stream.Write(binary.BigEndian.AppendUint32(nil, 10))
+	stream.Write([]byte("short"))
+	var buf []byte
+	for i, want := range sent {
+		if buf, err = readFrame(&stream, buf); err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("frame %d: %d bytes, err %v; want %d bytes", i, len(buf), err, len(want))
+		}
+	}
+	if _, err := readFrame(&stream, buf); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("frame cut short: err = %v, want ErrUnexpectedEOF", err)
 	}
 }
 
@@ -284,7 +324,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(encodeResponse(pipeline.ScoreResult{Score: 0.5, Attempts: 1}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if payload, err := readFrame(bytes.NewReader(data)); err == nil {
+		if payload, err := readFrame(bytes.NewReader(data), nil); err == nil {
 			_, _ = decodeResponse(payload) // must not panic; any result is fine
 		}
 		if len(data) < 4 {

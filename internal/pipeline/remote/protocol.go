@@ -53,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
@@ -96,21 +97,34 @@ func sealFrame(frame []byte) []byte {
 	return frame
 }
 
-// readFrame receives one length-prefixed payload.
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame receives one length-prefixed payload into buf's storage,
+// which it grows only as bytes arrive: capacity at most doubles what has
+// been received, plus one 64 KiB step, so a length prefix alone cannot
+// force a large allocation. The payload aliases the returned buffer, which
+// the caller may pass to the next readFrame once it is done with the
+// payload; nil starts a fresh one.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	const step = 64 << 10
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return buf[:0], err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrameSize {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", errProtocol, n)
+		return buf[:0], fmt.Errorf("%w: frame of %d bytes exceeds limit", errProtocol, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)+step))
+		}
+		end := min(n, cap(buf))
+		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
+			return buf[:0], err
+		}
+		buf = buf[:end]
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // encodeRequest builds a sealed score-request frame: header, fingerprint

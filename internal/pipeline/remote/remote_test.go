@@ -104,7 +104,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if !ok || fp != d.Fingerprint() {
 		t.Fatalf("parseRequestFingerprint = %x, %v, want %x", fp, ok, d.Fingerprint())
 	}
-	payload, err := readFrame(bytes.NewReader(frame))
+	payload, err := readFrame(bytes.NewReader(frame), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,6 +339,54 @@ func TestFleetFallbackWhenAllWorkersDown(t *testing.T) {
 	}
 	if fleet.BreakerTrips() == 0 {
 		t.Fatal("no breaker trips recorded across the fleet")
+	}
+}
+
+// TestFleetFallbackBeforeBreakersOpen checks the fallback serves an
+// evaluation every worker failed, each after its retries, while the
+// breakers are still closed: with the default threshold of five a dead
+// fleet's first failure must not abort the search.
+func TestFleetFallbackBeforeBreakersOpen(t *testing.T) {
+	local := &valueScorer{}
+	fleet := NewFleet(Config{
+		Addrs:            []string{deadAddr(t), deadAddr(t)},
+		Fallback:         local,
+		RetryMax:         1,
+		RetryBaseDelay:   time.Millisecond,
+		BreakerThreshold: 5,
+		DialTimeout:      100 * time.Millisecond,
+	})
+	defer fleet.Close()
+	for i, v := range []float64{0.25, 0.5, 0.75} {
+		res := fleet.TryMalfunctionScore(context.Background(), flagData(v))
+		if res.Err != nil || res.Score != v {
+			t.Fatalf("eval %d = %+v, want the fallback's %g", i, res, v)
+		}
+	}
+	st := fleet.FleetSnapshot()
+	if st.Healthy != 2 || st.FallbackEvals != 3 || st.WorkerFaults != 6 {
+		t.Fatalf("stats = %+v, want 2 healthy workers, 3 fallback evals, 6 worker faults", st)
+	}
+	if local.calls.Load() != 3 {
+		t.Fatalf("fallback calls = %d, want 3", local.calls.Load())
+	}
+}
+
+// TestFleetFailureTransientWithoutFallback checks that, with no fallback,
+// a failure while breakers are still closed stays a transient failure,
+// not ErrFleetDown.
+func TestFleetFailureTransientWithoutFallback(t *testing.T) {
+	fleet := NewFleet(Config{
+		Addrs:            []string{deadAddr(t)},
+		RetryMax:         1,
+		RetryBaseDelay:   time.Millisecond,
+		BreakerThreshold: 5,
+		DialTimeout:      100 * time.Millisecond,
+	})
+	defer fleet.Close()
+	res := fleet.TryMalfunctionScore(context.Background(), flagData(0.5))
+	if res.Err == nil || errors.Is(res.Err, ErrFleetDown) || !res.Transient {
+		t.Fatalf("result = %+v, want a transient failure", res)
 	}
 }
 

@@ -102,7 +102,7 @@ func (t *transport) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset)
 		t.drop(conn)
 		return transientFailure(0, "send to "+t.addr, err)
 	}
-	payload, err := readFrame(conn)
+	payload, err := readFrame(conn, nil)
 	if err != nil {
 		t.drop(conn)
 		return transientFailure(1, "receive from "+t.addr, err)

@@ -60,9 +60,12 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	defer stop()
+	// One payload buffer per connection: decodeTable copies every cell out
+	// of it, so the next request may overwrite it.
+	var payload []byte
 	for {
-		payload, err := readFrame(conn)
-		if err != nil {
+		var err error
+		if payload, err = readFrame(conn, payload); err != nil {
 			return // peer closed, deadline expired, or garbage framing
 		}
 		fp, table, err := decodeRequest(payload)

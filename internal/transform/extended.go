@@ -258,13 +258,22 @@ func (t *Deduplicate) Target() profile.Profile { return t.Profile }
 func (t *Deduplicate) Modifies() []string { return []string{t.Profile.Attr} }
 
 // Apply implements Transformation.
-func (t *Deduplicate) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, error) {
+func (t *Deduplicate) Apply(d *dataset.Dataset, rng *rand.Rand) (*dataset.Dataset, error) {
+	return applyRows(t, d, rng)
+}
+
+// Rows returns the rows of d that Apply's output consists of, in order,
+// when the rows sel of d (nil: every row) are its input: every input row
+// whose key did not occur in an earlier input row. same reports that no
+// row was dropped.
+func (t *Deduplicate) Rows(d *dataset.Dataset, sel []int, _ *rand.Rand) (rows []int, same bool, err error) {
 	c := d.Column(t.Profile.Attr)
 	if c == nil {
-		return nil, fmt.Errorf("transform: no column %q", t.Profile.Attr)
+		return nil, false, fmt.Errorf("transform: no column %q", t.Profile.Attr)
 	}
-	seen := make(map[string]bool, d.NumRows())
-	return d.Filter(func(r int) bool {
+	n := inputLen(d, sel)
+	seen := make(map[string]bool, n)
+	rows = filterRows(sel, n, n, func(r int) bool {
 		if c.NullAt(r) {
 			return true // NULL keys are a Missing problem, not a key clash
 		}
@@ -279,7 +288,11 @@ func (t *Deduplicate) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset,
 		}
 		seen[key] = true
 		return true
-	}), nil
+	})
+	if len(rows) == n {
+		return sel, true, nil
+	}
+	return rows, false, nil
 }
 
 // Coverage implements Transformation: the fraction of dropped tuples.

@@ -61,18 +61,6 @@ func LookupBuilder(class string) (BuildFunc, bool) {
 	return b, ok
 }
 
-// BuilderClasses returns the registered class names, sorted.
-func BuilderClasses() []string {
-	regMu.RLock()
-	out := make([]string, 0, len(builders))
-	for name := range builders {
-		out = append(out, name)
-	}
-	regMu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // snapshot returns the builders in deterministic (name-sorted) order.
 func snapshot() []BuildFunc {
 	regMu.RLock()

@@ -2,22 +2,11 @@ package transform
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/profile"
 )
-
-func TestBuilderClassesSorted(t *testing.T) {
-	classes := BuilderClasses()
-	if len(classes) < 12 {
-		t.Fatalf("built-in builders = %d, want at least 12", len(classes))
-	}
-	if !sort.StringsAreSorted(classes) {
-		t.Errorf("BuilderClasses not sorted: %v", classes)
-	}
-}
 
 func TestBuilderDuplicateRejected(t *testing.T) {
 	b := func(p profile.Profile) []Transformation { return nil }
