@@ -121,18 +121,3 @@ func (d *Diff) String() string {
 	}
 	return b.String()
 }
-
-// MaxMagnitude returns the largest drift magnitude in the diff (1 for any
-// added/removed profile — appearance and disappearance are full drifts).
-func (d *Diff) MaxMagnitude() float64 {
-	max := 0.0
-	if len(d.Added) > 0 || len(d.Removed) > 0 {
-		max = 1
-	}
-	for _, c := range d.Changed {
-		if c.Magnitude > max {
-			max = c.Magnitude
-		}
-	}
-	return max
-}

@@ -32,9 +32,6 @@ func TestDiffIdenticalIsEmpty(t *testing.T) {
 	if diff.Exceeds(0) {
 		t.Error("empty diff exceeds threshold 0")
 	}
-	if diff.MaxMagnitude() != 0 {
-		t.Errorf("empty diff MaxMagnitude = %g, want 0", diff.MaxMagnitude())
-	}
 }
 
 // TestDiffDriftedContent: a shifted feed yields Changed entries with
@@ -75,9 +72,6 @@ func TestDiffDriftedContent(t *testing.T) {
 	if diff.Exceeds(1) {
 		t.Error("diff with no added/removed exceeds the impossible threshold 1")
 	}
-	if diff.MaxMagnitude() <= 0 {
-		t.Errorf("MaxMagnitude = %g, want > 0", diff.MaxMagnitude())
-	}
 	s := diff.String()
 	if !strings.Contains(s, "~ ") || !strings.Contains(s, "drift=") {
 		t.Errorf("diff rendering missing changed lines:\n%s", s)
@@ -113,9 +107,6 @@ func TestDiffAddedRemoved(t *testing.T) {
 	}
 	if !diff.Exceeds(1) {
 		t.Error("structural addition does not trip the maximal threshold")
-	}
-	if diff.MaxMagnitude() != 1 {
-		t.Errorf("MaxMagnitude with additions = %g, want 1", diff.MaxMagnitude())
 	}
 	if !strings.Contains(diff.String(), "(added)") {
 		t.Errorf("rendering missing added lines:\n%s", diff.String())

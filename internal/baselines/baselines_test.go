@@ -3,6 +3,7 @@ package baselines
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -145,6 +146,36 @@ func TestTracesIndexCandidates(t *testing.T) {
 			for j, id := range step.PVTs {
 				if id < 0 || id >= len(sc.PVTs) || (j > 0 && id <= step.PVTs[j-1]) {
 					t.Fatalf("%s: step %d ids %v are not ascending candidate indices", name, i, step.PVTs)
+				}
+			}
+		}
+	}
+}
+
+// TestOracleCallsAreInterventions: apart from the baseline score of the
+// failing dataset, every oracle call a baseline makes — BugDoc's final
+// verification included — is a counted intervention.
+func TestOracleCallsAreInterventions(t *testing.T) {
+	algos := map[string]func(context.Context, Config, []*core.PVT, *dataset.Dataset) (*core.Result, error){
+		"BugDoc": BugDocContext, "Anchor": AnchorContext, "GrpTest": GrpTestContext,
+	}
+	for _, pvts := range []int{8, 20, 50} {
+		for conj := 1; conj <= 3; conj++ {
+			for _, disj := range []int{0, 2, 3} {
+				for seed := int64(0); seed < 10; seed++ {
+					opts := synth.Options{NumPVTs: pvts, NumAttrs: pvts / 2, Conjunction: conj, Disjunction: disj, Seed: seed}
+					sc := synth.New(opts)
+					for name, run := range algos {
+						var calls atomic.Int64
+						sys := &pipeline.Func{SystemName: "counting", Score: func(d *dataset.Dataset) float64 {
+							calls.Add(1)
+							return sc.System.MalfunctionScore(d)
+						}}
+						res, _ := run(context.Background(), Config{System: sys, Tau: 0.05, Seed: seed}, sc.PVTs, sc.Fail)
+						if got, want := calls.Load(), int64(res.Interventions+1); got != want {
+							t.Errorf("%s on %+v: %d oracle calls, want %d interventions + 1 baseline", name, opts, got, want)
+						}
+					}
 				}
 			}
 		}

@@ -14,18 +14,10 @@ package causal
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
 )
-
-// Edge is a directed causal relationship with its coefficient magnitude.
-type Edge struct {
-	From  string
-	To    string
-	Coeff float64
-}
 
 // Coefficient returns the magnitude of the pairwise causal coefficient
 // between x and y under the linear SEM: |corr(x, y)| after standardization.
@@ -106,42 +98,6 @@ func encode(d *dataset.Dataset, attr string) []float64 {
 		}
 	}
 	return out
-}
-
-// LearnGraph estimates a causal edge for every attribute pair whose
-// coefficient magnitude is at least minCoeff. Edges are oriented by the
-// cumulant criterion; undecided pairs default to lexicographic order so the
-// output is deterministic. Attrs defaults to all columns when nil.
-func LearnGraph(d *dataset.Dataset, attrs []string, minCoeff float64) []Edge {
-	if attrs == nil {
-		attrs = d.ColumnNames()
-	}
-	vecs := make(map[string][]float64, len(attrs))
-	for _, a := range attrs {
-		vecs[a] = encode(d, a)
-	}
-	var edges []Edge
-	for i := 0; i < len(attrs); i++ {
-		for j := i + 1; j < len(attrs); j++ {
-			a, b := attrs[i], attrs[j]
-			co := Coefficient(vecs[a], vecs[b])
-			if co < minCoeff {
-				continue
-			}
-			from, to := a, b
-			if Direction(vecs[a], vecs[b]) < 0 {
-				from, to = b, a
-			}
-			edges = append(edges, Edge{From: from, To: to, Coeff: co})
-		}
-	}
-	sort.Slice(edges, func(x, y int) bool {
-		if edges[x].From != edges[y].From {
-			return edges[x].From < edges[y].From
-		}
-		return edges[x].To < edges[y].To
-	})
-	return edges
 }
 
 // PairCoefficient estimates the causal coefficient magnitude between two

@@ -60,43 +60,15 @@ func TestDirection(t *testing.T) {
 	}
 }
 
-func TestLearnGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 5000
-	x, y := lingamPair(rng, n, 1)
-	noise := make([]float64, n)
-	for i := range noise {
-		noise[i] = rng.Float64()
-	}
-	d := dataset.New().
-		MustAddNumeric("x", x).
-		MustAddNumeric("y", y).
-		MustAddNumeric("noise", noise)
-	edges := LearnGraph(d, nil, 0.5)
-	if len(edges) != 1 {
-		t.Fatalf("edges = %+v, want exactly the x-y edge", edges)
-	}
-	if edges[0].From != "x" || edges[0].To != "y" {
-		t.Errorf("edge = %+v, want x→y", edges[0])
-	}
-	if edges[0].Coeff < 0.9 {
-		t.Errorf("edge coeff = %g", edges[0].Coeff)
-	}
-}
-
-func TestLearnGraphCategorical(t *testing.T) {
+func TestPairCoefficientCategorical(t *testing.T) {
 	// race perfectly determines zip → coefficient magnitude near 1.
 	race := []string{"A", "A", "W", "W", "A", "W", "A", "W"}
 	zip := []string{"01004", "01004", "01101", "01101", "01004", "01101", "01004", "01101"}
 	d := dataset.New().
 		MustAddCategorical("race", race).
 		MustAddCategorical("zip", zip)
-	edges := LearnGraph(d, nil, 0.8)
-	if len(edges) != 1 {
-		t.Fatalf("edges = %+v", edges)
-	}
-	if math.Abs(edges[0].Coeff-1) > 1e-9 {
-		t.Errorf("deterministic pair coeff = %g, want 1", edges[0].Coeff)
+	if c := PairCoefficient(d, "race", "zip"); math.Abs(c-1) > 1e-9 {
+		t.Errorf("deterministic pair coeff = %g, want 1", c)
 	}
 }
 

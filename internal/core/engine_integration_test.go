@@ -180,3 +180,40 @@ func TestContextSystemPreferred(t *testing.T) {
 		t.Error("caller context did not reach the system")
 	}
 }
+
+// TestOracleCallsAreInterventions: apart from the one baseline score of the
+// failing dataset, every oracle call a search makes is a counted
+// intervention — GT's verification of its composed fix included, which
+// reaches the oracle when the recursion ended on a singleton it applied
+// without scoring. The grid covers conjunctive and disjunctive causes
+// over 8 to 100 PVTs.
+func TestOracleCallsAreInterventions(t *testing.T) {
+	algos := map[string]func(*core.Explainer, *synth.Scenario) (*core.Result, error){
+		"GRD": func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error) {
+			return e.ExplainGreedyPVTsContext(context.Background(), sc.PVTs, sc.Fail)
+		},
+		"GT": func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error) {
+			return e.ExplainGroupTestPVTsContext(context.Background(), sc.PVTs, sc.Fail)
+		},
+		"decision tree": func(e *core.Explainer, sc *synth.Scenario) (*core.Result, error) {
+			return e.ExplainWithDecisionTreePVTsContext(context.Background(), sc.PVTs, []*dataset.Dataset{sc.Fail}, sc.Fail)
+		},
+	}
+	for _, pvts := range []int{8, 20, 50, 100} {
+		for conj := 1; conj <= 3; conj++ {
+			for _, disj := range []int{0, 2, 3} {
+				for seed := int64(0); seed < 40; seed++ {
+					opts := synth.Options{NumPVTs: pvts, NumAttrs: pvts / 2, Conjunction: conj, Disjunction: disj, Seed: seed}
+					sc := synth.New(opts)
+					for name, run := range algos {
+						sys := counting(sc.System)
+						res, _ := run(&core.Explainer{System: sys, Tau: 0.05, Seed: seed}, sc)
+						if got, want := sys.Calls(), res.Interventions+1; got != want {
+							t.Errorf("%s on %+v: %d oracle calls, want %d interventions + 1 baseline", name, opts, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

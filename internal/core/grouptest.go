@@ -88,7 +88,13 @@ func (e *Explainer) ExplainGroupTestPVTsContext(ctx context.Context, pvts []*PVT
 		return res, st.err
 	}
 
-	finalScore, err := ev.Baseline(ctx, final.d)
+	// Verifying the composed fix is an intervention: when the recursion
+	// ended on a singleton it applied without scoring, this is the only
+	// oracle call that dataset gets, so it is counted and budgeted.
+	finalScore, err := ev.Score(ctx, final.d)
+	if errors.Is(err, engine.ErrBudgetExhausted) {
+		err = ErrNoExplanation
+	}
 	if err != nil {
 		finish(res, ev, start)
 		return res, err
@@ -168,7 +174,7 @@ func (st *gtGroupState) run(x []int, cur *scoredDataset) (*scoredDataset, []int)
 	if st.e.RandomBisection {
 		x1, x2 = graph.RandomBisection(x, st.rng)
 	} else {
-		x1, x2 = st.g.Dependency(x).MinBisection(st.rng)
+		x1, x2 = st.g.Bisect(x, st.rng)
 	}
 
 	// Line 5: malfunction of the entry dataset.

@@ -84,11 +84,7 @@ func benefitCached(i int, p *PVT, d *dataset.Dataset, cov *coverageCache) float6
 
 // buildGraph constructs the PVT-attribute bipartite graph for a PVT slice.
 func buildGraph(pvts []*PVT) *graph.PVTAttr {
-	attrs := make([][]string, len(pvts))
-	for i, p := range pvts {
-		attrs[i] = p.Attributes()
-	}
-	return graph.NewPVTAttr(attrs)
+	return graph.NewPVTAttr(len(pvts), func(i int) []string { return pvts[i].Attributes() })
 }
 
 // orderTransforms returns the PVT's transformations sorted so those

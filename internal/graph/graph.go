@@ -41,13 +41,16 @@ type PVTAttr struct {
 
 	stamp []uint32 // pvt -> generation that last marked it (see mark)
 	gen   uint32
-	local []int32 // pvt -> rank in the subset Dependency is building, else -1
+	local []int32 // pvt -> rank in the subset dependency is building, else -1
+
+	ws dependency // Bisect's workspace, reused by every call
 }
 
-// NewPVTAttr builds the bipartite graph from each PVT's attribute list; an
-// attribute listed twice by one PVT connects them once.
-func NewPVTAttr(attrsPerPVT [][]string) *PVTAttr {
-	n := len(attrsPerPVT)
+// NewPVTAttr builds the bipartite graph over n PVTs, where attrsOf(p)
+// lists PVT p's attributes; an attribute listed twice by one PVT connects
+// them once. attrsOf is called once per PVT, in order, and the graph keeps
+// none of the slices it returns.
+func NewPVTAttr(n int, attrsOf func(p int) []string) *PVTAttr {
 	// Sized for one attribute per PVT, the common case.
 	g := &PVTAttr{
 		attrs:    newInterner(n),
@@ -56,8 +59,8 @@ func NewPVTAttr(attrsPerPVT [][]string) *PVTAttr {
 		removed:  make([]bool, n),
 	}
 	last := make([]int32, 0, n) // attribute id -> last PVT that listed it
-	for p, attrs := range attrsPerPVT {
-		for _, name := range attrs {
+	for p := 0; p < n; p++ {
+		for _, name := range attrsOf(p) {
 			id, added := g.attrs.intern(name)
 			if added {
 				last = append(last, -1)
@@ -81,7 +84,10 @@ func NewPVTAttr(attrsPerPVT [][]string) *PVTAttr {
 		g.attrStart[id+1] = g.attrStart[id] + d
 	}
 	g.attrPVTs = make([]int32, len(g.pvtAttrs))
-	fill := append([]int32(nil), g.attrStart[:numAttrs]...)
+	// The dedupe scratch holds one entry per attribute id; it becomes each
+	// attribute's fill cursor.
+	fill := last
+	copy(fill, g.attrStart[:numAttrs])
 	for p := 0; p < n; p++ {
 		for _, id := range g.attrIDs(p) {
 			g.attrPVTs[fill[id]] = int32(p)
@@ -162,9 +168,6 @@ func (g *PVTAttr) mark() uint32 {
 	return g.gen
 }
 
-// NumPVTs returns the total number of PVTs (including removed ones).
-func (g *PVTAttr) NumPVTs() int { return len(g.removed) }
-
 // Remove marks a PVT as explored so it no longer contributes to degrees.
 // Removing a PVT twice, or one out of range, does nothing.
 func (g *PVTAttr) Remove(pvt int) {
@@ -175,11 +178,6 @@ func (g *PVTAttr) Remove(pvt int) {
 	for _, id := range g.attrIDs(pvt) {
 		g.degree[id]--
 	}
-}
-
-// Removed reports whether the PVT has been removed.
-func (g *PVTAttr) Removed(pvt int) bool {
-	return pvt >= 0 && pvt < len(g.removed) && g.removed[pvt]
 }
 
 // Active returns the indices of the PVTs not yet removed, ascending.
@@ -244,14 +242,65 @@ func (g *PVTAttr) HighestDegreePVTs() []int {
 	return out
 }
 
-// Dependency builds the PVT-dependency graph G_PD over the given subset of
-// distinct PVT indices: two PVTs are adjacent iff they share an attribute in
-// the bipartite graph (G²_PA restricted to PVT nodes, Section 4.4). It
-// touches only the subset's PVTs and the members of their attributes.
-func (g *PVTAttr) Dependency(pvts []int) *Dependency {
+// Bisect min-bisects the PVT-dependency graph G_PD over the distinct PVT
+// indices x (Section 4.4): two PVTs are adjacent iff they share an
+// attribute, and the local-search swap algorithm of Appendix A
+// (Algorithm 4) splits x into halves of ⌈|x|/2⌉ and ⌊|x|/2⌋ PVTs with few
+// crossing edges. Starting from the bisection RandomBisection would draw
+// from x sorted, it repeatedly swaps a pair across the halves whenever the
+// swap reduces the cut, until no improving swap exists or the scan budget
+// is spent. The halves are fresh and ascending.
+//
+// The subgraph and the search live in a workspace the graph keeps, so once
+// it has grown to the largest x seen a call allocates only the two halves.
+// x is read during the call only.
+func (g *PVTAttr) Bisect(x []int, rng *rand.Rand) (a, b []int) {
+	return g.dependency(x).minBisection(rng)
+}
+
+// dependency is the PVT-dependency graph over a subset, addressed by each
+// node's rank in the ascending node list with CSR adjacency over ranks,
+// plus the scratch of its min-bisection. PVTAttr.ws holds the only one.
+type dependency struct {
+	nodes  []int   // PVT indices, ascending: the caller's subset or sorted
+	sorted []int   // copy of an unsorted subset
+	start  []int32 // rank -> offset into adj; len(nodes)+1 entries
+	adj    []int32 // neighbour ranks
+
+	perm   []int32 // the random start's draw
+	side   []int8  // rank -> 0 (a) or 1 (b)
+	ra, rb []int32 // ranks on each side, in swap-scan order
+	gain   []int32 // rank -> cut reduction of moving it alone
+	nbrOf  []int32 // rank -> stamp of the last row it neighboured
+}
+
+// resize returns s with n elements, reallocating only when its capacity
+// is short; the elements' values are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// dependency builds G_PD over the distinct PVT indices pvts into the
+// workspace and returns it; the next call overwrites it. It touches only
+// the subset's PVTs and the members of their attributes. An ascending
+// pvts becomes the node list itself; any other order is sorted into
+// scratch.
+func (g *PVTAttr) dependency(pvts []int) *dependency {
+	d := &g.ws
 	n := len(pvts)
-	d := &Dependency{nodes: append([]int(nil), pvts...), start: make([]int32, n+1)}
-	slices.Sort(d.nodes)
+	if slices.IsSorted(pvts) {
+		d.nodes = pvts
+	} else {
+		d.sorted = append(d.sorted[:0], pvts...)
+		slices.Sort(d.sorted)
+		d.nodes = d.sorted
+	}
+	d.start = resize(d.start, n+1)
+	d.start[0] = 0
+	d.adj = d.adj[:0]
 	if g.local == nil {
 		g.local = make([]int32, len(g.removed))
 		for i := range g.local {
@@ -290,20 +339,8 @@ func (g *PVTAttr) Dependency(pvts []int) *Dependency {
 	return d
 }
 
-// Dependency is the PVT-dependency graph used for min-bisection
-// partitioning. Nodes are addressed internally by their rank in the sorted
-// node list; adjacency is CSR over those ranks.
-type Dependency struct {
-	nodes []int   // PVT indices, ascending
-	start []int32 // rank -> offset into adj; len(nodes)+1 entries
-	adj   []int32 // neighbour ranks
-}
-
-// Nodes returns the PVT indices in the graph, ascending.
-func (d *Dependency) Nodes() []int { return d.nodes }
-
 // neighbours returns the ranks adjacent to rank i.
-func (d *Dependency) neighbours(i int32) []int32 { return d.adj[d.start[i]:d.start[i+1]] }
+func (d *dependency) neighbours(i int32) []int32 { return d.adj[d.start[i]:d.start[i+1]] }
 
 // RandomBisection splits nodes into two halves uniformly at random
 // (sizes differ by at most one) — the partitioning of the traditional
@@ -325,32 +362,38 @@ func RandomBisection(nodes []int, rng *rand.Rand) (a, b []int) {
 	return a, b
 }
 
-// maxSwapScans bounds the pair scans of one MinBisection call, across all
-// of its improvement passes, so MinBisection stays anytime on very large
-// PVT sets (Appendix A notes the local search is an anytime algorithm).
+// drawPerm fills perm with rng.Perm(len(perm)), making exactly its draws.
+func drawPerm(perm []int32, rng *rand.Rand) {
+	for i := range perm {
+		j := rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = int32(i)
+	}
+}
+
+// maxSwapScans bounds the pair scans of one bisection, across all of its
+// improvement passes, so Bisect stays anytime on very large PVT sets
+// (Appendix A notes the local search is an anytime algorithm).
 const maxSwapScans = 1 << 18
 
-// MinBisection partitions the dependency graph's node set into two
-// almost-equal halves minimizing the crossing edges, via the local-search
-// swap algorithm of Appendix A (Algorithm 4): starting from a random
-// bisection, repeatedly swap a node pair across the partitions whenever the
-// swap reduces the cut, until no improving swap exists or the scan budget
-// is exhausted.
-func (d *Dependency) MinBisection(rng *rand.Rand) (a, b []int) {
+// minBisection runs Algorithm 4 on the graph's nodes (see Bisect).
+func (d *dependency) minBisection(rng *rand.Rand) (a, b []int) {
 	n := len(d.nodes)
 	// The same draw as RandomBisection(d.nodes, rng): the nodes are sorted,
 	// so sorting the drawn ranks sorts the drawn PVTs.
-	perm := rng.Perm(n)
+	d.perm = resize(d.perm, n)
+	drawPerm(d.perm, rng)
 	half := (n + 1) / 2
-	side := make([]int8, n) // rank -> 0 (a) or 1 (b)
-	for _, r := range perm[half:] {
+	d.side = resize(d.side, n)
+	side := d.side
+	clear(side)
+	for _, r := range d.perm[half:] {
 		side[r] = 1
 	}
 	if half == 0 || half == n {
-		return d.pvtsOf(side, 0, half), d.pvtsOf(side, 1, n-half)
+		return d.pvtsOf(0, half), d.pvtsOf(1, n-half)
 	}
-	ra := make([]int32, 0, half)
-	rb := make([]int32, 0, n-half)
+	ra, rb := resize(d.ra, half)[:0], resize(d.rb, n-half)[:0]
 	for r, s := range side {
 		if s == 0 {
 			ra = append(ra, int32(r))
@@ -358,17 +401,21 @@ func (d *Dependency) MinBisection(rng *rand.Rand) (a, b []int) {
 			rb = append(rb, int32(r))
 		}
 	}
+	d.ra, d.rb = ra, rb
 	// gain[x] = ext[x] − int[x]: the cut reduction of moving x alone to the
 	// other side, kept exact across swaps.
-	gain := make([]int32, n)
+	d.gain = resize(d.gain, n)
+	gain := d.gain
 	for x := range gain {
+		g := int32(0)
 		for _, nbr := range d.neighbours(int32(x)) {
 			if side[nbr] == side[x] {
-				gain[x]--
+				g--
 			} else {
-				gain[x]++
+				g++
 			}
 		}
+		gain[x] = g
 	}
 	move := func(x int32) {
 		for _, nbr := range d.neighbours(x) {
@@ -384,20 +431,38 @@ func (d *Dependency) MinBisection(rng *rand.Rand) (a, b []int) {
 	// nbrOf[y] == stamp iff y neighbours the current ra[i]. Every stamp
 	// is followed by at least one scan, so stamps stay below
 	// maxSwapScans plus the number of passes.
-	nbrOf := make([]int32, n)
+	d.nbrOf = resize(d.nbrOf, n)
+	nbrOf := d.nbrOf
+	clear(nbrOf)
 	var stamp int32
 	scans := 0
 	improved := true
 	for improved && scans < maxSwapScans {
 		improved = false
+		// The largest gain in b. Gains change only in the swap that ends
+		// a pass, so it holds for the whole pass.
+		top := gain[rb[0]]
+		for _, y := range rb {
+			top = max(top, gain[y])
+		}
 	pairs:
 		for i := range ra {
 			x := ra[i]
+			gi := gain[x]
+			if gi+top <= 0 {
+				// No swap out of this row cuts fewer edges: its delta is
+				// at most gi + gain[y] ≤ gi + top. Skip the row but
+				// charge its scans, so the budget runs out where a full
+				// scan would have spent it.
+				if scans += len(rb); scans >= maxSwapScans {
+					break pairs
+				}
+				continue
+			}
 			stamp++
 			for _, nbr := range d.neighbours(x) {
 				nbrOf[nbr] = stamp
 			}
-			gi := gain[x]
 			for j := range rb {
 				scans++
 				if scans >= maxSwapScans {
@@ -418,13 +483,13 @@ func (d *Dependency) MinBisection(rng *rand.Rand) (a, b []int) {
 			}
 		}
 	}
-	return d.pvtsOf(side, 0, half), d.pvtsOf(side, 1, n-half)
+	return d.pvtsOf(0, half), d.pvtsOf(1, n-half)
 }
 
 // pvtsOf returns the size PVTs whose rank is on side s, ascending.
-func (d *Dependency) pvtsOf(side []int8, s int8, size int) []int {
+func (d *dependency) pvtsOf(s int8, size int) []int {
 	out := make([]int, 0, size)
-	for r, v := range side {
+	for r, v := range d.side {
 		if v == s {
 			out = append(out, d.nodes[r])
 		}

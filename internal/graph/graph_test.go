@@ -11,7 +11,7 @@ import (
 )
 
 // rank returns the position of PVT p in the node list, or -1.
-func (d *Dependency) rank(p int) int32 {
+func (d *dependency) rank(p int) int32 {
 	if i, ok := slices.BinarySearch(d.nodes, p); ok {
 		return int32(i)
 	}
@@ -19,16 +19,16 @@ func (d *Dependency) rank(p int) int32 {
 }
 
 // hasEdge reports whether two PVTs share an attribute.
-func (d *Dependency) hasEdge(a, b int) bool {
+func (d *dependency) hasEdge(a, b int) bool {
 	i, j := d.rank(a), d.rank(b)
 	return i >= 0 && j >= 0 && slices.Contains(d.neighbours(i), j)
 }
 
 // numEdges returns the undirected edge count.
-func (d *Dependency) numEdges() int { return len(d.adj) / 2 }
+func (d *dependency) numEdges() int { return len(d.adj) / 2 }
 
 // cutSize counts edges crossing between the two partitions.
-func (d *Dependency) cutSize(a, b []int) int {
+func (d *dependency) cutSize(a, b []int) int {
 	inA := make([]bool, len(d.nodes))
 	for _, x := range a {
 		if i := d.rank(x); i >= 0 {
@@ -48,6 +48,11 @@ func (d *Dependency) cutSize(a, b []int) int {
 	return cut
 }
 
+// newGraph builds a PVTAttr over attribute lists held in a slice.
+func newGraph(attrs [][]string) *PVTAttr {
+	return NewPVTAttr(len(attrs), func(p int) []string { return attrs[p] })
+}
+
 // examplePVTs mirrors Figure 4 of the paper: four discriminative PVTs over
 // the attributes of the running example.
 func examplePVTs() [][]string {
@@ -60,9 +65,9 @@ func examplePVTs() [][]string {
 }
 
 func TestPVTAttrDegrees(t *testing.T) {
-	g := NewPVTAttr(examplePVTs())
-	if g.NumPVTs() != 4 {
-		t.Fatalf("NumPVTs = %d", g.NumPVTs())
+	g := newGraph(examplePVTs())
+	if len(g.removed) != 4 {
+		t.Fatalf("%d PVTs, want 4", len(g.removed))
 	}
 	if d := g.AttrDegree("high_expenditure"); d != 2 {
 		t.Errorf("degree(high_expenditure) = %d, want 2", d)
@@ -81,9 +86,9 @@ func TestPVTAttrDegrees(t *testing.T) {
 }
 
 func TestPVTAttrRemove(t *testing.T) {
-	g := NewPVTAttr(examplePVTs())
+	g := newGraph(examplePVTs())
 	g.Remove(2)
-	if !g.Removed(2) || g.Removed(0) {
+	if !g.removed[2] || g.removed[0] {
 		t.Error("Removed flags wrong")
 	}
 	if d := g.AttrDegree("high_expenditure"); d != 1 {
@@ -111,7 +116,7 @@ func TestPVTAttrRemove(t *testing.T) {
 // counts once toward its degree, so it cannot tie a genuinely shared
 // attribute and join the Algorithm 1 line-10 candidates.
 func TestAttrDegreeCountsDistinctPVTs(t *testing.T) {
-	g := NewPVTAttr([][]string{{"a", "a"}, {"b"}, {"b"}})
+	g := newGraph([][]string{{"a", "a"}, {"b"}, {"b"}})
 	if d := g.AttrDegree("a"); d != 1 {
 		t.Errorf("degree(a) = %d, want 1", d)
 	}
@@ -144,7 +149,7 @@ func TestInterningManyNames(t *testing.T) {
 	for r := 0; r < repeats; r++ {
 		attrs = append(attrs, []string{name(10 * r), name(10 * r)})
 	}
-	g := NewPVTAttr(attrs)
+	g := newGraph(attrs)
 	if len(g.attrs.names) != distinct || 2*distinct > len(g.attrs.slots) {
 		t.Fatalf("%d names in %d slots, want %d names at most half full", len(g.attrs.names), len(g.attrs.slots), distinct)
 	}
@@ -193,8 +198,8 @@ func TestInterningManyNames(t *testing.T) {
 }
 
 func TestDependencyGraph(t *testing.T) {
-	g := NewPVTAttr(examplePVTs())
-	d := g.Dependency([]int{0, 1, 2, 3})
+	g := newGraph(examplePVTs())
+	d := g.dependency([]int{0, 1, 2, 3})
 	// Only PVTs 2 and 3 share an attribute.
 	if !d.hasEdge(2, 3) || !d.hasEdge(3, 2) {
 		t.Error("PVTs sharing high_expenditure should be adjacent")
@@ -206,15 +211,15 @@ func TestDependencyGraph(t *testing.T) {
 		t.Errorf("numEdges = %d, want 1", d.numEdges())
 	}
 	// Restricting the subset drops edges.
-	d2 := g.Dependency([]int{0, 2})
+	d2 := g.dependency([]int{0, 2})
 	if d2.numEdges() != 0 {
 		t.Error("restricted dependency graph should have no edges")
 	}
 }
 
 func TestCutSize(t *testing.T) {
-	g := NewPVTAttr(examplePVTs())
-	d := g.Dependency([]int{0, 1, 2, 3})
+	g := newGraph(examplePVTs())
+	d := g.dependency([]int{0, 1, 2, 3})
 	if cut := d.cutSize([]int{2}, []int{3}); cut != 1 {
 		t.Errorf("cutSize = %d, want 1", cut)
 	}
@@ -242,42 +247,40 @@ func TestRandomBisectionSizes(t *testing.T) {
 
 // figure6Graph reproduces the dependency graph of Figure 6(a): components
 // {X1,X2}, {X3,X4}, {X5,X7}, {X6,X8} (0-indexed here).
-func figure6Graph() *Dependency {
+func figure6Graph() *dependency {
 	attrs := [][]string{
 		{"a1"}, {"a1"}, // X1-X2 share a1
 		{"a2"}, {"a2"}, // X3-X4 share a2
 		{"a3"}, {"a4"}, // X5, X6
 		{"a3"}, {"a4"}, // X7 (with X5), X8 (with X6)
 	}
-	g := NewPVTAttr(attrs)
-	return g.Dependency([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	return newGraph(attrs).dependency([]int{0, 1, 2, 3, 4, 5, 6, 7})
 }
 
 func TestMinBisectionKeepsComponentsTogether(t *testing.T) {
 	d := figure6Graph()
 	rng := rand.New(rand.NewSource(3))
-	a, b := d.MinBisection(rng)
+	a, b := d.minBisection(rng)
 	if len(a) != 4 || len(b) != 4 {
 		t.Fatalf("unbalanced bisection %d/%d", len(a), len(b))
 	}
 	// The graph is a perfect matching of 4 pairs; an optimal bisection has
 	// cut 0, keeping each pair on one side.
 	if cut := d.cutSize(a, b); cut != 0 {
-		t.Errorf("MinBisection cut = %d, want 0 (pairs kept together: %v | %v)", cut, a, b)
+		t.Errorf("minBisection cut = %d, want 0 (pairs kept together: %v | %v)", cut, a, b)
 	}
 }
 
 func TestMinBisectionDegenerate(t *testing.T) {
-	g := NewPVTAttr([][]string{{"a"}})
-	d := g.Dependency([]int{0})
+	d := newGraph([][]string{{"a"}}).dependency([]int{0})
 	rng := rand.New(rand.NewSource(1))
-	a, b := d.MinBisection(rng)
+	a, b := d.minBisection(rng)
 	if len(a)+len(b) != 1 {
 		t.Error("single node bisection lost the node")
 	}
 }
 
-// Property: MinBisection never produces a worse cut than the random
+// Property: minBisection never produces a worse cut than the random
 // bisection it starts from would on average, preserves all nodes, and stays
 // balanced.
 func TestMinBisectionProperty(t *testing.T) {
@@ -292,13 +295,13 @@ func TestMinBisectionProperty(t *testing.T) {
 				attrs[i] = append(attrs[i], pool[rng.Intn(len(pool))])
 			}
 		}
-		g := NewPVTAttr(attrs)
+		g := newGraph(attrs)
 		nodes := make([]int, n)
 		for i := range nodes {
 			nodes[i] = i
 		}
-		d := g.Dependency(nodes)
-		a, b := d.MinBisection(rng)
+		d := g.dependency(nodes)
+		a, b := d.minBisection(rng)
 		if len(a)+len(b) != n {
 			return false
 		}

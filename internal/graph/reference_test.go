@@ -232,7 +232,7 @@ func shapedAttrs(shape, n int, rng *rand.Rand) [][]string {
 }
 
 // edgeSet lists a dependency graph's directed edges as sorted PVT pairs.
-func edgeSet(d *Dependency) [][2]int {
+func edgeSet(d *dependency) [][2]int {
 	var out [][2]int
 	for i, p := range d.nodes {
 		for _, j := range d.neighbours(int32(i)) {
@@ -276,7 +276,7 @@ func randomSubset(n int, rng *rand.Rand) []int {
 // the removals.
 func checkMatchesReference(t *testing.T, attrs [][]string, rng *rand.Rand) {
 	t.Helper()
-	g, ref := NewPVTAttr(attrs), newRefPVTAttr(attrs)
+	g, ref := newGraph(attrs), newRefPVTAttr(attrs)
 	n := len(attrs)
 	names := []string{"unknown"}
 	for a := range ref.pvtsOf {
@@ -302,18 +302,18 @@ func checkMatchesReference(t *testing.T, attrs [][]string, rng *rand.Rand) {
 			t.Fatalf("%s: Active = %v, reference %v", step, got, want)
 		}
 		sub := randomSubset(n, rng)
-		d, rd := g.Dependency(sub), ref.Dependency(sub)
-		if !reflect.DeepEqual(d.Nodes(), rd.nodes) {
-			t.Fatalf("%s: Nodes = %v, reference %v", step, d.Nodes(), rd.nodes)
+		d, rd := g.dependency(sub), ref.Dependency(sub)
+		if !slices.Equal(d.nodes, rd.nodes) {
+			t.Fatalf("%s: nodes = %v, reference %v", step, d.nodes, rd.nodes)
 		}
 		if got, want := edgeSet(d), refEdgeSet(rd); !slices.Equal(got, want) {
 			t.Fatalf("%s: dependency edges over %v = %v, reference %v", step, sub, got, want)
 		}
 		seed := rng.Int63()
-		a, b := d.MinBisection(rand.New(rand.NewSource(seed)))
+		a, b := d.minBisection(rand.New(rand.NewSource(seed)))
 		ra, rb, _ := rd.MinBisection(rand.New(rand.NewSource(seed)))
 		if !reflect.DeepEqual(a, ra) || !reflect.DeepEqual(b, rb) {
-			t.Fatalf("%s: MinBisection = %v | %v, reference %v | %v", step, a, b, ra, rb)
+			t.Fatalf("%s: minBisection = %v | %v, reference %v | %v", step, a, b, ra, rb)
 		}
 		if got, want := d.cutSize(a, b), rd.CutSize(ra, rb); got != want {
 			t.Fatalf("%s: cutSize = %d, reference %d", step, got, want)
@@ -351,25 +351,62 @@ func TestGraphMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMinBisectionMatchesReferenceAtScanBudget covers a graph large enough
+// TestMinBisectionMatchesReferenceAtScanBudget covers graphs large enough
 // that the local search stops on maxSwapScans rather than at a local
-// optimum: the partitions must still agree exactly.
+// optimum: the partitions must still agree exactly. Besides the three
+// shapes it builds two graphs around the start bisection that seed 7
+// draws, on which every row of a is pruned until the budget runs out:
+// same-side pairs, where every gain is negative, and the same pairs plus
+// two cut edges in a's last two rows, where a search that did not charge
+// the pruned rows would reach those rows and swap.
 func TestMinBisectionMatchesReferenceAtScanBudget(t *testing.T) {
+	const n, seed = 1200, 7
+	type budgetCase struct {
+		name   string
+		attrs  [][]string
+		noSwap bool // every row is pruned until the budget runs out
+	}
+	var cases []budgetCase
 	for shape := 0; shape < numShapes; shape++ {
-		rng := rand.New(rand.NewSource(int64(shape)))
-		attrs := shapedAttrs(shape, 1200, rng)
-		nodes := make([]int, len(attrs))
-		for i := range nodes {
-			nodes[i] = i
+		attrs := shapedAttrs(shape, n, rand.New(rand.NewSource(int64(shape))))
+		cases = append(cases, budgetCase{fmt.Sprintf("shape %d", shape), attrs, shape == shapeNoEdges})
+	}
+	perm := rand.New(rand.NewSource(seed)).Perm(n)
+	half := (n + 1) / 2
+	a, b := slices.Clone(perm[:half]), slices.Clone(perm[half:])
+	slices.Sort(a)
+	slices.Sort(b)
+	pairs := make([][]string, n)
+	for s, side := range [][]int{a, b} {
+		for i, p := range side {
+			pairs[p] = []string{fmt.Sprintf("s%d-%d", s, i/2)}
 		}
-		d, rd := NewPVTAttr(attrs).Dependency(nodes), newRefPVTAttr(attrs).Dependency(nodes)
-		a, b := d.MinBisection(rand.New(rand.NewSource(7)))
-		ra, rb, scans := rd.MinBisection(rand.New(rand.NewSource(7)))
+	}
+	crossed := slices.Clone(pairs)
+	for k := 1; k <= 2; k++ {
+		x, y := a[len(a)-k], b[len(b)-k]
+		crossed[x] = []string{fmt.Sprintf("cut%d", k)}
+		crossed[y] = crossed[x]
+	}
+	cases = append(cases,
+		budgetCase{"same-side pairs", pairs, true},
+		budgetCase{"same-side pairs, two cut edges last", crossed, true})
+
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	for _, c := range cases {
+		ga, gb := newGraph(c.attrs).Bisect(nodes, rand.New(rand.NewSource(seed)))
+		ra, rb, scans := newRefPVTAttr(c.attrs).Dependency(nodes).MinBisection(rand.New(rand.NewSource(seed)))
 		if scans != maxSwapScans {
-			t.Fatalf("shape %d: reference made %d scans, want the budget %d", shape, scans, maxSwapScans)
+			t.Fatalf("%s: reference made %d scans, want the budget %d", c.name, scans, maxSwapScans)
 		}
-		if !reflect.DeepEqual(a, ra) || !reflect.DeepEqual(b, rb) {
-			t.Fatalf("shape %d: MinBisection differs from the reference at the scan budget", shape)
+		if !reflect.DeepEqual(ga, ra) || !reflect.DeepEqual(gb, rb) {
+			t.Fatalf("%s: Bisect differs from the reference at the scan budget", c.name)
+		}
+		if c.noSwap && !(slices.Equal(ga, a) && slices.Equal(gb, b)) {
+			t.Fatalf("%s: the search swapped, want the budget spent before any improving row", c.name)
 		}
 	}
 }

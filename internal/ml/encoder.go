@@ -72,9 +72,6 @@ func NewEncoder(train *dataset.Dataset, features []string, label, positive strin
 	return e, nil
 }
 
-// Width returns the encoded feature-vector length.
-func (e *Encoder) Width() int { return e.width }
-
 // Encode converts d into a feature matrix and label vector, skipping rows
 // with a NULL label. rows[i] is the dataset row behind X[i] and y[i], for
 // joining predictions back to the dataset (e.g. group fairness metrics).

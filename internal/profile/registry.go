@@ -126,15 +126,6 @@ func (o *Options) classSet() map[string]bool {
 	return s
 }
 
-// ClassEnabled reports whether the named profile class would be discovered
-// under these options. Unregistered names report false.
-func (o *Options) ClassEnabled(name string) bool {
-	if _, ok := LookupDiscoverer(name); !ok {
-		return false
-	}
-	return o.classSet()[name]
-}
-
 // EnabledClasses returns the sorted names of the registered classes this
 // configuration would discover — the class list a profile artifact records.
 func (o *Options) EnabledClasses() []string {

@@ -1,12 +1,16 @@
 package profile
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 )
+
+// classEnabled reports whether o would discover the named class.
+func classEnabled(o *Options, name string) bool { return slices.Contains(o.EnabledClasses(), name) }
 
 func TestRegistryNameSorted(t *testing.T) {
 	ds := Discoverers()
@@ -53,27 +57,27 @@ func TestRegistryDuplicateRejected(t *testing.T) {
 func TestClassSetPrecedence(t *testing.T) {
 	// Defaults: core classes on, extensions off.
 	o := DefaultOptions()
-	if !o.ClassEnabled("domain") || !o.ClassEnabled("indep") {
+	if !classEnabled(&o, "domain") || !classEnabled(&o, "indep") {
 		t.Error("default-on class reported disabled")
 	}
-	if o.ClassEnabled("fd") || o.ClassEnabled("indep-causal") {
+	if classEnabled(&o, "fd") || classEnabled(&o, "indep-causal") {
 		t.Error("default-off class reported enabled")
 	}
-	if o.ClassEnabled("no-such-class") {
+	if classEnabled(&o, "no-such-class") {
 		t.Error("unregistered class reported enabled")
 	}
 
 	// Classes entries overlay the registry defaults in both directions.
 	o = DefaultOptions()
 	o.Classes = map[string]bool{"fd": true, "domain": false}
-	if !o.ClassEnabled("fd") {
+	if !classEnabled(&o, "fd") {
 		t.Error("Classes include did not override the default-off registration")
 	}
-	if o.ClassEnabled("domain") {
+	if classEnabled(&o, "domain") {
 		t.Error("Classes exclude did not override the default-on registration")
 	}
 	// Names absent from the map keep their registered defaults.
-	if !o.ClassEnabled("missing") || o.ClassEnabled("unique") {
+	if !classEnabled(&o, "missing") || classEnabled(&o, "unique") {
 		t.Error("Classes overlay disturbed unrelated defaults")
 	}
 
