@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-sarif vet bench
+.PHONY: build test race lint vet bench
 
 build:
 	$(GO) build ./...
@@ -13,15 +13,10 @@ race:
 
 # Repo-specific contract analyzers (CoW mutation, map-order determinism,
 # seeded randomness, context flow, fault contract, lock order, wire format,
-# error wrapping). Findings matching the committed lint.baseline.json are
-# demoted to warnings; anything fresh exits non-zero. See DESIGN.md
-# "Contract enforcement".
+# error wrapping). Any finding, including a stale //lint:ignore directive,
+# exits non-zero. See DESIGN.md "Contract enforcement".
 lint: vet
-	$(GO) run ./cmd/dataprismlint -baseline lint.baseline.json ./...
-
-# SARIF report for CI artifact upload / code-scanning ingestion.
-lint-sarif:
-	$(GO) run ./cmd/dataprismlint -baseline lint.baseline.json -sarif lint.sarif.json ./...
+	$(GO) run ./cmd/dataprismlint ./...
 
 vet:
 	$(GO) vet ./...

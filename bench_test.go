@@ -436,7 +436,7 @@ func BenchmarkTransformApply(b *testing.B) {
 // predicate mask over the full dataset.
 func BenchmarkPredicateMask(b *testing.B) {
 	benchSubstrate(b, func(b *testing.B, d *dataset.Dataset, rows int) {
-		p := dataset.And(dataset.EqStr("c0", "a"), dataset.CmpNum("n0", dataset.Gt, 0.5))
+		p := dataset.And(dataset.EqStr("c0", "a"), dataset.Clause{Attr: "n0", Op: dataset.Gt, NumVal: 0.5, IsNum: true})
 		var buf []bool
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -71,7 +71,12 @@ type cliReport struct {
 	StoreHits     int             `json:"store_hits"`
 	Trace         json.RawMessage `json:"trace"`
 	Fleet         *struct {
+		Dispatched    int `json:"dispatched"`
 		FallbackEvals int `json:"fallback_evals"`
+		Workers       []struct {
+			Addr         string `json:"addr"`
+			BreakerTrips int    `json:"breaker_trips"`
+		} `json:"worker_diagnostics"`
 	} `json:"fleet"`
 }
 
@@ -182,6 +187,25 @@ func TestRemoteFallbackOnDeadFleet(t *testing.T) {
 		if rep.Fleet == nil || rep.Fleet.FallbackEvals == 0 {
 			t.Errorf("%s: fleet report %+v, want fallback evaluations", name, rep.Fleet)
 		}
+	}
+}
+
+// TestBreakerThresholdZeroInFleet checks that -breaker-threshold 0 means no
+// breaker with -remote-workers too: a dead worker's breaker never opens, so
+// it is tried on every evaluation and the fallback serves each one.
+func TestBreakerThresholdZeroInFleet(t *testing.T) {
+	rep := explain(t, "-scenario", "income", "-rows", "300", "-remote-workers", "127.0.0.1:1",
+		"-remote-fallback", "-breaker-threshold", "0", "-retries", "0", "-json")
+	if rep.Fleet == nil || len(rep.Fleet.Workers) == 0 {
+		t.Fatalf("no fleet diagnostics in the report: %+v", rep.Fleet)
+	}
+	for _, w := range rep.Fleet.Workers {
+		if w.BreakerTrips != 0 {
+			t.Errorf("worker %s: %d breaker trips, want 0", w.Addr, w.BreakerTrips)
+		}
+	}
+	if rep.Fleet.Dispatched == 0 || rep.Fleet.Dispatched != rep.Fleet.FallbackEvals {
+		t.Errorf("dispatched %d, fallback evaluations %d; want equal and > 0", rep.Fleet.Dispatched, rep.Fleet.FallbackEvals)
 	}
 }
 

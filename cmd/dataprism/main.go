@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -78,9 +79,9 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		retries     = flag.Int("retries", 2, "retries per transient oracle failure for -system-cmd (0 = fail on first transient error)")
+		retries     = flag.Int("retries", 2, "retries per transient oracle failure, of -system-cmd and of each -remote-workers worker (0 = fail on first transient error)")
 		retryBase   = flag.Duration("retry-base", 100*time.Millisecond, "base delay of the exponential retry backoff")
-		breakerTrip = flag.Int("breaker-threshold", 5, "consecutive transient oracle failures that open the circuit breaker (0 = no breaker)")
+		breakerTrip = flag.Int("breaker-threshold", 5, "consecutive transient oracle failures that open the circuit breaker of -system-cmd, or of each -remote-workers worker (0 = no breaker)")
 		breakerCool = flag.Duration("breaker-cooldown", 5*time.Second, "how long the open circuit breaker rejects evaluations before probing again")
 
 		scoreCache     = flag.String("score-cache", "", "directory of the persistent score cache: scores keyed by dataset fingerprint and oracle name survive the process, so re-runs and killed-and-resumed searches skip every already-scored intervention")
@@ -155,13 +156,20 @@ func main() {
 	}
 
 	if *remoteWorkers != "" {
+		// Every fleet worker sits behind a breaker, and a zero threshold
+		// there means the breaker's default; "no breaker" is one that never
+		// opens.
+		trip := *breakerTrip
+		if trip <= 0 {
+			trip = math.MaxInt
+		}
 		cfg := remote.Config{
 			Addrs:            splitTrim(*remoteWorkers),
 			SystemName:       sys.Name(),
 			HedgeAfter:       *hedgeAfter,
 			RetryMax:         *retries + 1,
 			RetryBaseDelay:   *retryBase,
-			BreakerThreshold: *breakerTrip,
+			BreakerThreshold: trip,
 			BreakerCooldown:  *breakerCool,
 		}
 		if *remoteFallback {

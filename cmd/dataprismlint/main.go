@@ -11,7 +11,7 @@
 // "./internal/engine", "repro/internal/..."); the default is "./...". The
 // module root is found by walking up from the working directory to go.mod.
 //
-// Exit status is 0 when the tree is clean, 1 when fresh findings were
+// Exit status is 0 when the tree is clean, 1 when any finding was
 // reported, and 2 on a load or usage error. Suppress a finding with an
 // adjacent "//lint:ignore analyzer reason" comment; the reason is
 // mandatory, and a directive that suppresses nothing is itself a finding.
@@ -19,20 +19,9 @@
 // Flags:
 //
 //	-json             emit {"findings": [...], "suppressed": [...]} as JSON
-//	-sarif FILE       additionally write a SARIF 2.1.0 report to FILE
-//	                  ("-" for stdout); suppressed findings carry inSource
-//	                  suppression records with their justifications
-//	-baseline FILE    demote findings matching the committed baseline to
-//	                  warnings (default: lint.baseline.json at the module
-//	                  root, when present); only fresh findings fail the run
-//	-write-baseline   rewrite the baseline file from the current findings
-//	                  and exit 0 (the burn-down ratchet: run it once when
-//	                  adopting, then only ever shrink the file)
 //	-update-wireform  recompute the wire-shape pins for the wireform-scoped
 //	                  packages, rewrite internal/lint/wireform.golden.json,
 //	                  and exit
-//	-unscoped         run every analyzer on every package, ignoring the
-//	                  default per-analyzer package scopes
 //	-list             print the analyzers and their scopes, then exit
 package main
 
@@ -55,11 +44,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("dataprismlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON")
-	sarifOut := fs.String("sarif", "", "write a SARIF 2.1.0 report to this file (- for stdout)")
-	baselinePath := fs.String("baseline", "", "baseline file demoting known findings to warnings (default: lint.baseline.json at the module root, when present)")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the baseline from the current findings and exit")
 	updateWireform := fs.Bool("update-wireform", false, "recompute wire-shape pins into internal/lint/wireform.golden.json and exit")
-	unscoped := fs.Bool("unscoped", false, "ignore per-analyzer package scopes")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -101,62 +86,17 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "dataprismlint:", err)
 		return 2
 	}
-	if *unscoped {
-		scopes = nil
-	}
 	res, err := lint.RunAll(pkgs, lint.Suite(), scopes)
 	if err != nil {
 		fmt.Fprintln(stderr, "dataprismlint:", err)
 		return 2
 	}
 
-	if *writeBaseline {
-		path := *baselinePath
-		if path == "" {
-			path = filepath.Join(root, "lint.baseline.json")
-		}
-		b := lint.NewBaseline(root, res.Findings)
-		if err := b.Save(path); err != nil {
-			fmt.Fprintln(stderr, "dataprismlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "dataprismlint: wrote %d baseline entr%s to %s\n",
-			len(b.Findings), plural(len(b.Findings), "y", "ies"), path)
-		return 0
-	}
-
-	fresh := res.Findings
-	var baselined []lint.Finding
-	var staleEntries []lint.BaselineEntry
-	if path := resolveBaseline(root, *baselinePath); path != "" {
-		b, err := lint.LoadBaseline(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "dataprismlint:", err)
-			return 2
-		}
-		fresh, baselined, staleEntries = b.Filter(root, res.Findings)
-	}
-
-	if *sarifOut != "" {
-		data, err := lint.SARIF(root, lint.Suite(), res)
-		if err != nil {
-			fmt.Fprintln(stderr, "dataprismlint:", err)
-			return 2
-		}
-		if *sarifOut == "-" {
-			fmt.Fprintln(stdout, string(data))
-		} else if err := os.WriteFile(*sarifOut, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(stderr, "dataprismlint:", err)
-			return 2
-		}
-	}
-
 	if *jsonOut {
 		out := struct {
 			Findings   []lint.Finding `json:"findings"`
-			Baselined  []lint.Finding `json:"baselined,omitempty"`
 			Suppressed []lint.Finding `json:"suppressed"`
-		}{Findings: fresh, Baselined: baselined, Suppressed: res.Suppressed}
+		}{Findings: res.Findings, Suppressed: res.Suppressed}
 		if out.Findings == nil {
 			out.Findings = []lint.Finding{}
 		}
@@ -170,38 +110,17 @@ func run(args []string, stdout, stderr *os.File) int {
 			return 2
 		}
 	} else {
-		for _, f := range fresh {
+		for _, f := range res.Findings {
 			fmt.Fprintln(stdout, relativize(root, f))
 		}
-		for _, f := range baselined {
-			fmt.Fprintf(stdout, "%s (baselined)\n", relativize(root, f))
-		}
-		if len(fresh) > 0 {
-			fmt.Fprintf(stderr, "dataprismlint: %d finding(s) in %d package(s)\n", len(fresh), len(pkgs))
+		if len(res.Findings) > 0 {
+			fmt.Fprintf(stderr, "dataprismlint: %d finding(s) in %d package(s)\n", len(res.Findings), len(pkgs))
 		}
 	}
-	for _, e := range staleEntries {
-		fmt.Fprintf(stderr, "dataprismlint: stale baseline entry: %s in %s (%s) no longer matches any finding; shrink the baseline\n",
-			e.Analyzer, e.File, e.Message)
-	}
-	if len(fresh) > 0 {
+	if len(res.Findings) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// resolveBaseline picks the baseline file: an explicit -baseline flag wins;
-// otherwise the conventional lint.baseline.json at the module root applies
-// when it exists. Empty means no baseline filtering.
-func resolveBaseline(root, flagPath string) string {
-	if flagPath != "" {
-		return flagPath
-	}
-	conventional := filepath.Join(root, "lint.baseline.json")
-	if _, err := os.Stat(conventional); err == nil {
-		return conventional
-	}
-	return ""
 }
 
 // runUpdateWireform recomputes the shape pins of every package in the
@@ -236,13 +155,6 @@ func runUpdateWireform(root string, loader *lint.Loader, scopes map[string][]str
 	}
 	fmt.Fprintf(stderr, "dataprismlint: wrote %d pin(s) to %s\n", len(golden), path)
 	return 0
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // relativize shortens the file path in a finding's rendering relative to

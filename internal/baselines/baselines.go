@@ -95,35 +95,15 @@ func finish(res *core.Result, ev *engine.Eval, start time.Time) {
 	res.Runtime = time.Since(start)
 }
 
-// inPlaceTransformation mirrors core's optional fast path for
-// transformations that can mutate a caller-owned dataset.
-type inPlaceTransformation interface {
-	ApplyInPlace(d *dataset.Dataset) error
-}
-
-// applyConfig composes the transformations of the enabled PVTs onto a clone
-// of fail, using the in-place fast path where available.
-func applyConfig(fail *dataset.Dataset, pvts []*core.PVT, on []bool, rng *rand.Rand) *dataset.Dataset {
-	cur := fail.Clone()
+// enabled returns the PVTs a configuration switches on, in candidate order.
+func enabled(pvts []*core.PVT, on []bool) []*core.PVT {
+	var out []*core.PVT
 	for i, p := range pvts {
-		if !on[i] {
-			continue
-		}
-		for _, t := range p.Transforms {
-			if ip, ok := t.(inPlaceTransformation); ok {
-				if ip.ApplyInPlace(cur) == nil {
-					break
-				}
-				continue
-			}
-			out, err := t.Apply(cur, rng)
-			if err == nil {
-				cur = out
-				break
-			}
+		if on[i] {
+			out = append(out, p)
 		}
 	}
-	return cur
+	return out
 }
 
 // BugDocContext explores on/off configurations of the candidate PVTs: a
@@ -166,7 +146,7 @@ func BugDocContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 	// configuration unscored (+Inf, treated as failing) without ending the
 	// search.
 	eval := func(on []bool) (float64, bool) {
-		d := applyConfig(fail, pvts, on, rng)
+		d := core.ComposeAll(fail, enabled(pvts, on), nil, rng)
 		s, err := ev.Score(ctx, d)
 		if err != nil {
 			if errors.Is(err, engine.ErrBudgetExhausted) {
@@ -215,7 +195,7 @@ func BugDocContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 				on[i] = rng.Float64() < 0.5
 			}
 			configs[r] = on
-			cands[r] = applyConfig(fail, pvts, on, rng)
+			cands[r] = core.ComposeAll(fail, enabled(pvts, on), nil, rng)
 		}
 		scores, evalErr := ev.EvalBatch(ctx, cands)
 		for r, s := range scores {
@@ -274,7 +254,8 @@ func BugDocContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 		return res, ctxErr
 	}
 
-	final := applyConfig(fail, pvts, current, rng)
+	expl := enabled(pvts, current)
+	final := core.ComposeAll(fail, expl, nil, rng)
 	res.FinalScore, err = ev.Baseline(ctx, final)
 	if err != nil {
 		res.FinalScore = res.InitialScore
@@ -288,11 +269,7 @@ func BugDocContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 		finish(res, ev, start)
 		return res, core.ErrNoExplanation
 	}
-	for i, on := range current {
-		if on {
-			res.Explanation = append(res.Explanation, pvts[i])
-		}
-	}
+	res.Explanation = expl
 	res.Found = true
 	res.Transformed = final
 	finish(res, ev, start)
@@ -380,7 +357,7 @@ func AnchorContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 			for i := range on {
 				on[i] = rule[i] || rng.Float64() < 0.5
 			}
-			cands[s] = applyConfig(fail, pvts, on, rng)
+			cands[s] = core.ComposeAll(fail, enabled(pvts, on), nil, rng)
 		}
 		scores, err := ev.EvalBatch(ctx, cands)
 		passes := 0
@@ -406,7 +383,7 @@ func AnchorContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 		for i := range on {
 			on[i] = rule[i]
 		}
-		d := applyConfig(fail, pvts, on, rng)
+		d := core.ComposeAll(fail, enabled(pvts, on), nil, rng)
 		s, err := ev.Score(ctx, d)
 		if err != nil {
 			if engine.Fatal(err) && ctxErr == nil {

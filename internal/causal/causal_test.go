@@ -8,8 +8,7 @@ import (
 	"repro/internal/dataset"
 )
 
-// lingamPair generates y = coef*x + noise with uniform (non-Gaussian) x,
-// which the cumulant criterion can orient.
+// lingamPair generates y = coef*x + noise with uniform (non-Gaussian) x.
 func lingamPair(rng *rand.Rand, n int, coef float64) (x, y []float64) {
 	x = make([]float64, n)
 	y = make([]float64, n)
@@ -35,28 +34,6 @@ func TestCoefficient(t *testing.T) {
 	}
 	if Coefficient(nil, nil) != 0 {
 		t.Error("degenerate input should be 0")
-	}
-}
-
-func TestDirection(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x, y := lingamPair(rng, 20000, 0.8)
-	if Direction(x, y) != 1 {
-		t.Error("x→y pair should orient forward")
-	}
-	if Direction(y, x) != -1 {
-		t.Error("swapped arguments should orient backward")
-	}
-	// Independent data is undecided.
-	z := make([]float64, 20000)
-	for i := range z {
-		z[i] = rng.Float64()
-	}
-	if d := Direction(x, z); d != 0 {
-		t.Errorf("independent pair direction = %d, want 0", d)
-	}
-	if Direction(nil, []float64{1}) != 0 {
-		t.Error("length mismatch should be 0")
 	}
 }
 

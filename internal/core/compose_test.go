@@ -40,7 +40,7 @@ func applyPVTOwnedRef(owned *dataset.Dataset, ts []transform.Transformation, rng
 	return owned, fmt.Errorf("core: no applicable transformation: %w", firstErr)
 }
 
-// composeSequential is composeAll over applyPVTOwnedRef: one dataset per
+// composeSequential is ComposeAll over applyPVTOwnedRef: one dataset per
 // applied transformation.
 func composeSequential(d *dataset.Dataset, pvts []*PVT, chosen map[*PVT]transform.Transformation, rng *rand.Rand) *dataset.Dataset {
 	cur := d.Clone()
@@ -85,20 +85,20 @@ func sameComposition(t testing.TB, label string, want, got *dataset.Dataset, rw,
 	}
 }
 
-// checkComposition composes pvts onto d with composeAll (with and without a
+// checkComposition composes pvts onto d with ComposeAll (with and without a
 // chosen transformation per PVT) and with applyGroup, each against its
 // sequential reference from a same-seeded rng, and checks d is unchanged.
 func checkComposition(t testing.TB, label string, d *dataset.Dataset, pvts []*PVT, seed int64) {
 	t.Helper()
 	before := d.Fingerprint()
 	rw, rg := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-	sameComposition(t, label+"/all", composeSequential(d, pvts, nil, rw), composeAll(d, pvts, nil, rg), rw, rg)
+	sameComposition(t, label+"/all", composeSequential(d, pvts, nil, rw), ComposeAll(d, pvts, nil, rg), rw, rg)
 
 	chosen := make(map[*PVT]transform.Transformation)
 	for i, p := range pvts {
 		chosen[p] = p.Transforms[i%len(p.Transforms)]
 	}
-	sameComposition(t, label+"/chosen", composeSequential(d, pvts, chosen, rw), composeAll(d, pvts, chosen, rg), rw, rg)
+	sameComposition(t, label+"/chosen", composeSequential(d, pvts, chosen, rw), ComposeAll(d, pvts, chosen, rg), rw, rg)
 
 	g := buildGraph(pvts)
 	x := rand.New(rand.NewSource(seed)).Perm(len(pvts))
@@ -409,7 +409,7 @@ func TestCompositionGathersOnce(t *testing.T) {
 	fail.Fingerprint() // warm the input's digests outside the measurement
 	var want, got *dataset.Dataset
 	ref := allocatedBytes(func() { want = composeSequential(fail, pvts, nil, rand.New(rand.NewSource(1))) })
-	comp := allocatedBytes(func() { got = composeAll(fail, pvts, nil, rand.New(rand.NewSource(1))) })
+	comp := allocatedBytes(func() { got = ComposeAll(fail, pvts, nil, rand.New(rand.NewSource(1))) })
 	if !got.Equal(want) {
 		t.Fatal("composition differs from the sequential reference")
 	}
@@ -430,7 +430,7 @@ func BenchmarkComposeIncome(b *testing.B) {
 		for _, c := range []struct {
 			name    string
 			compose func(*dataset.Dataset, []*PVT, map[*PVT]transform.Transformation, *rand.Rand) *dataset.Dataset
-		}{{"reference", composeSequential}, {"composition", composeAll}} {
+		}{{"reference", composeSequential}, {"composition", ComposeAll}} {
 			b.Run(fmt.Sprintf("rows=%d/%s", rows, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

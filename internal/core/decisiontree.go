@@ -94,7 +94,7 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 					group = append(group, pvts[i])
 				}
 			}
-			cands[ri] = composeAll(fail, group, nil, rng)
+			cands[ri] = ComposeAll(fail, group, nil, rng)
 		}
 		scores, evalErr := ev.EvalBatch(ctx, cands)
 		for ri, s := range scores {
@@ -132,7 +132,7 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 			}
 			tried[key] = true
 			progressed = true
-			dt := composeAll(fail, pvtsAt(pvts, conj), nil, rng)
+			dt := ComposeAll(fail, pvtsAt(pvts, conj), nil, rng)
 			s, evalErr := ev.Score(ctx, dt)
 			if evalErr != nil {
 				if errors.Is(evalErr, engine.ErrBudgetExhausted) {

@@ -20,7 +20,7 @@ func VerifyExplanationContext(ctx context.Context, sys pipeline.ContextSystem, t
 	e := &Explainer{Tau: tau, Seed: seed}
 	ev := engine.New(pipeline.AsFallible(sys), engine.Config{})
 	rng := e.rng()
-	composed := composeAll(fail, expl, nil, rng)
+	composed := ComposeAll(fail, expl, nil, rng)
 	s, err := ev.Score(ctx, composed)
 	if err != nil || s > tau {
 		return false, ev.Stats().Interventions
@@ -39,7 +39,7 @@ func VerifyExplanationContext(ctx context.Context, sys pipeline.ContextSystem, t
 		if len(reduced) == 0 {
 			continue // the empty set failing is given: fail itself scores > τ
 		}
-		cands = append(cands, composeAll(fail, reduced, nil, rng))
+		cands = append(cands, ComposeAll(fail, reduced, nil, rng))
 	}
 	scores, errs, err := ev.EvalBatchErrs(ctx, cands)
 	for _, sc := range scores {

@@ -298,7 +298,7 @@ func (e *Explainer) makeMinimal(ctx context.Context, ev *engine.Eval, fail, fina
 					reduced = append(reduced, pvts[idx])
 				}
 			}
-			cands[i] = composeAll(fail, reduced, chosen, rng)
+			cands[i] = ComposeAll(fail, reduced, chosen, rng)
 		}
 		scores, err := ev.EvalBatch(ctx, cands)
 		drop := -1

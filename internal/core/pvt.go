@@ -187,10 +187,13 @@ func (c *composition) dataset() *dataset.Dataset {
 	return c.cur
 }
 
-// composeAll applies one transformation per PVT in slice order (the ◦
+// ComposeAll applies one transformation per PVT in slice order (the ◦
 // composition of Definition 9), skipping PVTs whose transformations all
-// fail on the current dataset. d itself is never mutated.
-func composeAll(d *dataset.Dataset, pvts []*PVT, chosen map[*PVT]transform.Transformation, rng *rand.Rand) *dataset.Dataset {
+// fail on the current dataset. A PVT's transformations are tried in order
+// unless chosen (which may be nil) names the one to use. d itself is never
+// mutated. It is the one composition path: the searches and the baselines
+// all apply interventions through it.
+func ComposeAll(d *dataset.Dataset, pvts []*PVT, chosen map[*PVT]transform.Transformation, rng *rand.Rand) *dataset.Dataset {
 	c := compose(d)
 	for _, p := range pvts {
 		ts := p.Transforms

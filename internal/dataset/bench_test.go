@@ -42,7 +42,7 @@ func BenchmarkSelectRows(b *testing.B) {
 
 func BenchmarkPredicateSelectivity(b *testing.B) {
 	d := benchDataset(10000)
-	p := And(EqStr("g", "a"), CmpNum("x", Gt, 0.5))
+	p := And(EqStr("g", "a"), Clause{Attr: "x", Op: Gt, NumVal: 0.5, IsNum: true})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = p.Selectivity(d)

@@ -135,7 +135,11 @@ type ColumnRollup struct {
 
 	// Numeric columns: Moments summarizes the non-NULL values (count, sum,
 	// mean, M2, NaN-skipping extrema) and Sketch answers approximate
-	// quantiles within Sketch.RankError() of exact.
+	// quantiles within Sketch.RankError() of exact. A multi-chunk column's
+	// merged mean and M2 equal the flat computation only up to
+	// floating-point association error, so their low bits depend on the
+	// chunk layout, and values written into cells are fitted on
+	// NumericValues.
 	Moments stats.Moments
 	Sketch  *stats.QuantileSketch
 
@@ -143,26 +147,6 @@ type ColumnRollup struct {
 	// the sorted distinct values.
 	Counts   map[string]int
 	Distinct []string
-}
-
-// Mean returns the mean of the non-NULL numeric values (NaN when none).
-// Multi-chunk columns report the merged value, equal to the flat computation
-// up to floating-point association error — so its low bits depend on the
-// chunk layout, and values written into cells are fitted on NumericValues.
-func (r *ColumnRollup) Mean() float64 {
-	if r.Moments.Count == 0 {
-		return math.NaN()
-	}
-	return r.Moments.Mean
-}
-
-// StdDev returns the population standard deviation of the non-NULL numeric
-// values (NaN when none), merged like Mean.
-func (r *ColumnRollup) StdDev() float64 {
-	if r.Moments.Count == 0 {
-		return math.NaN()
-	}
-	return r.Moments.StdDev()
 }
 
 // Min returns the smallest non-NULL, non-NaN numeric value (NaN when none).

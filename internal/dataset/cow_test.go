@@ -204,8 +204,8 @@ func TestMaskMatchesEval(t *testing.T) {
 
 	preds := []Predicate{
 		And(),
-		And(CmpNum("a", Gt, 0)),
-		And(CmpNum("a", Le, 0.5), EqStr("b", "y")),
+		And(Clause{Attr: "a", Op: Gt, NumVal: 0, IsNum: true}),
+		And(Clause{Attr: "a", Op: Le, NumVal: 0.5, IsNum: true}, EqStr("b", "y")),
 		And(Clause{Attr: "a", Op: IsNull}),
 		And(Clause{Attr: "b", Op: NotNull}, Clause{Attr: "b", Op: Ne, StrVal: "z"}),
 		And(EqStr("missing", "v")),
@@ -214,8 +214,8 @@ func TestMaskMatchesEval(t *testing.T) {
 	for pi, p := range preds {
 		buf = p.Mask(d, buf)
 		for r := 0; r < n; r++ {
-			if buf[r] != p.Eval(d, r) {
-				t.Fatalf("pred %d row %d: mask %v != eval %v", pi, r, buf[r], p.Eval(d, r))
+			if buf[r] != p.eval(d, r) {
+				t.Fatalf("pred %d row %d: mask %v != eval %v", pi, r, buf[r], p.eval(d, r))
 			}
 		}
 	}

@@ -11,7 +11,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 )
@@ -350,39 +349,6 @@ func (d *Dataset) Filter(keep func(row int) bool) *Dataset {
 			idx = append(idx, i)
 		}
 	}
-	return d.SelectRows(idx)
-}
-
-// Shuffle returns a copy of the dataset with rows permuted by rng.
-func (d *Dataset) Shuffle(rng *rand.Rand) *Dataset {
-	idx := rng.Perm(d.rows)
-	return d.SelectRows(idx)
-}
-
-// Split partitions the dataset into a head of ⌈frac·n⌉ rows and the tail.
-func (d *Dataset) Split(frac float64) (head, tail *Dataset) {
-	n := int(math.Ceil(frac * float64(d.rows)))
-	if n > d.rows {
-		n = d.rows
-	}
-	hi := make([]int, n)
-	ti := make([]int, d.rows-n)
-	for i := range hi {
-		hi[i] = i
-	}
-	for i := range ti {
-		ti[i] = n + i
-	}
-	return d.SelectRows(hi), d.SelectRows(ti)
-}
-
-// Sample returns a uniform random sample (without replacement) of n rows.
-// If n exceeds the row count the whole dataset is returned (shuffled).
-func (d *Dataset) Sample(n int, rng *rand.Rand) *Dataset {
-	if n >= d.rows {
-		return d.Shuffle(rng)
-	}
-	idx := rng.Perm(d.rows)[:n]
 	return d.SelectRows(idx)
 }
 

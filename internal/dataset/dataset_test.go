@@ -113,48 +113,6 @@ func TestSelectRowsAndFilter(t *testing.T) {
 	}
 }
 
-func TestShuffleSplitSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := New()
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i)
-	}
-	d.MustAddNumeric("v", vals)
-
-	sh := d.Shuffle(rng)
-	if sh.NumRows() != 100 {
-		t.Fatal("Shuffle changed row count")
-	}
-	sum := 0.0
-	for _, v := range sh.NumericValues("v") {
-		sum += v
-	}
-	if sum != 4950 {
-		t.Errorf("Shuffle lost values: sum=%g", sum)
-	}
-
-	head, tail := d.Split(0.3)
-	if head.NumRows() != 30 || tail.NumRows() != 70 {
-		t.Errorf("Split sizes = %d/%d", head.NumRows(), tail.NumRows())
-	}
-
-	s := d.Sample(10, rng)
-	if s.NumRows() != 10 {
-		t.Errorf("Sample size = %d", s.NumRows())
-	}
-	seen := map[float64]bool{}
-	for _, v := range s.NumericValues("v") {
-		if seen[v] {
-			t.Error("Sample without replacement repeated a row")
-		}
-		seen[v] = true
-	}
-	if big := d.Sample(500, rng); big.NumRows() != 100 {
-		t.Errorf("oversized Sample = %d rows", big.NumRows())
-	}
-}
-
 func TestDistinctStrings(t *testing.T) {
 	d := sample()
 	got := d.DistinctStrings("gender")

@@ -66,54 +66,6 @@ type Clause struct {
 // EqStr builds an equality clause on a string column.
 func EqStr(attr, val string) Clause { return Clause{Attr: attr, Op: Eq, StrVal: val} }
 
-// CmpNum builds a numeric comparison clause.
-func CmpNum(attr string, op Op, val float64) Clause {
-	return Clause{Attr: attr, Op: op, NumVal: val, IsNum: true}
-}
-
-// Eval reports whether the clause holds for row r of d.
-func (c Clause) Eval(d *Dataset, r int) bool {
-	col := d.Column(c.Attr)
-	if col == nil {
-		return false
-	}
-	switch c.Op {
-	case IsNull:
-		return col.NullAt(r)
-	case NotNull:
-		return !col.NullAt(r)
-	}
-	if col.NullAt(r) {
-		return false
-	}
-	if col.Kind == Numeric {
-		v := col.NumAt(r)
-		switch c.Op {
-		case Eq:
-			return v == c.NumVal
-		case Ne:
-			return v != c.NumVal
-		case Lt:
-			return v < c.NumVal
-		case Le:
-			return v <= c.NumVal
-		case Gt:
-			return v > c.NumVal
-		case Ge:
-			return v >= c.NumVal
-		}
-		return false
-	}
-	v := col.StrAt(r)
-	switch c.Op {
-	case Eq:
-		return v == c.StrVal
-	case Ne:
-		return v != c.StrVal
-	}
-	return false
-}
-
 // String renders the clause, e.g. `gender = "F"` or `age >= 30`.
 func (c Clause) String() string {
 	switch c.Op {
@@ -134,16 +86,6 @@ type Predicate struct {
 
 // And builds a predicate from the given clauses.
 func And(clauses ...Clause) Predicate { return Predicate{Clauses: clauses} }
-
-// Eval reports whether all clauses hold for row r.
-func (p Predicate) Eval(d *Dataset, r int) bool {
-	for _, c := range p.Clauses {
-		if !c.Eval(d, r) {
-			return false
-		}
-	}
-	return true
-}
 
 // Attributes returns the sorted distinct attributes the predicate mentions.
 func (p Predicate) Attributes() []string {

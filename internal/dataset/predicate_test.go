@@ -6,6 +6,60 @@ import (
 	"testing"
 )
 
+// eval reports whether the clause holds for row r of d: the per-row
+// reference that Mask and Count are checked against.
+func (c Clause) eval(d *Dataset, r int) bool {
+	col := d.Column(c.Attr)
+	if col == nil {
+		return false
+	}
+	switch c.Op {
+	case IsNull:
+		return col.NullAt(r)
+	case NotNull:
+		return !col.NullAt(r)
+	}
+	if col.NullAt(r) {
+		return false
+	}
+	if col.Kind == Numeric {
+		v := col.NumAt(r)
+		switch c.Op {
+		case Eq:
+			return v == c.NumVal
+		case Ne:
+			return v != c.NumVal
+		case Lt:
+			return v < c.NumVal
+		case Le:
+			return v <= c.NumVal
+		case Gt:
+			return v > c.NumVal
+		case Ge:
+			return v >= c.NumVal
+		}
+		return false
+	}
+	v := col.StrAt(r)
+	switch c.Op {
+	case Eq:
+		return v == c.StrVal
+	case Ne:
+		return v != c.StrVal
+	}
+	return false
+}
+
+// eval reports whether all clauses of p hold for row r of d.
+func (p Predicate) eval(d *Dataset, r int) bool {
+	for _, c := range p.Clauses {
+		if !c.eval(d, r) {
+			return false
+		}
+	}
+	return true
+}
+
 func predData() *Dataset {
 	d := New()
 	d.MustAddCategorical("gender", []string{"F", "M", "M", "F", "F"})
@@ -22,12 +76,12 @@ func TestClauseEvalString(t *testing.T) {
 	c := EqStr("gender", "F")
 	want := []bool{true, false, false, true, true}
 	for r, w := range want {
-		if got := c.Eval(d, r); got != w {
+		if got := c.eval(d, r); got != w {
 			t.Errorf("row %d: EqStr = %v, want %v", r, got, w)
 		}
 	}
 	ne := Clause{Attr: "gender", Op: Ne, StrVal: "F"}
-	if ne.Eval(d, 0) || !ne.Eval(d, 1) {
+	if ne.eval(d, 0) || !ne.eval(d, 1) {
 		t.Error("Ne on string wrong")
 	}
 }
@@ -39,16 +93,16 @@ func TestClauseEvalNumeric(t *testing.T) {
 		row  int
 		want bool
 	}{
-		{CmpNum("age", Lt, 41), 0, false},
-		{CmpNum("age", Lt, 41), 1, true},
-		{CmpNum("age", Le, 40), 1, true},
-		{CmpNum("age", Gt, 59), 2, true},
-		{CmpNum("age", Ge, 60), 2, true},
+		{Clause{Attr: "age", Op: Lt, NumVal: 41, IsNum: true}, 0, false},
+		{Clause{Attr: "age", Op: Lt, NumVal: 41, IsNum: true}, 1, true},
+		{Clause{Attr: "age", Op: Le, NumVal: 40, IsNum: true}, 1, true},
+		{Clause{Attr: "age", Op: Gt, NumVal: 59, IsNum: true}, 2, true},
+		{Clause{Attr: "age", Op: Ge, NumVal: 60, IsNum: true}, 2, true},
 		{Clause{Attr: "age", Op: Eq, NumVal: 22, IsNum: true}, 3, true},
 		{Clause{Attr: "age", Op: Ne, NumVal: 22, IsNum: true}, 3, false},
 	}
 	for _, tc := range cases {
-		if got := tc.c.Eval(d, tc.row); got != tc.want {
+		if got := tc.c.eval(d, tc.row); got != tc.want {
 			t.Errorf("%s row %d = %v, want %v", tc.c, tc.row, got, tc.want)
 		}
 	}
@@ -58,28 +112,28 @@ func TestClauseNullOps(t *testing.T) {
 	d := predData()
 	isNull := Clause{Attr: "zip", Op: IsNull}
 	notNull := Clause{Attr: "zip", Op: NotNull}
-	if !isNull.Eval(d, 2) || isNull.Eval(d, 0) {
+	if !isNull.eval(d, 2) || isNull.eval(d, 0) {
 		t.Error("IsNull wrong")
 	}
-	if notNull.Eval(d, 2) || !notNull.Eval(d, 0) {
+	if notNull.eval(d, 2) || !notNull.eval(d, 0) {
 		t.Error("NotNull wrong")
 	}
 	// Comparison against a NULL cell is false.
-	if EqStr("zip", "01004").Eval(d, 2) {
+	if EqStr("zip", "01004").eval(d, 2) {
 		t.Error("Eq against NULL should be false")
 	}
 }
 
 func TestClauseMissingColumn(t *testing.T) {
 	d := predData()
-	if EqStr("nope", "x").Eval(d, 0) {
+	if EqStr("nope", "x").eval(d, 0) {
 		t.Error("clause on missing column should be false")
 	}
 }
 
 func TestPredicateConjunction(t *testing.T) {
 	d := predData()
-	p := And(EqStr("gender", "F"), CmpNum("age", Ge, 30))
+	p := And(EqStr("gender", "F"), Clause{Attr: "age", Op: Ge, NumVal: 30, IsNum: true})
 	rows := p.MatchingRows(d)
 	if len(rows) != 2 || rows[0] != 0 || rows[1] != 4 {
 		t.Errorf("MatchingRows = %v, want [0 4]", rows)
@@ -102,8 +156,8 @@ func TestPredicateEmptyAndKey(t *testing.T) {
 	if p.String() != "TRUE" {
 		t.Errorf("String = %q", p.String())
 	}
-	a := And(EqStr("gender", "F"), CmpNum("age", Ge, 30))
-	b := And(CmpNum("age", Ge, 30), EqStr("gender", "F"))
+	a := And(EqStr("gender", "F"), Clause{Attr: "age", Op: Ge, NumVal: 30, IsNum: true})
+	b := And(Clause{Attr: "age", Op: Ge, NumVal: 30, IsNum: true}, EqStr("gender", "F"))
 	if a.Key() != b.Key() {
 		t.Error("Key should be order-insensitive")
 	}
@@ -135,7 +189,7 @@ func TestPredicateCountMatchesEval(t *testing.T) {
 	}
 	clauses := []Clause{
 		EqStr("s", "v1"), {Attr: "s", Op: Ne, StrVal: "v2"}, {Attr: "s", Op: IsNull},
-		CmpNum("n", Lt, 5), CmpNum("n", Ge, 3), {Attr: "n", Op: NotNull}, EqStr("nosuch", "x"),
+		Clause{Attr: "n", Op: Lt, NumVal: 5, IsNum: true}, Clause{Attr: "n", Op: Ge, NumVal: 3, IsNum: true}, {Attr: "n", Op: NotNull}, EqStr("nosuch", "x"),
 	}
 	for _, csize := range []int{1, 7, 16, DefaultChunkSize} {
 		d := NewChunked(csize)
@@ -152,7 +206,7 @@ func TestPredicateCountMatchesEval(t *testing.T) {
 			}
 			want, masked := 0, 0
 			for r, ok := range p.Mask(d, nil) {
-				if p.Eval(d, r) {
+				if p.eval(d, r) {
 					want++
 				}
 				if ok {
@@ -170,7 +224,7 @@ func TestClauseString(t *testing.T) {
 	if got := EqStr("gender", "F").String(); got != `gender = "F"` {
 		t.Errorf("String = %q", got)
 	}
-	if got := CmpNum("age", Ge, 30).String(); got != "age >= 30" {
+	if got := (Clause{Attr: "age", Op: Ge, NumVal: 30, IsNum: true}).String(); got != "age >= 30" {
 		t.Errorf("String = %q", got)
 	}
 	if got := (Clause{Attr: "zip", Op: IsNull}).String(); got != "zip IS NULL" {

@@ -102,14 +102,14 @@ func TestMidBatchCancellationSkipsWrapCause(t *testing.T) {
 	}
 }
 
-// TestDeadlineGateWrapsDeadlineExceeded: the Config.Deadline wall-clock gate
-// reports through the context.DeadlineExceeded sentinel so Fatal and caller
-// errors.Is checks see a deadline, not an anonymous engine error.
+// TestDeadlineGateWrapsDeadlineExceeded: the gate reports an expired
+// context deadline through the context.DeadlineExceeded sentinel so Fatal
+// and caller errors.Is checks see a deadline, not an anonymous engine error.
 func TestDeadlineGateWrapsDeadlineExceeded(t *testing.T) {
-	ev := New(pipeline.AsFallible(&valueSystem{}), Config{Deadline: time.Now().Add(-time.Second)})
-	_, err := ev.Baseline(context.Background(), flagData(0.5))
+	ev := New(pipeline.AsFallible(&valueSystem{}), Config{})
+	_, err := ev.Baseline(expired(t), flagData(0.5))
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired Config.Deadline: errors.Is(err, context.DeadlineExceeded) = false; err = %v", err)
+		t.Fatalf("expired context deadline: errors.Is(err, context.DeadlineExceeded) = false; err = %v", err)
 	}
 	if !Fatal(err) {
 		t.Fatalf("Fatal(%v) = false for a deadline error", err)

@@ -77,10 +77,6 @@ type Config struct {
 	Workers int
 	// MaxInterventions caps counted oracle calls; zero means unlimited.
 	MaxInterventions int
-	// Deadline, when non-zero, fails evaluations requested after it with
-	// context.DeadlineExceeded — a coarse whole-search time budget that
-	// composes with any per-call context deadline.
-	Deadline time.Time
 	// Store, when set, backs the in-memory memo cache with a persistent
 	// score archive consulted before any oracle call and updated after
 	// every successful one.
@@ -137,11 +133,10 @@ func (s Stats) Failures() int { return s.TransientFailures + s.DeterministicFail
 // budget. Safe for use from a single search goroutine; the internal pool
 // fans evaluations out and joins them before returning.
 type Eval struct {
-	sys      pipeline.FallibleSystem
-	workers  int
-	max      int
-	deadline time.Time
-	store    ScoreStore
+	sys     pipeline.FallibleSystem
+	workers int
+	max     int
+	store   ScoreStore
 
 	mu    sync.Mutex
 	cache map[uint64]float64
@@ -157,12 +152,11 @@ func New(sys pipeline.FallibleSystem, cfg Config) *Eval {
 		w = runtime.GOMAXPROCS(0)
 	}
 	return &Eval{
-		sys:      sys,
-		workers:  w,
-		max:      cfg.MaxInterventions,
-		deadline: cfg.Deadline,
-		store:    cfg.Store,
-		cache:    make(map[uint64]float64),
+		sys:     sys,
+		workers: w,
+		max:     cfg.MaxInterventions,
+		store:   cfg.Store,
+		cache:   make(map[uint64]float64),
 	}
 }
 
@@ -212,8 +206,8 @@ func Fatal(err error) bool {
 
 // Baseline scores d without counting an intervention — the m_S(D_pass) /
 // m_S(D_fail) measurements that precede any search. The score still lands
-// in the memo cache. Like every counted path it is gated: a done context or
-// an expired Config.Deadline refuses the oracle call, and a failed
+// in the memo cache. Like every counted path it is gated: a done context
+// (cancelled or past its deadline) refuses the oracle call, and a failed
 // measurement returns its error with a NaN score and caches nothing.
 func (ev *Eval) Baseline(ctx context.Context, d *dataset.Dataset) (float64, error) {
 	fp := d.Fingerprint()
@@ -434,16 +428,13 @@ func (ev *Eval) EvalBatchErrs(ctx context.Context, ds []*dataset.Dataset) ([]flo
 	return scores, errs, nil
 }
 
-// gate rejects work when the context is done or the configured deadline has
-// passed. The budget itself is not checked here: EvalBatch charges for what
-// it can afford and reports ErrBudgetExhausted only when truncating.
+// gate rejects work when the context is done: cancelled, or past the
+// deadline that bounds the whole search. The budget itself is not checked
+// here: EvalBatch charges for what it can afford and reports
+// ErrBudgetExhausted only when truncating.
 func (ev *Eval) gate(ctx context.Context) error {
 	if err := pipeline.ContextFailure(ctx); err != nil {
 		return fmt.Errorf("engine: evaluation refused: %w", err)
-	}
-	//lint:ignore seededrand Config.Deadline is a wall-clock budget by definition; the comparison gates work and never feeds a score
-	if !ev.deadline.IsZero() && time.Now().After(ev.deadline) {
-		return fmt.Errorf("engine: search deadline passed: %w", context.DeadlineExceeded)
 	}
 	return nil
 }

@@ -161,10 +161,17 @@ func TestCancellationStopsBatch(t *testing.T) {
 	}
 }
 
+// expired returns a context whose deadline passed a second ago.
+func expired(t *testing.T) context.Context {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func TestDeadlineGate(t *testing.T) {
 	sys := &valueSystem{}
-	ev := New(pipeline.AsFallible(sys), Config{Deadline: time.Now().Add(-time.Second)})
-	_, err := ev.Score(context.Background(), flagData(0.5))
+	ev := New(pipeline.AsFallible(sys), Config{})
+	_, err := ev.Score(expired(t), flagData(0.5))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}

@@ -97,8 +97,8 @@ func TestFailedEvaluationNeverCachedAndRefunded(t *testing.T) {
 // run the oracle anyway; it must refuse like every other path.
 func TestBaselineGate(t *testing.T) {
 	sys := &valueSystem{}
-	ev := New(pipeline.AsFallible(sys), Config{Deadline: time.Now().Add(-time.Second)})
-	if _, err := ev.Baseline(context.Background(), flagData(0.5)); !errors.Is(err, context.DeadlineExceeded) {
+	ev := New(pipeline.AsFallible(sys), Config{})
+	if _, err := ev.Baseline(expired(t), flagData(0.5)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if sys.evals.Load() != 0 {

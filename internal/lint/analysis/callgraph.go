@@ -85,15 +85,6 @@ func BuildCallGraph(pass *Pass) *CallGraph {
 	return g
 }
 
-// Node returns the graph node of fn, or nil when fn is not declared (with a
-// body) in this package.
-func (g *CallGraph) Node(fn *types.Func) *Node {
-	if g == nil || fn == nil {
-		return nil
-	}
-	return g.byFn[fn]
-}
-
 // BottomUpSCCs returns the strongly connected components of the call graph
 // in callee-first (reverse topological) order: when an SCC is emitted, every
 // SCC it calls into has already been emitted. Summaries computed in this

@@ -158,23 +158,27 @@ func Pick(n int) int { return rand.Intn(n) }
 // dataprismlint binary. Any finding here means a contract regression (or a
 // missing //lint:ignore justification).
 func TestRepositoryTreeIsClean(t *testing.T) {
-	wd, err := os.Getwd()
+	findings := runSuite(t, moduleRoot(t), []string{"./..."}, true)
+	for _, f := range findings {
+		t.Errorf("%s", f)
+	}
+}
+
+// moduleRoot walks up from the test's directory to the first go.mod.
+func moduleRoot(t *testing.T) string {
+	t.Helper()
+	root, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := wd
 	for {
 		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
+			return root
 		}
 		parent := filepath.Dir(root)
 		if parent == root {
 			t.Fatal("no go.mod above test directory")
 		}
 		root = parent
-	}
-	findings := runSuite(t, root, []string{"./..."}, true)
-	for _, f := range findings {
-		t.Errorf("%s", f)
 	}
 }

@@ -85,7 +85,7 @@ func DefaultScopes(module string) map[string][]string {
 // Finding is one diagnostic. Suppressed findings (covered by a
 // //lint:ignore directive) are reported separately by RunAll with the
 // directive's justification attached, so suppression reasons survive into
-// -json and -sarif output.
+// -json output.
 type Finding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
@@ -104,7 +104,7 @@ func (f Finding) String() string {
 }
 
 // Result is the full outcome of a driver run: active findings (gate CI) and
-// suppressed ones (carried for transparency and SARIF suppression records).
+// suppressed ones (carried for transparency with their justifications).
 type Result struct {
 	Findings   []Finding
 	Suppressed []Finding

@@ -72,9 +72,6 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import implements types.Importer so the loader can feed itself to the
 // type checker: module-internal paths load from disk, the rest from GOROOT.
 func (l *Loader) Import(path string) (*types.Package, error) {

@@ -22,26 +22,6 @@ func Recall(pred, y []int, cls int) float64 {
 	return float64(tp) / float64(tp+fn)
 }
 
-// Precision returns the precision of class cls: TP / (TP + FP). It returns
-// 1 when the class is never predicted.
-func Precision(pred, y []int, cls int) float64 {
-	tp, fp := 0, 0
-	for i := range pred {
-		if pred[i] != cls {
-			continue
-		}
-		if y[i] == cls {
-			tp++
-		} else {
-			fp++
-		}
-	}
-	if tp+fp == 0 {
-		return 1
-	}
-	return float64(tp) / float64(tp+fp)
-}
-
 // DisparateImpact returns the ratio of favorable-outcome rates between the
 // unprivileged and privileged groups [39 in the paper]: values near 1 are
 // fair, values near 0 indicate discrimination against the unprivileged

@@ -230,9 +230,6 @@ func TestMetrics(t *testing.T) {
 	if got := Recall(pred, y, 1); math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("Recall = %g", got)
 	}
-	if got := Precision(pred, y, 1); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("Precision = %g", got)
-	}
 	if accuracy(nil, nil) != 0 {
 		t.Error("empty accuracy should be 0")
 	}

@@ -72,7 +72,6 @@ func TestRemoteChaosMatchesInProcessFaultFree(t *testing.T) {
 					Dial:           inj.DialContext,
 					RetryMax:       failFirst + 1,
 					RetryBaseDelay: 50 * time.Microsecond,
-					RetryMaxDelay:  time.Millisecond,
 				})
 				e := &core.Explainer{FallibleSystem: fleet, Tau: 0.05, Seed: seed, Workers: fleetN}
 				got, err := run(e, sc)

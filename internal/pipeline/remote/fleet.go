@@ -41,11 +41,10 @@ type Config struct {
 	// answered within this duration; the first answer wins. Zero disables
 	// hedging.
 	HedgeAfter time.Duration
-	// RetryMax, RetryBaseDelay, RetryMaxDelay parameterize the per-worker
+	// RetryMax and RetryBaseDelay parameterize the per-worker
 	// pipeline.Retry (zero values mean that type's defaults).
 	RetryMax       int
 	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 	// BreakerThreshold and BreakerCooldown parameterize the per-worker
 	// pipeline.Breaker (zero values mean that type's defaults).
 	BreakerThreshold int
@@ -139,7 +138,6 @@ func NewFleet(cfg Config) *FleetSystem {
 				System:    tr,
 				Max:       cfg.RetryMax,
 				BaseDelay: cfg.RetryBaseDelay,
-				MaxDelay:  cfg.RetryMaxDelay,
 			},
 			FailureThreshold: cfg.BreakerThreshold,
 			Cooldown:         cfg.BreakerCooldown,

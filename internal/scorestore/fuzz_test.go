@@ -64,8 +64,8 @@ func FuzzReplaySegment(f *testing.F) {
 		if st := s.Stats(); st.Loaded != n || st.CorruptTail != torn || st.Discarded {
 			t.Fatalf("recovery stats %+v, want Loaded %d, CorruptTail %d", st, n, torn)
 		}
-		if s.Len() != len(want) {
-			t.Fatalf("Len = %d, want %d distinct fingerprints", s.Len(), len(want))
+		if len(s.mem) != len(want) {
+			t.Fatalf("store holds %d fingerprints, want %d distinct", len(s.mem), len(want))
 		}
 		for fp, bits := range want {
 			if v, ok := s.Load(fp); !ok || math.Float64bits(v) != bits {

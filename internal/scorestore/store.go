@@ -332,8 +332,8 @@ func (s *Store) Load(fp uint64) (float64, bool) {
 }
 
 // Save appends a score record, deduplicating against what is already
-// persisted. I/O errors are swallowed into Err — a failing disk turns the
-// store into a pass-through cache instead of failing the search.
+// persisted. I/O errors are kept for Close to return — a failing disk turns
+// the store into a pass-through cache instead of failing the search.
 func (s *Store) Save(fp uint64, score float64, deterministic bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -367,13 +367,6 @@ func (s *Store) Save(fp uint64, score float64, deterministic bool) {
 	}
 }
 
-// Len reports how many distinct fingerprints the store holds.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem)
-}
-
 // Stats returns a snapshot of the recovery and append counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -381,19 +374,10 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Err returns the first append/sync failure, if any. Save never fails the
-// caller; check Err at shutdown to surface a degraded disk.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeErr
-}
-
-// Dir returns the oracle's cache directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Close syncs and closes the active segment. The store rejects further
-// Saves afterwards; Loads keep answering from memory.
+// Close syncs and closes the active segment and returns the first append,
+// sync or close failure, if any: Save never fails the caller, so Close is
+// where a degraded disk surfaces. The store rejects further Saves
+// afterwards; Loads keep answering from memory.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -68,15 +68,15 @@ func TestStoreOracleMismatchDetected(t *testing.T) {
 	s.Save(1, 0.5, false)
 	s.Close()
 	// Forge a collision: point oracle-b's open at oracle-a's directory.
-	metaPath := filepath.Join(s.Dir(), "meta.json")
-	if _, err := Open(filepath.Dir(s.Dir()), "oracle-a", Options{}); err != nil {
+	metaPath := filepath.Join(s.dir, "meta.json")
+	if _, err := Open(filepath.Dir(s.dir), "oracle-a", Options{}); err != nil {
 		t.Fatalf("same oracle must reopen: %v", err)
 	}
 	// Simulate the hash collision by rewriting the meta with another id.
 	if err := writeMeta(metaPath, meta{FormatVersion: 1, OracleID: "other", FingerprintAlgo: dataset.FingerprintAlgoVersion}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(filepath.Dir(s.Dir()), "oracle-a", Options{}); !errors.Is(err, ErrOracleMismatch) {
+	if _, err := Open(filepath.Dir(s.dir), "oracle-a", Options{}); !errors.Is(err, ErrOracleMismatch) {
 		t.Fatalf("err = %v, want ErrOracleMismatch", err)
 	}
 }
@@ -87,7 +87,7 @@ func TestStoreDiscardsOnFingerprintAlgoChange(t *testing.T) {
 	s.Save(1, 0.5, false)
 	s.Close()
 	// Persisted under an older fingerprint algorithm generation.
-	if err := writeMeta(filepath.Join(s.Dir(), "meta.json"),
+	if err := writeMeta(filepath.Join(s.dir, "meta.json"),
 		meta{FormatVersion: 1, OracleID: "oracle-a", FingerprintAlgo: dataset.FingerprintAlgoVersion - 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +283,11 @@ func TestStoreSaveAfterCloseDropped(t *testing.T) {
 	s := openT(t, t.TempDir(), "oracle-a", Options{})
 	s.Close()
 	s.Save(1, 0.5, false) // must not panic or write
-	if err := s.Err(); err != nil {
-		t.Fatalf("Err() = %v", err)
+	if s.writeErr != nil {
+		t.Fatalf("write error after a dropped Save: %v", s.writeErr)
+	}
+	if _, ok := s.Load(1); ok {
+		t.Fatal("a Save after Close was kept")
 	}
 }
 

@@ -12,10 +12,9 @@ import "math"
 // per-chunk summaries.
 //
 // Min and Max skip NaN values (they are NaN only when every value is NaN or
-// the population is empty) — a deliberate departure from MinMax's
-// first-element seeding, which is position-dependent and therefore not
-// mergeable. Sum, Mean, and M2 propagate NaN like ordinary float64
-// arithmetic.
+// the population is empty) — a deliberate departure from first-element
+// seeding, which is position-dependent and therefore not mergeable. Sum,
+// Mean, and M2 propagate NaN like ordinary float64 arithmetic.
 type Moments struct {
 	Count    int
 	Sum      float64
@@ -26,7 +25,7 @@ type Moments struct {
 
 // MomentsOf summarizes xs with the same two-pass arithmetic as Mean and
 // Variance, so a single-block summary is bit-identical to the flat
-// computation: Mean == Mean(xs), StdDev() == StdDev(xs).
+// computation: Mean == Mean(xs), sqrt(M2/Count) == StdDev(xs).
 func MomentsOf(xs []float64) Moments {
 	m := Moments{Count: len(xs), Min: math.NaN(), Max: math.NaN()}
 	if len(xs) == 0 {
@@ -90,17 +89,6 @@ func mergeExtreme(a, b float64, better func(a, b float64) bool) float64 {
 	}
 	return a
 }
-
-// Variance returns the population variance of the summarized values.
-func (m Moments) Variance() float64 {
-	if m.Count == 0 {
-		return math.NaN()
-	}
-	return m.M2 / float64(m.Count)
-}
-
-// StdDev returns the population standard deviation of the summarized values.
-func (m Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
 // HasNaN reports whether the summarized population contains a NaN value
 // (detectable because NaN poisons the running sum).

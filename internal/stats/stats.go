@@ -38,24 +38,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the smallest and largest values in xs. It returns
-// (NaN, NaN) for an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // QuantileSorted returns the q-quantile of an ascending-sorted slice using
 // linear interpolation between order statistics. q is clamped to [0,1].
 // Returns NaN for an empty slice.
@@ -182,35 +164,4 @@ func ChiSquaredPValue(chi2 float64, df int) float64 {
 		return 1
 	}
 	return RegIncGammaQ(float64(df)/2, chi2/2)
-}
-
-// Standardize returns (xs - mean) / std; a constant slice maps to zeros.
-func Standardize(xs []float64) []float64 {
-	m, s := Mean(xs), StdDev(xs)
-	out := make([]float64, len(xs))
-	if s == 0 || math.IsNaN(s) {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - m) / s
-	}
-	return out
-}
-
-// Kurtosis returns the standardized fourth moment (not excess), 0 for
-// degenerate input.
-func Kurtosis(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m, s := Mean(xs), StdDev(xs)
-	if s == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		d := (x - m) / s
-		sum += d * d * d * d
-	}
-	return sum / float64(len(xs))
 }

@@ -144,7 +144,7 @@ func TestRowSelectorsMatchReference(t *testing.T) {
 		}
 		pred := dataset.And(dataset.EqStr("g", string(rune('a'+src.Intn(4)))))
 		if src.Intn(3) == 0 {
-			pred = dataset.And(pred.Clauses[0], dataset.CmpNum("v", dataset.Lt, float64(src.Intn(60))))
+			pred = dataset.And(pred.Clauses[0], dataset.Clause{Attr: "v", Op: dataset.Lt, NumVal: float64(src.Intn(60)), IsNum: true})
 		}
 		theta := thetas[src.Intn(len(thetas))]
 		if src.Intn(4) == 0 {
