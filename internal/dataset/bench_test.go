@@ -2,7 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -60,5 +63,26 @@ func BenchmarkCSVRoundTrip(b *testing.B) {
 		if _, err := ReadCSV(&buf, InferOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkReadCSVFile reads a Cardio-shaped file with its schema pinned,
+// as the benchmark's case studies read theirs.
+func BenchmarkReadCSVFile(b *testing.B) {
+	for _, rows := range []int{10_000, 100_000} {
+		path := filepath.Join(b.TempDir(), "cardio.csv")
+		data := cardioShapedCSV(b, rows)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadCSVFile(path, InferOptions{Kinds: cardioKinds}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

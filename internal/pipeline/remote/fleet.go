@@ -122,6 +122,9 @@ type FleetSystem struct {
 	failovers     int
 	workerFaults  int
 	fallbackEvals int
+	// frames holds the request frames of finished evaluations that no
+	// dispatch reads any more; the next evaluation encodes into one.
+	frames [][]byte
 }
 
 // NewFleet builds the client stack for each configured worker.
@@ -184,14 +187,21 @@ func (f *FleetSystem) TryMalfunctionScore(ctx context.Context, d *dataset.Datase
 	if len(order) == 0 {
 		return f.degrade(ctx, d, 0)
 	}
-	req, err := encodeRequest(d)
+	req, err := encodeRequest(d, f.takeFrame())
 	if err != nil {
 		return pipeline.ScoreResult{Score: math.NaN(), Err: err}
 	}
 	ctx = withPayload(ctx, req)
 
 	results := make(chan pipeline.ScoreResult, len(order))
-	launched := 0
+	launched, received := 0, 0
+	// The frame is reused only once every dispatch has returned: a hedge
+	// or failover still out may yet write it, so it is left to the GC.
+	defer func() {
+		if received == launched {
+			f.putFrame(req)
+		}
+	}()
 	launch := func() {
 		w := order[launched]
 		launched++
@@ -214,7 +224,6 @@ func (f *FleetSystem) TryMalfunctionScore(ctx context.Context, d *dataset.Datase
 	}
 
 	attempts := 0
-	received := 0
 	var last pipeline.ScoreResult
 	for {
 		select {
@@ -270,6 +279,26 @@ func (f *FleetSystem) degrade(ctx context.Context, d *dataset.Dataset, attempts 
 		return r
 	}
 	return pipeline.ScoreResult{Score: math.NaN(), Err: ErrFleetDown, Attempts: attempts}
+}
+
+// takeFrame returns a free request frame, or nil when there is none.
+func (f *FleetSystem) takeFrame() []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.frames)
+	if n == 0 {
+		return nil
+	}
+	frame := f.frames[n-1]
+	f.frames = f.frames[:n-1]
+	return frame
+}
+
+// putFrame hands back a request frame no dispatch reads any more.
+func (f *FleetSystem) putFrame(frame []byte) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.frames = append(f.frames, frame)
 }
 
 func (f *FleetSystem) count(update func()) {

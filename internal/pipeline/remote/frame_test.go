@@ -78,7 +78,7 @@ func randomTable(rng *rand.Rand, rows, chunk int) *dataset.Dataset {
 // roundTrip sends d through the request codec as a worker would see it.
 func roundTrip(t testing.TB, d *dataset.Dataset) *dataset.Dataset {
 	t.Helper()
-	frame, err := encodeRequest(d)
+	frame, err := encodeRequest(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestWorkerRejectsFingerprintMismatch(t *testing.T) {
 	}
 	defer conn.Close()
 
-	frame, err := encodeRequest(flagData(0.5))
+	frame, err := encodeRequest(flagData(0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestWorkerRejectsFingerprintMismatch(t *testing.T) {
 	}
 
 	// The connection survives a rejected table: the next request scores.
-	frame, err = encodeRequest(flagData(0.25))
+	frame, err = encodeRequest(flagData(0.25), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestWorkerDropsOtherProtocolVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	frame, err := encodeRequest(flagData(0.5))
+	frame, err := encodeRequest(flagData(0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestDecodeTableRejectsOversizedClaims(t *testing.T) {
 func FuzzDecodeFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	for _, rows := range []int{0, 1, 9, 40} {
-		frame, err := encodeRequest(randomTable(rng, rows, 1+rng.Intn(16)))
+		frame, err := encodeRequest(randomTable(rng, rows, 1+rng.Intn(16)), nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func BenchmarkRequestCodec(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				frame, err := encodeRequest(d)
+				frame, err := encodeRequest(d, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

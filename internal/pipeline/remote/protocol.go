@@ -53,7 +53,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
@@ -99,10 +98,11 @@ func sealFrame(frame []byte) []byte {
 
 // readFrame receives one length-prefixed payload into buf's storage,
 // which it grows only as bytes arrive: capacity at most doubles what has
-// been received, plus one 64 KiB step, so a length prefix alone cannot
-// force a large allocation. The payload aliases the returned buffer, which
-// the caller may pass to the next readFrame once it is done with the
-// payload; nil starts a fresh one.
+// been received, plus one 64 KiB step, and never exceeds the frame, so a
+// length prefix alone cannot force a large allocation and a buffer is
+// never larger than the largest frame it has read. The payload aliases
+// the returned buffer, which the caller may pass to the next readFrame
+// once it is done with the payload; nil starts a fresh one.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	const step = 64 << 10
 	var hdr [4]byte
@@ -116,7 +116,9 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	buf = buf[:0]
 	for len(buf) < n {
 		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(n-len(buf), len(buf)+step))
+			grown := make([]byte, len(buf), min(n, 2*len(buf)+step))
+			copy(grown, buf)
+			buf = grown
 		}
 		end := min(n, cap(buf))
 		if _, err := io.ReadFull(r, buf[len(buf):end]); err != nil {
@@ -130,8 +132,10 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 // encodeRequest builds a sealed score-request frame: header, fingerprint
 // and the dataset's table. The frame is a pure function of the dataset, so
 // the fleet encodes it once per evaluation and every retried or hedged
-// dispatch reuses the bytes.
-func encodeRequest(d *dataset.Dataset) ([]byte, error) {
+// dispatch reuses the bytes. It is written into frame's storage when that
+// holds it, and into a new buffer of exactly its size otherwise; nil
+// always allocates.
+func encodeRequest(d *dataset.Dataset, frame []byte) ([]byte, error) {
 	rows, cols := d.NumRows(), d.Columns()
 	if len(cols) > math.MaxUint16 || uint64(rows) > math.MaxUint32 {
 		return nil, fmt.Errorf("remote: dataset of %d columns × %d rows does not fit a frame", len(cols), rows)
@@ -157,8 +161,10 @@ func encodeRequest(d *dataset.Dataset) ([]byte, error) {
 		return nil, fmt.Errorf("remote: dataset needs a %d-byte frame, over the %d-byte limit", size, maxFrameSize)
 	}
 
-	buf := newFrame(size)
-	buf = append(buf, protocolVersion, msgScore)
+	if cap(frame) < 4+size {
+		frame = newFrame(size)
+	}
+	buf := append(frame[:4], protocolVersion, msgScore)
 	buf = binary.BigEndian.AppendUint64(buf, d.Fingerprint())
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rows))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(cols)))

@@ -96,7 +96,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 	}
 
 	d := flagData(0.5)
-	frame, err := encodeRequest(d)
+	frame, err := encodeRequest(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestProtocolSchemaPinsStringKinds(t *testing.T) {
 	if err := d.AddCategoricalColumn("target", []string{"-1", "1", "-1"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	frame, err := encodeRequest(d)
+	frame, err := encodeRequest(d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func (t *transport) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset)
 	req, ok := payloadFrom(ctx)
 	if !ok {
 		var err error
-		if req, err = encodeRequest(d); err != nil {
+		if req, err = encodeRequest(d, nil); err != nil {
 			return pipeline.ScoreResult{Score: math.NaN(), Err: err}
 		}
 	}

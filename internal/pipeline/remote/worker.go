@@ -20,6 +20,12 @@ type Worker struct {
 	// Logf, when set, receives one line per served connection and per
 	// protocol error (e.g. log.Printf). Nil silences the worker.
 	Logf func(format string, args ...any)
+
+	// idle is the payload buffer of a closed connection, kept for the
+	// next one: the largest such buffer, so at most maxFrameSize bytes,
+	// since readFrame never grows a buffer past the frame it reads.
+	mu   sync.Mutex
+	idle []byte
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -60,9 +66,11 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) {
 	defer conn.Close()
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
 	defer stop()
-	// One payload buffer per connection: decodeTable copies every cell out
-	// of it, so the next request may overwrite it.
-	var payload []byte
+	// One payload buffer per connection, handed on to the next connection
+	// when this one ends: decodeTable copies every cell out of it, so the
+	// next request may overwrite it.
+	payload := w.takeBuffer()
+	defer func() { w.putBuffer(payload) }()
 	for {
 		var err error
 		if payload, err = readFrame(conn, payload); err != nil {
@@ -78,6 +86,25 @@ func (w *Worker) serveConn(ctx context.Context, conn net.Conn) {
 			w.logf("remote worker: %s: reply for %016x: %v", conn.RemoteAddr(), fp, err)
 			return
 		}
+	}
+}
+
+// takeBuffer returns the idle payload buffer, or nil when there is none.
+func (w *Worker) takeBuffer() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	buf := w.idle
+	w.idle = nil
+	return buf
+}
+
+// putBuffer keeps a closed connection's payload buffer if it is larger
+// than the idle one.
+func (w *Worker) putBuffer(buf []byte) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if cap(buf) > cap(w.idle) {
+		w.idle = buf[:0]
 	}
 }
 
