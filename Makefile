@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # Repo-specific contract analyzers (CoW mutation, map-order determinism,
 # seeded randomness, context flow, fault contract, lock order, wire format,

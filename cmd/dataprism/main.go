@@ -569,7 +569,7 @@ func serveOracle(args []string) {
 		scenario  = fs.String("scenario", "", "serve a built-in scenario's system: sentiment, income, cardio, bias, ezgo")
 		rows      = fs.Int("rows", 1000, "rows per generated dataset for built-in scenarios")
 		seed      = fs.Int64("seed", 1, "random seed of the built-in scenario")
-		verbose   = fs.Bool("v", false, "log each connection and evaluation error")
+		verbose   = fs.Bool("v", false, "log requests that do not decode, tables that do not decode or match their fingerprint, replies that cannot be sent, and scorer panics")
 	)
 	fs.Parse(args)
 

@@ -44,9 +44,8 @@ func (p *monoProfile) Violation(d *dataprism.Dataset) float64 {
 
 type monoSort struct{ prof *monoProfile }
 
-func (t *monoSort) Name() string              { return "sort-ascending" }
-func (t *monoSort) Target() dataprism.Profile { return t.prof }
-func (t *monoSort) Modifies() []string        { return []string{t.prof.Attr} }
+func (t *monoSort) Name() string       { return "sort-ascending" }
+func (t *monoSort) Modifies() []string { return []string{t.prof.Attr} }
 
 func (t *monoSort) Coverage(d *dataprism.Dataset) float64 { return t.prof.Violation(d) }
 

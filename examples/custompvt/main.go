@@ -57,9 +57,8 @@ func (p *MonotoneProfile) Violation(d *dataprism.Dataset) float64 {
 // intervention tests whether order is the root cause, per Definition 9).
 type SortAscending struct{ Prof *MonotoneProfile }
 
-func (t *SortAscending) Name() string              { return "sort-ascending" }
-func (t *SortAscending) Target() dataprism.Profile { return t.Prof }
-func (t *SortAscending) Modifies() []string        { return []string{t.Prof.Attr} }
+func (t *SortAscending) Name() string       { return "sort-ascending" }
+func (t *SortAscending) Modifies() []string { return []string{t.Prof.Attr} }
 
 // Coverage is the fraction of rows the sort would move — the inversion
 // fraction itself is the natural proxy.

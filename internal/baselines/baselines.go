@@ -23,7 +23,7 @@
 // intervention counts are directly comparable. Configuration generation
 // and application stay on the caller's goroutine in a fixed rng order;
 // only the pure scoring step is batched, so results are identical for any
-// Workers setting.
+// worker count.
 package baselines
 
 import (
@@ -43,21 +43,12 @@ import (
 type Config struct {
 	// System is the black box under debugging.
 	System pipeline.System
-	// ContextSystem, when set, takes precedence over System and receives
-	// the search's context on every evaluation.
-	ContextSystem pipeline.ContextSystem
-	// FallibleSystem, when set, takes precedence over both and exposes the
-	// error-aware scoring contract: measurement failures are distinguished
-	// from malfunction scores, never cached, and refunded from the budget.
-	FallibleSystem pipeline.FallibleSystem
 	// Tau is the allowable malfunction threshold.
 	Tau float64
 	// Seed drives the randomized exploration.
 	Seed int64
 	// MaxInterventions caps oracle calls (default 100000).
 	MaxInterventions int
-	// Workers bounds concurrent oracle evaluations (default GOMAXPROCS).
-	Workers int
 }
 
 func (c *Config) maxInterventions() int {
@@ -68,22 +59,12 @@ func (c *Config) maxInterventions() int {
 }
 
 // newEval builds the evaluation substrate for one baseline run over the
-// configured system, resolved to the error-aware contract: FallibleSystem
-// takes precedence over ContextSystem, which takes precedence over System.
+// configured system, with the engine's default worker count.
 func (c *Config) newEval() (*engine.Eval, error) {
-	var sys pipeline.FallibleSystem
-	switch {
-	case c.FallibleSystem != nil:
-		sys = c.FallibleSystem
-	case c.ContextSystem != nil:
-		sys = pipeline.AsFallible(c.ContextSystem)
-	case c.System != nil:
-		sys = pipeline.AsFallible(pipeline.AsContext(c.System))
-	default:
-		return nil, errors.New("baselines: Config requires a System, ContextSystem, or FallibleSystem")
+	if c.System == nil {
+		return nil, errors.New("baselines: Config requires a System")
 	}
-	return engine.New(sys, engine.Config{
-		Workers:          c.Workers,
+	return engine.New(pipeline.AsFallible(pipeline.AsContext(c.System)), engine.Config{
 		MaxInterventions: c.maxInterventions(),
 	}), nil
 }
@@ -461,12 +442,9 @@ func AnchorContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *data
 func GrpTestContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *dataset.Dataset) (*core.Result, error) {
 	e := &core.Explainer{
 		System:           cfg.System,
-		ContextSystem:    cfg.ContextSystem,
-		FallibleSystem:   cfg.FallibleSystem,
 		Tau:              cfg.Tau,
 		Seed:             cfg.Seed,
 		MaxInterventions: cfg.MaxInterventions,
-		Workers:          cfg.Workers,
 		RandomBisection:  true,
 	}
 	return e.ExplainGroupTestPVTsContext(ctx, pvts, fail)

@@ -21,7 +21,7 @@ func chaosChain(sys pipeline.System, failFirst, maxAttempts int) (*pipeline.Faul
 		System:    pipeline.AsFallible(pipeline.AsContext(sys)),
 		FailFirst: failFirst,
 	}
-	return fi, &pipeline.Retry{System: fi, Max: maxAttempts, BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond}
+	return fi, &pipeline.Retry{System: fi, Max: maxAttempts, BaseDelay: 50 * time.Microsecond}
 }
 
 // TestChaosExplanationsMatchFaultFree is the acceptance bar of the

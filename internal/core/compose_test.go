@@ -254,9 +254,8 @@ type inPlaceScale struct {
 	factor float64
 }
 
-func (t *inPlaceScale) Name() string            { return "scale" }
-func (t *inPlaceScale) Target() profile.Profile { return &profile.Missing{Attr: t.attr} }
-func (t *inPlaceScale) Modifies() []string      { return []string{t.attr} }
+func (t *inPlaceScale) Name() string       { return "scale" }
+func (t *inPlaceScale) Modifies() []string { return []string{t.attr} }
 func (t *inPlaceScale) Coverage(*dataset.Dataset) float64 {
 	return 1
 }
@@ -350,7 +349,7 @@ func fuzzComposition(seed int64, rows, csize int, plan []byte) (*dataset.Dataset
 			pvts = append(pvts, &PVT{Profile: ind, Transforms: []transform.Transformation{&transform.ShuffleBreak{Prof: ind, Attr: "k"}}})
 		case 6:
 			s := &inPlaceScale{attr: "v", factor: 2}
-			pvts = append(pvts, &PVT{Profile: s.Target(), Transforms: []transform.Transformation{s}})
+			pvts = append(pvts, &PVT{Profile: &profile.Missing{Attr: s.attr}, Transforms: []transform.Transformation{s}})
 		case 7:
 			sel := &profile.Selectivity{Pred: dataset.And(dataset.EqStr("g", val)), Theta: theta}
 			u := &profile.Unique{Attr: "g"}

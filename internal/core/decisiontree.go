@@ -57,7 +57,7 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 	featurize := func(d *dataset.Dataset) []bool {
 		v := make([]bool, len(pvts))
 		for i, p := range pvts {
-			v[i] = p.Profile.Violation(d) > e.eps()
+			v[i] = p.Profile.Violation(d) > eps
 		}
 		return v
 	}
@@ -75,39 +75,6 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 	}
 	train = append(train, violationInstance{violated: featurize(fail), pass: false})
 
-	// Optional combinatorial-design bootstrap (Appendix B's cited [19]):
-	// evaluate a strength-2 covering array of repair configurations so the
-	// tree starts with instances covering every pairwise repair pattern —
-	// enabling the method even when no example datasets are supplied. The
-	// rows are independent, so they are composed serially and scored as one
-	// engine batch.
-	if e.BootstrapCoveringArray {
-		rows := CoveringArray2(len(pvts))
-		if r := ev.Remaining(); len(rows) > r {
-			rows = rows[:r]
-		}
-		cands := make([]*dataset.Dataset, len(rows))
-		for ri, row := range rows {
-			group := make([]*PVT, 0, len(pvts))
-			for i, on := range row {
-				if on {
-					group = append(group, pvts[i])
-				}
-			}
-			cands[ri] = ComposeAll(fail, group, nil, rng)
-		}
-		scores, evalErr := ev.EvalBatch(ctx, cands)
-		for ri, s := range scores {
-			if math.IsNaN(s) {
-				continue
-			}
-			train = append(train, violationInstance{violated: featurize(cands[ri]), pass: s <= e.Tau})
-		}
-		if evalErr != nil && !errors.Is(evalErr, engine.ErrBudgetExhausted) {
-			finish(res, ev, start)
-			return res, evalErr
-		}
-	}
 	tried := make(map[string]bool)
 	cov := newCoverageCache(len(pvts))
 	// Algorithm 5 main loop: extract candidate conjunctions from the tree's

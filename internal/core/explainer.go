@@ -60,9 +60,6 @@ type Explainer struct {
 	// Options configures profile discovery; the zero value means
 	// profile.DefaultOptions.
 	Options *profile.Options
-	// Eps is the minimum failing-side violation for a profile to count as
-	// discriminative (default 1e-9).
-	Eps float64
 	// Seed drives the deterministic RNG behind sampling transformations and
 	// bisection initialization.
 	Seed int64
@@ -88,10 +85,6 @@ type Explainer struct {
 	// uniformly at random instead of by min-bisection — this is exactly the
 	// paper's GrpTest baseline.
 	RandomBisection bool
-	// BootstrapCoveringArray makes the decision-tree method (Appendix B)
-	// seed its training set by evaluating a strength-2 covering array of
-	// repair configurations, so it works without example datasets.
-	BootstrapCoveringArray bool
 	// BaselineProfiles, when non-empty, replaces profile discovery on the
 	// passing dataset in Candidates: the pinned profiles — typically
 	// decoded from a versioned baseline artifact (internal/artifact) — are
@@ -184,21 +177,18 @@ func (e *Explainer) options() profile.Options {
 // Candidates resolves the discriminative PVT set a search runs on — lines
 // 1–4 of Algorithms 1 and 2: the pinned BaselineProfiles when configured
 // (filtered down to what fail violates), otherwise fresh profile discovery
-// on pass under Options, keeping the profiles fail violates beyond Eps.
+// on pass under Options, keeping the profiles fail violates beyond eps.
 // Result.Runtime of the search excludes this discovery.
 func (e *Explainer) Candidates(pass, fail *dataset.Dataset) []*PVT {
 	if len(e.BaselineProfiles) > 0 {
-		return BuildPVTs(profile.DiscriminativeFrom(e.BaselineProfiles, fail, e.eps()))
+		return BuildPVTs(profile.DiscriminativeFrom(e.BaselineProfiles, fail, eps))
 	}
-	return DiscoverPVTs(pass, fail, e.options(), e.eps())
+	return DiscoverPVTs(pass, fail, e.options(), eps)
 }
 
-func (e *Explainer) eps() float64 {
-	if e.Eps == 0 {
-		return 1e-9
-	}
-	return e.Eps
-}
+// eps is the minimum failing-side violation for a profile to count as
+// discriminative, and for the decision tree to count a profile as violated.
+const eps = 1e-9
 
 func (e *Explainer) maxInterventions() int {
 	if e.MaxInterventions == 0 {

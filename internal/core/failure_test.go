@@ -23,7 +23,6 @@ type brokenTransform struct {
 }
 
 func (t *brokenTransform) Name() string                      { return "broken" }
-func (t *brokenTransform) Target() profile.Profile           { return t.p }
 func (t *brokenTransform) Modifies() []string                { return t.p.Attributes() }
 func (t *brokenTransform) Coverage(*dataset.Dataset) float64 { return 0.9 }
 func (t *brokenTransform) Apply(*dataset.Dataset, *rand.Rand) (*dataset.Dataset, error) {

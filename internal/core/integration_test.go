@@ -112,7 +112,7 @@ func TestExplainerDefaults(t *testing.T) {
 	// Custom options thread through the dataset-level entry points.
 	opts := profile.DefaultOptions()
 	opts.Classes = map[string]bool{"selectivity": false, "indep": false}
-	e := &core.Explainer{System: sys, Tau: 0.1, Options: &opts, Seed: 85, Eps: 1e-6}
+	e := &core.Explainer{System: sys, Tau: 0.1, Options: &opts, Seed: 85}
 	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail)
 	if err != nil {
 		t.Fatal(err)

@@ -3,10 +3,12 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/synth"
 )
 
@@ -117,11 +119,27 @@ func TestTraceRecordsCandidateIDs(t *testing.T) {
 }
 
 // TestDecisionTreeTraceRecordsConjunctionIDs checks that the decision
-// tree's conjunction steps name their PVTs by candidate id.
+// tree's conjunction steps name their PVTs by candidate id. Its examples
+// repair each PVT of the ground-truth conjunction alone (each still fails)
+// and all of them together (which passes).
 func TestDecisionTreeTraceRecordsConjunctionIDs(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 6, NumAttrs: 3, Conjunction: 2, Seed: 3})
-	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 3, BootstrapCoveringArray: true}
-	res, err := e.ExplainWithDecisionTreePVTsContext(context.Background(), sc.PVTs, nil, sc.Fail)
+	rng := rand.New(rand.NewSource(3))
+	var examples []*dataset.Dataset
+	var disjunct []*core.PVT
+	for _, i := range sc.GroundTruth[0] {
+		examples = append(examples, core.ComposeAll(sc.Fail, sc.PVTs[i:i+1], nil, rng))
+		disjunct = append(disjunct, sc.PVTs[i])
+	}
+	examples = append(examples, core.ComposeAll(sc.Fail, disjunct, nil, rng))
+	for i, d := range examples {
+		want := i == len(examples)-1
+		if got := sc.System.MalfunctionScore(d) <= 0.05; got != want {
+			t.Fatalf("example %d passes = %v, want %v", i, got, want)
+		}
+	}
+	e := &core.Explainer{System: sc.System, Tau: 0.05, Seed: 3}
+	res, err := e.ExplainWithDecisionTreePVTsContext(context.Background(), sc.PVTs, examples, sc.Fail)
 	if err != nil {
 		t.Fatal(err)
 	}

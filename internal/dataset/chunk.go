@@ -29,7 +29,7 @@ import (
 )
 
 // DefaultChunkSize is the number of rows per chunk used by New and ReadCSV
-// unless overridden (NewChunked, InferOptions.ChunkSize). 64Ki rows keeps a
+// unless overridden (NewChunked, Rechunk). 64Ki rows keeps a
 // numeric chunk at 512 KiB — large enough to amortize per-chunk overhead,
 // small enough that a single-cell write dirties a sliver of a big column.
 const DefaultChunkSize = 1 << 16

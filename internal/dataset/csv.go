@@ -22,12 +22,12 @@ func isNullToken(trimmed string) bool {
 	return false
 }
 
+// maxCategorical is the largest distinct-value count for which ReadCSV
+// infers a string column Categorical rather than Text.
+const maxCategorical = 64
+
 // InferOptions controls CSV type inference.
 type InferOptions struct {
-	// MaxCategorical is the largest distinct-value count (relative to rows)
-	// for which a string column is classified Categorical rather than Text.
-	// Expressed as an absolute cap; 0 means the default of 64.
-	MaxCategorical int
 	// TextColumns forces the named columns to Text regardless of inference.
 	TextColumns []string
 	// Kinds forces the named columns to exact kinds, bypassing inference
@@ -36,16 +36,12 @@ type InferOptions struct {
 	// columns whose values happen to look numeric (e.g. "-1"/"1" class
 	// labels) do not silently change type on the way back in.
 	Kinds map[string]Kind
-	// ChunkSize sets the rows-per-chunk capacity of the parsed dataset's
-	// columns; 0 means DefaultChunkSize. Chunk size affects only
-	// copy-on-write and recomputation granularity — the parsed contents,
-	// digests, and statistics are layout-agnostic.
-	ChunkSize int
 }
 
 // ReadCSV parses CSV data whose first record is the header, inferring column
 // kinds: a column is Numeric if every non-NULL cell parses as a float,
-// Categorical if it has few distinct values, and Text otherwise.
+// Categorical if it has at most 64 distinct values, and Text otherwise. The
+// columns have DefaultChunkSize rows per chunk; Rechunk changes that.
 //
 // The records are counted before they are parsed, so each column is
 // allocated once at its final size and no record outlives its parse. An
@@ -103,19 +99,11 @@ func ReadCSV(r io.Reader, opts InferOptions) (*Dataset, error) {
 		}
 	}
 
-	maxCat := opts.MaxCategorical
-	if maxCat == 0 {
-		maxCat = 64
-	}
 	forcedText := make(map[string]bool, len(opts.TextColumns))
 	for _, n := range opts.TextColumns {
 		forcedText[n] = true
 	}
-	csize := opts.ChunkSize
-	if csize == 0 {
-		csize = DefaultChunkSize
-	}
-	d := NewChunked(csize)
+	d := NewChunked(DefaultChunkSize)
 	for j := range cols {
 		c := &cols[j]
 		kind, nums := c.kind, c.nums
@@ -126,13 +114,13 @@ func ReadCSV(r io.Reader, opts InferOptions) (*Dataset, error) {
 				if nums, err = parseNumericCells(c.name, c.strs, c.null); err != nil {
 					return nil, err
 				}
-			case forcedText[c.name] || distinctCount(c.strs, c.null) > maxCat:
+			case forcedText[c.name] || distinctCount(c.strs, c.null) > maxCategorical:
 				kind = Text
 			default:
 				kind = Categorical
 			}
 		}
-		if err := d.addColumn(newColumn(c.name, kind, nums, c.strs, c.null, csize)); err != nil {
+		if err := d.addColumn(newColumn(c.name, kind, nums, c.strs, c.null, DefaultChunkSize)); err != nil {
 			return nil, err
 		}
 	}

@@ -22,7 +22,7 @@ Julietta,41,F,01009,paints watercolors of birds
 `
 
 func TestReadCSVInference(t *testing.T) {
-	d, err := ReadCSV(strings.NewReader(sampleCSV), InferOptions{MaxCategorical: 3, TextColumns: []string{"bio"}})
+	d, err := ReadCSV(strings.NewReader(sampleCSV), InferOptions{TextColumns: []string{"bio"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,15 +38,33 @@ func TestReadCSVInference(t *testing.T) {
 	if d.Column("bio").Kind != Text {
 		t.Error("bio should be forced Text")
 	}
-	// name has 5 distinct values > MaxCategorical=3 → Text
-	if d.Column("name").Kind != Text {
-		t.Errorf("name should infer Text, got %v", d.Column("name").Kind)
+	// name has 5 distinct values, within the 64 of a Categorical column
+	if d.Column("name").Kind != Categorical {
+		t.Errorf("name should infer Categorical, got %v", d.Column("name").Kind)
 	}
 	if !d.IsNull("zip", 2) {
 		t.Error("empty zip cell should be NULL")
 	}
 	if d.Num("age", 0) != 45 {
 		t.Error("numeric parse wrong")
+	}
+	// 64 distinct strings are the most a Categorical column infers.
+	for _, tc := range []struct {
+		distinct int
+		want     Kind
+	}{{64, Categorical}, {65, Text}} {
+		var b strings.Builder
+		b.WriteString("s\n")
+		for i := 0; i < 2*tc.distinct; i++ {
+			fmt.Fprintf(&b, "v%d\n", i%tc.distinct)
+		}
+		d, err := ReadCSV(strings.NewReader(b.String()), InferOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Column("s").Kind; got != tc.want {
+			t.Errorf("%d distinct strings infer %v, want %v", tc.distinct, got, tc.want)
+		}
 	}
 }
 
@@ -94,7 +112,7 @@ func TestReadCSVErrors(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	d, err := ReadCSV(strings.NewReader(sampleCSV), InferOptions{MaxCategorical: 3, TextColumns: []string{"bio"}})
+	d, err := ReadCSV(strings.NewReader(sampleCSV), InferOptions{TextColumns: []string{"bio"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +120,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, InferOptions{MaxCategorical: 3, TextColumns: []string{"bio"}})
+	back, err := ReadCSV(&buf, InferOptions{TextColumns: []string{"bio"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,19 +185,11 @@ func referenceReadCSV(r io.Reader, opts InferOptions) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: csv row %d has %d fields, want %d", i+2, len(rec), len(header))
 		}
 	}
-	maxCat := opts.MaxCategorical
-	if maxCat == 0 {
-		maxCat = 64
-	}
 	forcedText := make(map[string]bool, len(opts.TextColumns))
 	for _, n := range opts.TextColumns {
 		forcedText[n] = true
 	}
-	csize := opts.ChunkSize
-	if csize == 0 {
-		csize = DefaultChunkSize
-	}
-	d := NewChunked(csize)
+	d := NewChunked(DefaultChunkSize)
 	for j, name := range header {
 		cells := make([]string, len(rows))
 		null := make([]bool, len(rows))
@@ -196,7 +206,7 @@ func referenceReadCSV(r io.Reader, opts InferOptions) (*Dataset, error) {
 				if err := d.AddNumericColumn(name, nums, null); err != nil {
 					return nil, err
 				}
-			} else if err := d.addColumn(newColumn(name, forced, nil, cells, null, csize)); err != nil {
+			} else if err := d.addColumn(newColumn(name, forced, nil, cells, null, DefaultChunkSize)); err != nil {
 				return nil, err
 			}
 			continue
@@ -212,10 +222,10 @@ func referenceReadCSV(r io.Reader, opts InferOptions) (*Dataset, error) {
 			continue
 		}
 		kind := Categorical
-		if forcedText[name] || distinctCount(cells, null) > maxCat {
+		if forcedText[name] || distinctCount(cells, null) > maxCategorical {
 			kind = Text
 		}
-		if err := d.addColumn(newColumn(name, kind, nil, cells, null, csize)); err != nil {
+		if err := d.addColumn(newColumn(name, kind, nil, cells, null, DefaultChunkSize)); err != nil {
 			return nil, err
 		}
 	}

@@ -9,9 +9,9 @@ import (
 
 // FuzzReadCSV asserts that arbitrary input never panics the CSV reader, that
 // any successfully parsed dataset survives a write/read round trip, and that
-// the chunk layout is unobservable: parsing the same input under assorted
-// chunk sizes (including the fuzzer's choice) yields datasets whose digests,
-// statistics, and predicate masks are identical to the single-chunk parse.
+// the chunk layout is unobservable: rechunking the parsed dataset to
+// assorted chunk sizes (including the fuzzer's choice) yields datasets whose
+// digests, statistics, and predicate masks are identical to a single chunk.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("a,b\n1,x\n2,y\n", uint16(1))
 	f.Add("x\nNULL\n3.5\n", uint16(2))
@@ -43,19 +43,12 @@ func FuzzReadCSV(f *testing.F) {
 		// probe sizes straddle the chunk boundary (1, rows-1, rows, rows+1,
 		// > rows) plus whatever the fuzzer picked.
 		rows := d.NumRows()
-		ref, err := ReadCSV(strings.NewReader(input), InferOptions{ChunkSize: rows + 1})
-		if err != nil {
-			t.Fatalf("single-chunk re-parse failed: %v", err)
-		}
+		ref := d.Rechunk(rows + 1)
 		for _, cs := range []int{1, rows - 1, rows, rows + 1, 2*rows + 3, int(csizeSeed)} {
 			if cs < 1 {
 				continue
 			}
-			got, err := ReadCSV(strings.NewReader(input), InferOptions{ChunkSize: cs})
-			if err != nil {
-				t.Fatalf("chunk size %d re-parse failed: %v", cs, err)
-			}
-			assertLayoutEquivalent(t, ref, got, cs)
+			assertLayoutEquivalent(t, ref, d.Rechunk(cs), cs)
 		}
 	})
 }

@@ -299,11 +299,11 @@ func TestHistogramBuckets(t *testing.T) {
 	h.observe(50 * time.Microsecond)
 	h.observe(5 * time.Millisecond)
 	h.observe(2 * time.Second)
-	if h.Count != 3 || h.Buckets[0] != 1 || h.Buckets[2] != 1 || h.Buckets[5] != 1 {
+	if h.Count != 3 || h.buckets[0] != 1 || h.buckets[2] != 1 || h.buckets[5] != 1 {
 		t.Fatalf("histogram = %+v", h)
 	}
-	if h.Max != 2*time.Second {
-		t.Fatalf("max = %v", h.Max)
+	if h.max != 2*time.Second {
+		t.Fatalf("max = %v", h.max)
 	}
 	if s := h.String(); s == "" || s == "no oracle calls" {
 		t.Fatalf("string = %q", s)

@@ -21,13 +21,15 @@ var histBounds = [...]time.Duration{
 // Histogram is a fixed-bucket latency histogram of oracle calls. The zero
 // value is empty and ready to use.
 type Histogram struct {
-	// Buckets[i] counts calls with latency ≤ histBounds[i]; the last
-	// bucket counts everything slower.
-	Buckets [len(histBounds) + 1]int64
-	// Count and Sum aggregate all observations; Max is the slowest call.
+	// Count is the number of observed calls.
 	Count int64
-	Sum   time.Duration
-	Max   time.Duration
+
+	// buckets[i] counts calls with latency ≤ histBounds[i]; the last
+	// bucket counts everything slower.
+	buckets [len(histBounds) + 1]int64
+	// sum aggregates all observations; max is the slowest call.
+	sum time.Duration
+	max time.Duration
 }
 
 func (h *Histogram) observe(d time.Duration) {
@@ -35,11 +37,11 @@ func (h *Histogram) observe(d time.Duration) {
 	for i < len(histBounds) && d > histBounds[i] {
 		i++
 	}
-	h.Buckets[i]++
+	h.buckets[i]++
 	h.Count++
-	h.Sum += d
-	if d > h.Max {
-		h.Max = d
+	h.sum += d
+	if d > h.max {
+		h.max = d
 	}
 }
 
@@ -48,7 +50,7 @@ func (h Histogram) Mean() time.Duration {
 	if h.Count == 0 {
 		return 0
 	}
-	return h.Sum / time.Duration(h.Count)
+	return h.sum / time.Duration(h.Count)
 }
 
 // String renders the non-empty buckets compactly, e.g.
@@ -58,7 +60,7 @@ func (h Histogram) String() string {
 		return "no oracle calls"
 	}
 	var parts []string
-	for i, n := range h.Buckets {
+	for i, n := range h.buckets {
 		if n == 0 {
 			continue
 		}
@@ -69,5 +71,5 @@ func (h Histogram) String() string {
 		}
 	}
 	return fmt.Sprintf("%s (mean %v, max %v)",
-		strings.Join(parts, " "), h.Mean().Round(time.Microsecond), h.Max.Round(time.Microsecond))
+		strings.Join(parts, " "), h.Mean().Round(time.Microsecond), h.max.Round(time.Microsecond))
 }

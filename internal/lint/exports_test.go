@@ -213,3 +213,242 @@ func stdInterfaces(t *testing.T, imp types.Importer) []*types.Interface {
 	}
 	return out
 }
+
+// unsetExemptions are the settings and interface methods that
+// TestNoUnsetSettingsOrUncalledMethods lets stay although no program sets or
+// calls them. Keys are "pkgpath.Type.Field", "pkgpath.Type" for every field
+// of a struct, or "pkgpath.Interface.Method".
+var unsetExemptions = map[string]string{
+	"repro/internal/pipeline.FaultInjector":             "the facade's chaos harness, which tests configure",
+	"repro/internal/pipeline.Breaker.Clock":             "tests substitute a fake clock",
+	"repro/internal/baselines.Config.MaxInterventions":  "TestAnchorBudgetExhaustion needs a budget it can reach",
+	"repro/internal/pipeline.External.Timeout":          "a deployment timeout",
+	"repro/internal/pipeline/remote.Config.DialTimeout": "a deployment timeout",
+	"repro/internal/scorestore.Options.Sync":            "durability: a deployment chooses whether each record is fsynced",
+}
+
+// TestNoUnsetSettingsOrUncalledMethods fails on two kinds of dead surface
+// under internal/ that TestNoTestOnlyExports cannot see, because it checks
+// package-level names and methods:
+//
+//   - an exported field of an exported struct that no non-test file sets,
+//     and that no non-test file outside its package reads. Setting is
+//     naming the field as a composite-literal key anywhere, or assigning,
+//     incrementing or taking the address of it, through a chain of
+//     selectors and indexes, outside the methods of its own struct (a
+//     method updating its own state is not a program choosing a value).
+//     Such a field is a setting no program changes: its default is a
+//     constant.
+//   - a method of a named interface that no non-test file calls, through
+//     the interface or on a type that implements it. Every implementation
+//     then carries a method only tests call.
+func TestNoUnsetSettingsOrUncalledMethods(t *testing.T) {
+	if len(unsetExemptions) > 6 {
+		t.Fatalf("%d named exemptions; keep at most six", len(unsetExemptions))
+	}
+	loader, err := lint.NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var dead []string
+	stale := maps.Clone(unsetExemptions)
+	fset := pkgs[0].Fset // the loader parses every package into one file set
+	report := func(keys []string, what string, pos token.Pos) {
+		for _, k := range keys {
+			if _, ok := unsetExemptions[k]; ok {
+				delete(stale, k)
+				return
+			}
+		}
+		dead = append(dead, fset.Position(pos).String()+": "+keys[0]+" "+what)
+	}
+	fields, ifaces := settingsAndInterfaces(pkgs)
+	used := usedSettings(pkgs, fields)
+	for v, owner := range fields {
+		if !used[v] {
+			typeKey := owner.Obj().Pkg().Path() + "." + owner.Obj().Name()
+			report([]string{typeKey + "." + v.Name(), typeKey}, "is set by no program and read by no other package", v.Pos())
+		}
+	}
+	calls := methodCalls(pkgs)
+	for _, named := range ifaces {
+		it := named.Underlying().(*types.Interface)
+		for i := 0; i < it.NumExplicitMethods(); i++ {
+			if m := it.ExplicitMethod(i); !calledThrough(it, m, calls) {
+				key := named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + m.Name()
+				report([]string{key}, "is called by no program", m.Pos())
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s", d)
+	}
+	for key := range stale {
+		t.Errorf("stale exemption %s: a program sets or calls it, or it no longer exists", key)
+	}
+}
+
+// settingsAndInterfaces returns the exported fields of the exported structs
+// declared under internal/, each mapped to its struct, and the named
+// interfaces declared there.
+func settingsAndInterfaces(pkgs []*lint.Package) (map[*types.Var]*types.Named, []*types.Named) {
+	fields := map[*types.Var]*types.Named{}
+	var ifaces []*types.Named
+	for _, pkg := range pkgs {
+		if !strings.Contains(pkg.Path+"/", "/internal/") {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			switch u := named.Underlying().(type) {
+			case *types.Struct:
+				for i := 0; tn.Exported() && i < u.NumFields(); i++ {
+					if f := u.Field(i); f.Exported() && !f.Embedded() {
+						fields[f] = named
+					}
+				}
+			case *types.Interface:
+				ifaces = append(ifaces, named)
+			}
+		}
+	}
+	return fields, ifaces
+}
+
+// usedSettings reports which of fields a non-test file sets, or reads from
+// outside the field's package.
+func usedSettings(pkgs []*lint.Package, fields map[*types.Var]*types.Named) map[*types.Var]bool {
+	used := map[*types.Var]bool{}
+	for _, pkg := range pkgs {
+		for _, obj := range pkg.Info.Uses {
+			if v, ok := obj.(*types.Var); ok {
+				if owner, ok := fields[v.Origin()]; ok && owner.Obj().Pkg() != pkg.Types {
+					used[v.Origin()] = true
+				}
+			}
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				var recv *types.Named
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+					recv = receiverNamed(pkg.Info.Defs[fd.Name])
+				}
+				// A composite literal builds a whole value, so it sets the
+				// fields it names even inside its own type's methods (a
+				// decoder); a mutation there is the value keeping its state.
+				set := func(v *types.Var, inOwnMethod bool) {
+					v = v.Origin()
+					if owner, ok := fields[v]; ok && (!inOwnMethod || recv == nil || owner.Origin() != recv.Origin()) {
+						used[v] = true
+					}
+				}
+				mutate := func(e ast.Expr) {
+					for {
+						switch x := e.(type) {
+						case *ast.ParenExpr:
+							e = x.X
+						case *ast.StarExpr:
+							e = x.X
+						case *ast.IndexExpr:
+							e = x.X
+						case *ast.SelectorExpr:
+							if s := pkg.Info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+								set(s.Obj().(*types.Var), true)
+							}
+							e = x.X
+						default:
+							return
+						}
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						typ := pkg.Info.TypeOf(n)
+						if p, ok := typ.(*types.Pointer); ok {
+							typ = p.Elem()
+						}
+						st, ok := typ.Underlying().(*types.Struct)
+						if !ok {
+							return true
+						}
+						for i, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if v, ok := pkg.Info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+									set(v, false)
+								}
+							} else if i < st.NumFields() {
+								set(st.Field(i), false)
+							}
+						}
+					case *ast.AssignStmt:
+						if n.Tok != token.DEFINE {
+							for _, lhs := range n.Lhs {
+								mutate(lhs)
+							}
+						}
+					case *ast.IncDecStmt:
+						mutate(n.X)
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							mutate(n.Key)
+							mutate(n.Value)
+						}
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							mutate(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return used
+}
+
+// methodCall is one method selected in a non-test file: the method and the
+// type it was selected on.
+type methodCall struct {
+	recv types.Type
+	fn   *types.Func
+}
+
+// methodCalls returns every method call or method value in pkgs.
+func methodCalls(pkgs []*lint.Package) []methodCall {
+	var calls []methodCall
+	for _, pkg := range pkgs {
+		for _, sel := range pkg.Info.Selections {
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				calls = append(calls, methodCall{sel.Recv(), fn.Origin()})
+			}
+		}
+	}
+	return calls
+}
+
+// calledThrough reports whether some call selects m through it, or selects
+// a method of m's name on a type that implements it.
+func calledThrough(it *types.Interface, m *types.Func, calls []methodCall) bool {
+	for _, c := range calls {
+		if c.fn == m || c.fn.Name() == m.Name() &&
+			(types.Implements(c.recv, it) || types.Implements(types.NewPointer(c.recv), it)) {
+			return true
+		}
+	}
+	return false
+}

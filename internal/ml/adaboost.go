@@ -27,9 +27,6 @@ func (s *stump) predict(x []float64) int {
 type AdaBoost struct {
 	// Rounds is the number of boosting rounds (default 50).
 	Rounds int
-	// MaxThresholds caps the stump threshold candidates per feature
-	// (default 32).
-	MaxThresholds int
 
 	stumps []stump
 }
@@ -38,9 +35,6 @@ type AdaBoost struct {
 func (a *AdaBoost) Fit(X [][]float64, y []int) {
 	if a.Rounds == 0 {
 		a.Rounds = 50
-	}
-	if a.MaxThresholds == 0 {
-		a.MaxThresholds = 32
 	}
 	n := len(X)
 	if n == 0 {
@@ -65,10 +59,10 @@ func (a *AdaBoost) Fit(X [][]float64, y []int) {
 				mids = append(mids, (vals[i]+vals[i-1])/2)
 			}
 		}
-		if len(mids) > a.MaxThresholds {
-			sub := make([]float64, a.MaxThresholds)
-			for k := 0; k < a.MaxThresholds; k++ {
-				sub[k] = mids[k*(len(mids)-1)/(a.MaxThresholds-1)]
+		if len(mids) > maxThresholds {
+			sub := make([]float64, maxThresholds)
+			for k := 0; k < maxThresholds; k++ {
+				sub[k] = mids[k*(len(mids)-1)/(maxThresholds-1)]
 			}
 			mids = sub
 		}

@@ -8,12 +8,8 @@ import (
 // full-batch gradient descent with L2 regularization — the classifier of
 // the paper's running example (Example 1).
 type LogisticRegression struct {
-	// LearningRate is the gradient-descent step size (default 0.1).
-	LearningRate float64
 	// Iterations is the number of gradient steps (default 200).
 	Iterations int
-	// L2 is the ridge penalty (default 1e-3).
-	L2 float64
 
 	weights []float64
 	bias    float64
@@ -21,16 +17,17 @@ type LogisticRegression struct {
 	means, scales []float64
 }
 
+// The gradient-descent step size and the ridge penalty of
+// LogisticRegression.
+const (
+	learningRate = 0.1
+	l2           = 1e-3
+)
+
 // fillDefaults applies the documented defaults for zero-valued fields.
 func (m *LogisticRegression) fillDefaults() {
-	if m.LearningRate == 0 {
-		m.LearningRate = 0.1
-	}
 	if m.Iterations == 0 {
 		m.Iterations = 200
-	}
-	if m.L2 == 0 {
-		m.L2 = 1e-3
 	}
 }
 
@@ -84,9 +81,9 @@ func (m *LogisticRegression) Fit(X [][]float64, y []int) {
 		}
 		inv := 1 / float64(n)
 		for j := 0; j < d; j++ {
-			m.weights[j] -= m.LearningRate * (grad[j]*inv + m.L2*m.weights[j])
+			m.weights[j] -= learningRate * (grad[j]*inv + l2*m.weights[j])
 		}
-		m.bias -= m.LearningRate * gb * inv
+		m.bias -= learningRate * gb * inv
 	}
 }
 

@@ -10,18 +10,21 @@ import (
 type DecisionTree struct {
 	// MaxDepth bounds the tree depth (default 6).
 	MaxDepth int
-	// MinLeaf is the smallest sample count at which a node may still split
-	// (default 2).
-	MinLeaf int
-	// MaxThresholds caps the candidate split thresholds per feature; values
-	// beyond the cap are subsampled by quantile (default 32).
-	MaxThresholds int
 	// Features optionally restricts splits to a feature subset (used by
 	// random forests); nil means all features.
 	Features []int
 
 	root *treeNode
 }
+
+// minLeaf is the smallest sample count each side of a DecisionTree split
+// keeps.
+const minLeaf = 2
+
+// maxThresholds caps the candidate split thresholds per feature of a
+// DecisionTree node and of an AdaBoost stump; values beyond the cap are
+// subsampled by quantile.
+const maxThresholds = 32
 
 type treeNode struct {
 	feature   int
@@ -35,12 +38,6 @@ type treeNode struct {
 func (t *DecisionTree) fillDefaults() {
 	if t.MaxDepth == 0 {
 		t.MaxDepth = 6
-	}
-	if t.MinLeaf == 0 {
-		t.MinLeaf = 2
-	}
-	if t.MaxThresholds == 0 {
-		t.MaxThresholds = 32
 	}
 }
 
@@ -81,7 +78,7 @@ func majority(y []int, idx []int) int {
 
 func (t *DecisionTree) build(X [][]float64, y []int, idx []int, depth int) *treeNode {
 	node := &treeNode{leaf: true, class: majority(y, idx)}
-	if depth >= t.MaxDepth || len(idx) < 2*t.MinLeaf || gini(y, idx) == 0 {
+	if depth >= t.MaxDepth || len(idx) < 2*minLeaf || gini(y, idx) == 0 {
 		return node
 	}
 	features := t.Features
@@ -107,7 +104,7 @@ func (t *DecisionTree) build(X [][]float64, y []int, idx []int, depth int) *tree
 					rOnes += y[i]
 				}
 			}
-			if lN < t.MinLeaf || rN < t.MinLeaf {
+			if lN < minLeaf || rN < minLeaf {
 				continue
 			}
 			pl := float64(lOnes) / float64(lN)
@@ -138,7 +135,7 @@ func (t *DecisionTree) build(X [][]float64, y []int, idx []int, depth int) *tree
 }
 
 // candidateThresholds returns midpoints between consecutive distinct values
-// of feature j at idx, subsampled to MaxThresholds by quantile.
+// of feature j at idx, subsampled to maxThresholds by quantile.
 func (t *DecisionTree) candidateThresholds(X [][]float64, idx []int, j int) []float64 {
 	vals := make([]float64, 0, len(idx))
 	for _, i := range idx {
@@ -151,12 +148,12 @@ func (t *DecisionTree) candidateThresholds(X [][]float64, idx []int, j int) []fl
 			mids = append(mids, (vals[i]+vals[i-1])/2)
 		}
 	}
-	if len(mids) <= t.MaxThresholds {
+	if len(mids) <= maxThresholds {
 		return mids
 	}
-	out := make([]float64, t.MaxThresholds)
-	for k := 0; k < t.MaxThresholds; k++ {
-		out[k] = mids[k*(len(mids)-1)/(t.MaxThresholds-1)]
+	out := make([]float64, maxThresholds)
+	for k := 0; k < maxThresholds; k++ {
+		out[k] = mids[k*(len(mids)-1)/(maxThresholds-1)]
 	}
 	return out
 }

@@ -1,6 +1,6 @@
 // Canonical JSON codecs for learned text patterns. Profile artifacts
-// (internal/artifact) persist text Domain profiles, so Pattern and
-// Alternation must round-trip through a stable, deterministic wire form:
+// (internal/artifact) persist text Domain profiles, so a Pattern must
+// round-trip through a stable, deterministic wire form:
 // the same learned pattern always encodes to the same bytes, regardless of
 // map iteration order, and decoding reconstructs a pattern that Equal()s
 // the original.
@@ -71,32 +71,5 @@ func (p *Pattern) UnmarshalJSON(data []byte) error {
 	for _, c := range w.Classes {
 		p.Classes[Class(c)] = true
 	}
-	return nil
-}
-
-// alternationJSON is the wire form of an Alternation. Branch order (most
-// frequent first) and the per-branch example counts are preserved so the
-// decoded alternation Conforms identically to the learned one.
-type alternationJSON struct {
-	Branches []*Pattern `json:"branches"`
-	Counts   []int      `json:"counts"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (a *Alternation) MarshalJSON() ([]byte, error) {
-	return json.Marshal(alternationJSON{Branches: a.Branches, Counts: a.counts})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (a *Alternation) UnmarshalJSON(data []byte) error {
-	var w alternationJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	if len(w.Counts) != len(w.Branches) {
-		return fmt.Errorf("pattern: alternation has %d branches but %d counts",
-			len(w.Branches), len(w.Counts))
-	}
-	*a = Alternation{Branches: w.Branches, counts: w.Counts}
 	return nil
 }

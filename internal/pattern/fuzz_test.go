@@ -19,12 +19,5 @@ func FuzzLearnConform(f *testing.F) {
 		if got := p.Conform(probe); !p.Matches(got) {
 			t.Fatalf("Conform(%q) = %q does not match %s", probe, got, p)
 		}
-		alt := LearnAlternation([]string{a, b}, 0)
-		if !alt.Matches(a) || !alt.Matches(b) {
-			t.Fatalf("alternation does not match training strings")
-		}
-		if got := alt.Conform(probe); !alt.Matches(got) {
-			t.Fatalf("alternation Conform(%q) = %q does not match", probe, got)
-		}
 	})
 }

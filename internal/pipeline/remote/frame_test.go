@@ -11,7 +11,9 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -234,6 +236,65 @@ func TestWorkerDropsOtherProtocolVersions(t *testing.T) {
 	}
 	if n := scorer.calls.Load(); n != 0 {
 		t.Fatalf("oracle scored a version-skewed request %d times", n)
+	}
+}
+
+// TestWorkerLogsOnlyFaults checks what Worker.Logf promises: requests
+// served without a fault log nothing, and a well-framed request that does
+// not decode logs one line, which names the peer.
+func TestWorkerLogsOnlyFaults(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	logged := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(lines)
+	}
+	addr, stop := serveLogged(t, &valueScorer{}, func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, v := range []float64{0.5, 0.25} {
+		frame, err := encodeRequest(flagData(v), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := readFrame(conn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := decodeResponse(payload); err != nil || res.Err != nil || res.Score != v {
+			t.Fatalf("request %g answered %+v, %v", v, res, err)
+		}
+	}
+	if got := logged(); len(got) != 0 {
+		t.Fatalf("two served requests logged %q, want nothing", got)
+	}
+
+	frame, err := encodeRequest(flagData(0.5), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[4] = protocolVersion - 1
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(conn, nil); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after an undecodable request = %v, want EOF", err)
+	}
+	stop() // returns once the worker has ended the connection
+	peer := conn.LocalAddr().String()
+	if got := logged(); len(got) != 1 || !strings.Contains(got[0], peer) {
+		t.Fatalf("an undecodable request logged %q, want one line naming %s", got, peer)
 	}
 }
 

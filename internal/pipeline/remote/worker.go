@@ -17,8 +17,11 @@ import (
 type Worker struct {
 	// System is the wrapped error-aware scorer (required).
 	System pipeline.FallibleSystem
-	// Logf, when set, receives one line per served connection and per
-	// protocol error (e.g. log.Printf). Nil silences the worker.
+	// Logf, when set, receives one line (e.g. log.Printf) for each request
+	// that does not decode, naming the peer; each table that does not
+	// decode or does not match its fingerprint; each reply that cannot be
+	// written; and each scorer panic. A request served without such a
+	// fault logs nothing. Nil silences the worker.
 	Logf func(format string, args ...any)
 
 	// idle is the payload buffer of a closed connection, kept for the

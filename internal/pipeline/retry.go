@@ -3,8 +3,6 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -15,11 +13,10 @@ import (
 // input), permanent errors, and ErrBreakerOpen pass through immediately —
 // retrying them wastes the very oracle budget the engine is protecting.
 //
-// Backoff for attempt k (1-based) is BaseDelay·2^(k-1) capped at MaxDelay.
-// When Jitter > 0 and a Source is injected, each delay is shortened by up to
-// Jitter·delay using the seeded source, so backoff is reproducible per seed
-// instead of depending on the global RNG. Sleeps observe the context: a
-// cancelled caller aborts the backoff immediately with a transient failure.
+// Backoff for attempt k (1-based) is BaseDelay·2^(k-1) capped at 5s, with
+// no jitter, so a retry schedule is the same on every run. Sleeps observe
+// the context: a cancelled caller aborts the backoff immediately with a
+// transient failure.
 type Retry struct {
 	// System is the wrapped error-aware scorer.
 	System FallibleSystem
@@ -28,18 +25,10 @@ type Retry struct {
 	Max int
 	// BaseDelay is the first backoff; zero means 100ms.
 	BaseDelay time.Duration
-	// MaxDelay caps the exponential growth; zero means 5s.
-	MaxDelay time.Duration
-	// Jitter in [0,1] is the fraction of each delay randomized away;
-	// zero disables jitter.
-	Jitter float64
-	// Source seeds the jitter; nil with Jitter > 0 falls back to a fixed
-	// seed so behavior stays reproducible.
-	Source rand.Source
-
-	mu  sync.Mutex
-	rng *rand.Rand
 }
+
+// maxRetryDelay caps Retry's exponential backoff.
+const maxRetryDelay = 5 * time.Second
 
 // Name implements FallibleSystem.
 func (r *Retry) Name() string { return r.System.Name() }
@@ -58,36 +47,13 @@ func (r *Retry) baseDelay() time.Duration {
 	return r.BaseDelay
 }
 
-func (r *Retry) maxDelay() time.Duration {
-	if r.MaxDelay <= 0 {
-		return 5 * time.Second
-	}
-	return r.MaxDelay
-}
-
 // delay computes the backoff before attempt k+1, k completed attempts in.
 func (r *Retry) delay(k int) time.Duration {
 	d := r.baseDelay()
-	for i := 1; i < k && d < r.maxDelay(); i++ {
+	for i := 1; i < k && d < maxRetryDelay; i++ {
 		d *= 2
 	}
-	if d > r.maxDelay() {
-		d = r.maxDelay()
-	}
-	if r.Jitter > 0 {
-		r.mu.Lock()
-		if r.rng == nil {
-			src := r.Source
-			if src == nil {
-				src = rand.NewSource(1)
-			}
-			r.rng = rand.New(src)
-		}
-		f := r.rng.Float64()
-		r.mu.Unlock()
-		d -= time.Duration(float64(d) * r.Jitter * f)
-	}
-	return d
+	return min(d, maxRetryDelay)
 }
 
 // TryMalfunctionScore implements FallibleSystem: transient failures are

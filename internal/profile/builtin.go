@@ -141,7 +141,7 @@ func perColumn(d *dataset.Dataset, opts Options, fn func(c *dataset.Column) []Pr
 }
 
 // discoverDomains learns one Domain profile per column (kind-appropriate:
-// categorical value set, numeric range, or text pattern/alternation).
+// categorical value set, numeric range, or text pattern).
 func discoverDomains(d *dataset.Dataset, opts Options) []Profile {
 	return perColumn(d, opts, func(c *dataset.Column) []Profile {
 		if p := discoverDomain(d, c, opts); p != nil {

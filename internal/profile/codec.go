@@ -94,16 +94,15 @@ func clamp01(v float64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// domain — four concrete types behind one class, discriminated by variant.
+// domain — three concrete types behind one class, discriminated by variant.
 
 type domainJSON struct {
-	Variant string               `json:"variant"` // categorical | numeric | text | text-multi
-	Attr    string               `json:"attr"`
-	Values  []string             `json:"values,omitempty"`  // categorical, sorted
-	Lo      *float64             `json:"lo,omitempty"`      // numeric
-	Hi      *float64             `json:"hi,omitempty"`      // numeric
-	Pattern *pattern.Pattern     `json:"pattern,omitempty"` // text
-	Alt     *pattern.Alternation `json:"alt,omitempty"`     // text-multi
+	Variant string           `json:"variant"` // categorical | numeric | text
+	Attr    string           `json:"attr"`
+	Values  []string         `json:"values,omitempty"`  // categorical, sorted
+	Lo      *float64         `json:"lo,omitempty"`      // numeric
+	Hi      *float64         `json:"hi,omitempty"`      // numeric
+	Pattern *pattern.Pattern `json:"pattern,omitempty"` // text
 }
 
 func encodeDomain(p Profile) (any, error) {
@@ -115,8 +114,6 @@ func encodeDomain(p Profile) (any, error) {
 		return domainJSON{Variant: "numeric", Attr: q.Attr, Lo: &lo, Hi: &hi}, nil
 	case *DomainText:
 		return domainJSON{Variant: "text", Attr: q.Attr, Pattern: q.Pattern}, nil
-	case *DomainTextMulti:
-		return domainJSON{Variant: "text-multi", Attr: q.Attr, Alt: q.Alt}, nil
 	}
 	return nil, nil
 }
@@ -143,11 +140,6 @@ func decodeDomain(data []byte) (Profile, error) {
 			return nil, fmt.Errorf("text domain %q without pattern", w.Attr)
 		}
 		return &DomainText{Attr: w.Attr, Pattern: w.Pattern}, nil
-	case "text-multi":
-		if w.Alt == nil {
-			return nil, fmt.Errorf("text-multi domain %q without alternation", w.Attr)
-		}
-		return &DomainTextMulti{Attr: w.Attr, Alt: w.Alt}, nil
 	}
 	return nil, fmt.Errorf("unknown domain variant %q", w.Variant)
 }

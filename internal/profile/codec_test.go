@@ -34,8 +34,8 @@ var codecGolden = []struct {
 	},
 	{
 		class:   "domain",
-		profile: &DomainTextMulti{Attr: "phone", Alt: pattern.LearnAlternation([]string{"555-0100", "555-0101", "5550102"}, 4)},
-		golden:  `{"variant":"text-multi","attr":"phone","alt":{"branches":[{"structured":true,"min_len":8,"max_len":8,"runs":[{"class":2,"min":3,"max":3,"literal":"5"},{"class":4,"min":1,"max":1,"literal":"-"},{"class":2,"min":4,"max":4}],"classes":[2,4]},{"structured":true,"min_len":7,"max_len":7,"runs":[{"class":2,"min":7,"max":7}],"classes":[2]}],"counts":[2,1]}}`,
+		profile: &DomainText{Attr: "phone", Pattern: pattern.Learn([]string{"555-0100", "555-0101", "555-0102"})},
+		golden:  `{"variant":"text","attr":"phone","pattern":{"structured":true,"min_len":8,"max_len":8,"runs":[{"class":2,"min":3,"max":3,"literal":"5"},{"class":4,"min":1,"max":1,"literal":"-"},{"class":2,"min":4,"max":4}],"classes":[2,4]}}`,
 	},
 	{
 		class:   "missing",

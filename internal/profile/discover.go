@@ -31,10 +31,6 @@ type Options struct {
 	// class-selection surface; the CLI's -profiles flag and every scenario
 	// translate into it.
 	Classes map[string]bool
-	// TextAlternations, when above 1, learns text Domain profiles as
-	// alternations of up to that many structured formats instead of a
-	// single pattern — handling attributes that legitimately mix formats.
-	TextAlternations int
 	// Workers bounds the goroutines fanning independent discovery work
 	// (profile classes, per-column profiles, independence pairs,
 	// selectivity estimates) out on the engine worker pool. Zero means
@@ -179,9 +175,6 @@ func discoverDomain(d *dataset.Dataset, c *dataset.Column, opts Options) Profile
 		vals := d.StringValues(c.Name)
 		if len(vals) == 0 {
 			return nil
-		}
-		if opts.TextAlternations > 1 {
-			return &DomainTextMulti{Attr: c.Name, Alt: pattern.LearnAlternation(vals, opts.TextAlternations)}
 		}
 		return &DomainText{Attr: c.Name, Pattern: pattern.Learn(vals)}
 	default:

@@ -186,38 +186,6 @@ func TestDiscoverFDSkipsWeakDependencies(t *testing.T) {
 	}
 }
 
-func TestDomainTextMulti(t *testing.T) {
-	train := dataset.New().MustAddText("phone", []string{
-		"555-123-4567", "662-987-6543", "(555) 123-4567", "(816) 765-4321",
-	})
-	opts := DefaultOptions()
-	opts.TextAlternations = 4
-	profiles := Discover(train, opts)
-	var multi *DomainTextMulti
-	for _, p := range profiles {
-		if m, ok := p.(*DomainTextMulti); ok {
-			multi = m
-		}
-	}
-	if multi == nil {
-		t.Fatal("no DomainTextMulti discovered")
-	}
-	if v := multi.Violation(train); v != 0 {
-		t.Errorf("self-violation = %g", v)
-	}
-	bad := dataset.New().MustAddText("phone", []string{"999-111-2222", "garbage", "(123) 456-7890"})
-	if v := multi.Violation(bad); v < 0.3 || v > 0.4 {
-		t.Errorf("violation = %g, want 1/3", v)
-	}
-	// SameParams across re-discovery.
-	profiles2 := Discover(train, opts)
-	for _, p := range profiles2 {
-		if m, ok := p.(*DomainTextMulti); ok && !multi.SameParams(m) {
-			t.Error("re-discovered alternation should match")
-		}
-	}
-}
-
 func TestUniqueProfile(t *testing.T) {
 	d := dataset.New().MustAddCategorical("id", []string{"a", "b", "c", "b", "a"})
 	p := &Unique{Attr: "id", Theta: 0}

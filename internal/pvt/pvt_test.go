@@ -41,7 +41,6 @@ func (p *evenProfile) Violation(d *dataset.Dataset) float64 {
 type doubleEven struct{ prof *evenProfile }
 
 func (t *doubleEven) Name() string                        { return "double-even" }
-func (t *doubleEven) Target() profile.Profile             { return t.prof }
 func (t *doubleEven) Modifies() []string                  { return []string{t.prof.Attr} }
 func (t *doubleEven) Coverage(d *dataset.Dataset) float64 { return t.prof.Violation(d) }
 func (t *doubleEven) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, error) {

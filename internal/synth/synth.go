@@ -73,9 +73,6 @@ type Transform struct {
 // Name implements transform.Transformation.
 func (t *Transform) Name() string { return fmt.Sprintf("clear-flag-%d", t.P.Index) }
 
-// Target implements transform.Transformation.
-func (t *Transform) Target() profile.Profile { return t.P }
-
 // Modifies implements transform.Transformation.
 func (t *Transform) Modifies() []string { return t.P.Attrs }
 

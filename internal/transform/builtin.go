@@ -19,8 +19,6 @@ func init() {
 			}
 		case *profile.DomainText:
 			return []Transformation{&ConformText{Profile: q}}
-		case *profile.DomainTextMulti:
-			return []Transformation{&ConformTextMulti{Profile: q}}
 		}
 		return nil
 	})

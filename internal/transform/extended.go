@@ -22,9 +22,6 @@ type QuantileMap struct {
 // Name implements Transformation.
 func (t *QuantileMap) Name() string { return "quantile-map" }
 
-// Target implements Transformation.
-func (t *QuantileMap) Target() profile.Profile { return t.Profile }
-
 // Modifies implements Transformation.
 func (t *QuantileMap) Modifies() []string { return []string{t.Profile.Attr} }
 
@@ -67,9 +64,6 @@ type FDRepair struct {
 // Name implements Transformation.
 func (t *FDRepair) Name() string { return "fd-repair" }
 
-// Target implements Transformation.
-func (t *FDRepair) Target() profile.Profile { return t.Profile }
-
 // Modifies implements Transformation.
 func (t *FDRepair) Modifies() []string { return []string{t.Profile.Dep} }
 
@@ -106,52 +100,6 @@ func (t *FDRepair) Coverage(d *dataset.Dataset) float64 {
 	return t.Profile.G3(d)
 }
 
-// ConformTextMulti repairs a multi-format text Domain violation by
-// minimally editing each non-matching value toward the learned format
-// alternation (preferring the branch with the value's own run structure).
-type ConformTextMulti struct {
-	Profile *profile.DomainTextMulti
-}
-
-// Name implements Transformation.
-func (t *ConformTextMulti) Name() string { return "conform-alternation" }
-
-// Target implements Transformation.
-func (t *ConformTextMulti) Target() profile.Profile { return t.Profile }
-
-// Modifies implements Transformation.
-func (t *ConformTextMulti) Modifies() []string { return []string{t.Profile.Attr} }
-
-// Apply implements Transformation.
-func (t *ConformTextMulti) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, error) {
-	out := d.Clone()
-	c := out.MutableColumn(t.Profile.Attr)
-	if c == nil || c.Kind == dataset.Numeric {
-		return nil, fmt.Errorf("transform: no text column %q", t.Profile.Attr)
-	}
-	for k := 0; k < c.NumChunks(); k++ {
-		v := c.Chunk(k)
-		var w dataset.ChunkView
-		for i := range v.Strs {
-			if v.Null[i] {
-				continue
-			}
-			if !t.Profile.Alt.Matches(v.Strs[i]) {
-				if w.Null == nil {
-					w = c.MutableChunk(k) // copy/dirty only chunks that change
-				}
-				w.Strs[i] = t.Profile.Alt.Conform(v.Strs[i])
-			}
-		}
-	}
-	return out, nil
-}
-
-// Coverage implements Transformation.
-func (t *ConformTextMulti) Coverage(d *dataset.Dataset) float64 {
-	return t.Profile.Violation(d)
-}
-
 // Recadence repairs a Frequency (sampling-cadence) violation by rescaling
 // the attribute around its minimum so the median inter-value gap matches
 // the profile's reference cadence — turning an accidental daily feed back
@@ -162,9 +110,6 @@ type Recadence struct {
 
 // Name implements Transformation.
 func (t *Recadence) Name() string { return "recadence" }
-
-// Target implements Transformation.
-func (t *Recadence) Target() profile.Profile { return t.Profile }
 
 // Modifies implements Transformation.
 func (t *Recadence) Modifies() []string { return []string{t.Profile.Attr} }
@@ -211,9 +156,6 @@ type RepairInclusion struct {
 // Name implements Transformation.
 func (t *RepairInclusion) Name() string { return "repair-inclusion" }
 
-// Target implements Transformation.
-func (t *RepairInclusion) Target() profile.Profile { return t.Profile }
-
 // Modifies implements Transformation.
 func (t *RepairInclusion) Modifies() []string { return []string{t.Profile.Child} }
 
@@ -250,9 +192,6 @@ type Deduplicate struct {
 
 // Name implements Transformation.
 func (t *Deduplicate) Name() string { return "deduplicate" }
-
-// Target implements Transformation.
-func (t *Deduplicate) Target() profile.Profile { return t.Profile }
 
 // Modifies implements Transformation.
 func (t *Deduplicate) Modifies() []string { return []string{t.Profile.Attr} }
@@ -309,9 +248,6 @@ type MedianShift struct {
 
 // Name implements Transformation.
 func (t *MedianShift) Name() string { return "median-shift" }
-
-// Target implements Transformation.
-func (t *MedianShift) Target() profile.Profile { return t.Profile }
 
 // Modifies implements Transformation.
 func (t *MedianShift) Modifies() []string { return []string{t.Profile.Attr} }

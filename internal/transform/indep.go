@@ -23,9 +23,6 @@ type ShuffleBreak struct {
 // Name implements Transformation.
 func (t *ShuffleBreak) Name() string { return "shuffle-" + t.Attr }
 
-// Target implements Transformation.
-func (t *ShuffleBreak) Target() profile.Profile { return t.Prof }
-
 // Modifies implements Transformation.
 func (t *ShuffleBreak) Modifies() []string { return []string{t.Attr} }
 
@@ -97,9 +94,6 @@ type NoiseBreak struct {
 // Name implements Transformation.
 func (t *NoiseBreak) Name() string { return "noise-" + t.Attr }
 
-// Target implements Transformation.
-func (t *NoiseBreak) Target() profile.Profile { return t.Prof }
-
 // Modifies implements Transformation.
 func (t *NoiseBreak) Modifies() []string { return []string{t.Attr} }
 
@@ -165,9 +159,6 @@ type CausalBreak struct {
 // Name implements Transformation.
 func (t *CausalBreak) Name() string { return "causal-break" }
 
-// Target implements Transformation.
-func (t *CausalBreak) Target() profile.Profile { return t.Prof }
-
 // Modifies implements Transformation.
 func (t *CausalBreak) Modifies() []string { return []string{t.Prof.AttrB} }
 
@@ -227,9 +218,6 @@ type ConditionalTransform struct {
 
 // Name implements Transformation.
 func (t *ConditionalTransform) Name() string { return "conditional-" + t.Inner.Name() }
-
-// Target implements Transformation.
-func (t *ConditionalTransform) Target() profile.Profile { return t.Prof }
 
 // Modifies implements Transformation.
 func (t *ConditionalTransform) Modifies() []string { return t.Inner.Modifies() }

@@ -73,9 +73,8 @@ func (p *fakeProfile) Key() string  { return "fake:" + p.Attr }
 
 type fakeTransform struct{ prof *fakeProfile }
 
-func (t *fakeTransform) Name() string            { return "fake-fix" }
-func (t *fakeTransform) Target() profile.Profile { return t.prof }
-func (t *fakeTransform) Modifies() []string      { return []string{t.prof.Attr} }
+func (t *fakeTransform) Name() string       { return "fake-fix" }
+func (t *fakeTransform) Modifies() []string { return []string{t.prof.Attr} }
 func (t *fakeTransform) Apply(d *dataset.Dataset, _ *rand.Rand) (*dataset.Dataset, error) {
 	return d.Clone(), nil
 }

@@ -20,9 +20,6 @@ type Resample struct {
 // Name implements Transformation.
 func (t *Resample) Name() string { return "resample" }
 
-// Target implements Transformation.
-func (t *Resample) Target() profile.Profile { return t.Profile }
-
 // Modifies implements Transformation: resampling touches the predicate's
 // attributes (through row multiplicity).
 func (t *Resample) Modifies() []string { return t.Profile.Pred.Attributes() }

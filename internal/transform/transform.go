@@ -27,8 +27,6 @@ import (
 type Transformation interface {
 	// Name identifies the transformation strategy, e.g. "linear-map".
 	Name() string
-	// Target returns the profile this transformation repairs.
-	Target() profile.Profile
 	// Modifies returns the attributes the transformation alters.
 	Modifies() []string
 	// Apply returns a transformed copy of d; d itself is never mutated.
@@ -52,9 +50,6 @@ type MapToDomain struct {
 
 // Name implements Transformation.
 func (t *MapToDomain) Name() string { return "map-to-domain" }
-
-// Target implements Transformation.
-func (t *MapToDomain) Target() profile.Profile { return t.Profile }
 
 // Modifies implements Transformation.
 func (t *MapToDomain) Modifies() []string { return []string{t.Profile.Attr} }
@@ -158,9 +153,6 @@ type LinearMap struct {
 // Name implements Transformation.
 func (t *LinearMap) Name() string { return "linear-map" }
 
-// Target implements Transformation.
-func (t *LinearMap) Target() profile.Profile { return t.Profile }
-
 // Modifies implements Transformation.
 func (t *LinearMap) Modifies() []string { return []string{t.Profile.Attr} }
 
@@ -232,9 +224,6 @@ type Winsorize struct {
 // Name implements Transformation.
 func (t *Winsorize) Name() string { return "winsorize" }
 
-// Target implements Transformation.
-func (t *Winsorize) Target() profile.Profile { return t.Profile }
-
 // Modifies implements Transformation.
 func (t *Winsorize) Modifies() []string { return []string{t.Profile.Attr} }
 
@@ -303,9 +292,6 @@ type ConformText struct {
 // Name implements Transformation.
 func (t *ConformText) Name() string { return "conform-pattern" }
 
-// Target implements Transformation.
-func (t *ConformText) Target() profile.Profile { return t.Profile }
-
 // Modifies implements Transformation.
 func (t *ConformText) Modifies() []string { return []string{t.Profile.Attr} }
 
@@ -365,9 +351,6 @@ type ReplaceOutliers struct {
 // Name implements Transformation.
 func (t *ReplaceOutliers) Name() string { return "replace-outliers-mean" }
 
-// Target implements Transformation.
-func (t *ReplaceOutliers) Target() profile.Profile { return t.Profile }
-
 // Modifies implements Transformation.
 func (t *ReplaceOutliers) Modifies() []string { return []string{t.Profile.Attr} }
 
@@ -414,9 +397,6 @@ type ClampOutliers struct {
 
 // Name implements Transformation.
 func (t *ClampOutliers) Name() string { return "clamp-outliers" }
-
-// Target implements Transformation.
-func (t *ClampOutliers) Target() profile.Profile { return t.Profile }
 
 // Modifies implements Transformation.
 func (t *ClampOutliers) Modifies() []string { return []string{t.Profile.Attr} }
@@ -468,9 +448,6 @@ type Impute struct {
 
 // Name implements Transformation.
 func (t *Impute) Name() string { return "impute" }
-
-// Target implements Transformation.
-func (t *Impute) Target() profile.Profile { return t.Profile }
 
 // Modifies implements Transformation.
 func (t *Impute) Modifies() []string { return []string{t.Profile.Attr} }

@@ -238,9 +238,6 @@ func TestForProfileDispatch(t *testing.T) {
 			t.Errorf("ForProfile(%T) = %d transformations, want %d", tc.p, len(got), tc.want)
 		}
 		for _, tr := range got {
-			if tr.Target() != tc.p && tr.Target().Key() != tc.p.Key() {
-				t.Errorf("%s target mismatch", tr.Name())
-			}
 			if len(tr.Modifies()) == 0 {
 				t.Errorf("%s reports no modified attributes", tr.Name())
 			}
