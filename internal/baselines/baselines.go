@@ -3,9 +3,9 @@
 //
 //   - BugDoc [51]: treats each PVT as a binary pipeline parameter
 //     (transformation applied / not applied) and explores parameter
-//     configurations with a combinatorial-design sampling phase followed by
-//     a linear shrink — its intervention count grows linearly with the
-//     candidate count.
+//     configurations with a random sampling phase followed by a linear
+//     shrink — its intervention count grows linearly with the candidate
+//     count.
 //   - Anchor [62]: learns a surrogate rule ("repairing these PVTs anchors
 //     the pipeline to pass") from many local perturbations, each of which
 //     costs one intervention — by far the most intervention-hungry
@@ -444,7 +444,7 @@ func GrpTestContext(ctx context.Context, cfg Config, pvts []*core.PVT, fail *dat
 		System:           cfg.System,
 		Tau:              cfg.Tau,
 		Seed:             cfg.Seed,
-		MaxInterventions: cfg.MaxInterventions,
+		MaxInterventions: cfg.maxInterventions(),
 		RandomBisection:  true,
 	}
 	return e.ExplainGroupTestPVTsContext(ctx, pvts, fail)

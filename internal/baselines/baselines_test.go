@@ -98,6 +98,32 @@ func TestAnchorBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// TestGrpTestDefaultBudget runs group testing, with Config's default
+// budget, on a root cause that is the conjunction of all 3,400 candidates:
+// it needs 10,198 interventions, more than core.Explainer's own default
+// of 10,000 allows and fewer than the 100,000 Config documents.
+func TestGrpTestDefaultBudget(t *testing.T) {
+	const n = 3400
+	sc := synth.New(synth.Options{NumPVTs: n, NumAttrs: n, Conjunction: n, Seed: 3})
+	meanFlag := &pipeline.Func{SystemName: "all-flags", Score: func(d *dataset.Dataset) float64 {
+		c := d.Column(synth.FlagColumn)
+		sum := 0.0
+		for i := 0; i < c.Len(); i++ {
+			sum += c.NumAt(i)
+		}
+		return sum / float64(c.Len())
+	}}
+	cfg := Config{System: meanFlag, Tau: 0.5 / n, Seed: 3}
+	res, err := GrpTestContext(context.Background(), cfg, sc.PVTs, sc.Fail)
+	if err != nil {
+		t.Fatalf("grptest after %d interventions: %v", res.Interventions, err)
+	}
+	if len(res.Explanation) != n || res.Interventions <= 10000 {
+		t.Errorf("explanation of %d PVTs after %d interventions, want %d PVTs after more than 10000",
+			len(res.Explanation), res.Interventions, n)
+	}
+}
+
 func TestGrpTestBaseline(t *testing.T) {
 	sc := synth.New(synth.Options{NumPVTs: 32, NumAttrs: 8, Conjunction: 1, Seed: 26})
 	cfg := Config{System: sc.System, Tau: 0.05, Seed: 26}

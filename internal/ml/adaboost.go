@@ -31,7 +31,15 @@ type AdaBoost struct {
 	stumps []stump
 }
 
-// Fit trains the ensemble on a feature matrix and binary labels.
+// Fit trains the ensemble on a feature matrix and binary (0 or 1) labels.
+//
+// Every round picks the stump, over each feature's candidate thresholds
+// and both polarities, with the least weighted error. A stump's error is
+// the sum of the weights of the rows it misclassifies, added in row order,
+// so every error, alpha and weight has the bits a row-by-row evaluation of
+// each stump gives: a sum in another order could round differently and
+// pick another stump. One pass over the rows per feature adds each row's
+// weight to every threshold's error of the polarity that misclassifies it.
 func (a *AdaBoost) Fit(X [][]float64, y []int) {
 	if a.Rounds == 0 {
 		a.Rounds = 50
@@ -45,47 +53,71 @@ func (a *AdaBoost) Fit(X [][]float64, y []int) {
 	for i := range w {
 		w[i] = 1 / float64(n)
 	}
-	// Precompute candidate thresholds per feature.
+	// Candidate thresholds per feature. A feature's list is some NaNs, then
+	// ascending numbers, so the thresholds a value x lies above (x > t) are
+	// a range: above[j][i] ends the range of row i, which starts after the
+	// leading NaNs, lead[j].
 	thresholds := make([][]float64, d)
+	lead := make([]int, d)
+	above := make([][]uint8, d)
+	vals := make([]float64, n)
 	for j := 0; j < d; j++ {
-		vals := make([]float64, n)
-		for i := range X {
-			vals[i] = X[i][j]
+		for i, x := range X {
+			vals[i] = x[j]
 		}
-		sort.Float64s(vals)
-		var mids []float64
-		for i := 1; i < n; i++ {
-			if vals[i] != vals[i-1] {
-				mids = append(mids, (vals[i]+vals[i-1])/2)
+		thr := stumpThresholds(vals)
+		for lead[j] < len(thr) && math.IsNaN(thr[lead[j]]) {
+			lead[j]++
+		}
+		above[j] = make([]uint8, n)
+		for i, x := range X {
+			k := lead[j]
+			for k < len(thr) && x[j] > thr[k] {
+				k++
 			}
+			above[j][i] = uint8(k)
 		}
-		if len(mids) > maxThresholds {
-			sub := make([]float64, maxThresholds)
-			for k := 0; k < maxThresholds; k++ {
-				sub[k] = mids[k*(len(mids)-1)/(maxThresholds-1)]
-			}
-			mids = sub
-		}
-		thresholds[j] = mids
+		thresholds[j] = thr
 	}
+	// errs[k] and errs[maxThresholds+k]: the weighted errors of polarity +1
+	// and -1 at a feature's k-th threshold.
+	var errs [2 * maxThresholds]float64
 	a.stumps = nil
 	for round := 0; round < a.Rounds; round++ {
 		best := stump{feature: -1}
 		bestErr := math.Inf(1)
 		for j := 0; j < d; j++ {
-			for _, thr := range thresholds[j] {
-				for _, pol := range []int{1, -1} {
-					s := stump{feature: j, threshold: thr, polarity: pol}
-					e := 0.0
-					for i := range X {
-						if s.predict(X[i]) != y[i] {
-							e += w[i]
-						}
-					}
-					if e < bestErr {
-						bestErr = e
-						best = s
-					}
+			thr := thresholds[j]
+			pos, neg := errs[:len(thr)], errs[maxThresholds:maxThresholds+len(thr)]
+			clear(pos)
+			clear(neg)
+			for i, hi := range above[j] {
+				wi := w[i]
+				// Above its threshold polarity +1 predicts 1, so it misclassifies
+				// a class-0 row there and a class-1 row elsewhere; -1 is the
+				// complement.
+				in, out := pos, neg
+				if y[i] != 0 {
+					in, out = neg, pos
+				}
+				for k := range out[:lead[j]] {
+					out[k] += wi
+				}
+				for k := lead[j]; k < int(hi); k++ {
+					in[k] += wi
+				}
+				for k := int(hi); k < len(out); k++ {
+					out[k] += wi
+				}
+			}
+			for k, t := range thr {
+				if pos[k] < bestErr {
+					bestErr = pos[k]
+					best = stump{feature: j, threshold: t, polarity: 1}
+				}
+				if neg[k] < bestErr {
+					bestErr = neg[k]
+					best = stump{feature: j, threshold: t, polarity: -1}
 				}
 			}
 		}
@@ -115,6 +147,26 @@ func (a *AdaBoost) Fit(X [][]float64, y []int) {
 			break // perfect weak learner: ensemble is already exact
 		}
 	}
+}
+
+// stumpThresholds sorts vals and returns the midpoints between its
+// consecutive distinct values, subsampled to maxThresholds by quantile.
+func stumpThresholds(vals []float64) []float64 {
+	sort.Float64s(vals)
+	var mids []float64
+	for i := 1; i < len(vals); i++ {
+		if vals[i] != vals[i-1] {
+			mids = append(mids, (vals[i]+vals[i-1])/2)
+		}
+	}
+	if len(mids) > maxThresholds {
+		sub := make([]float64, maxThresholds)
+		for k := 0; k < maxThresholds; k++ {
+			sub[k] = mids[k*(len(mids)-1)/(maxThresholds-1)]
+		}
+		mids = sub
+	}
+	return mids
 }
 
 // Predict implements Classifier by the weighted vote of the stumps.

@@ -13,14 +13,15 @@ func BenchmarkLogisticFit(b *testing.B) {
 
 func BenchmarkDecisionTreeFit(b *testing.B) {
 	X, y := xorData(1000, 2)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := &DecisionTree{MaxDepth: 6}
-		t.Fit(X, y)
+		fitTree(&DecisionTree{MaxDepth: 6}, X, y)
 	}
 }
 
 func BenchmarkRandomForestFit(b *testing.B) {
 	X, y := xorData(1000, 3)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f := &RandomForest{Trees: 10, MaxDepth: 5, MTry: 2, Seed: 7}
 		f.Fit(X, y)
@@ -29,6 +30,7 @@ func BenchmarkRandomForestFit(b *testing.B) {
 
 func BenchmarkAdaBoostFit(b *testing.B) {
 	X, y := linearlySeparable(1000, 4)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a := &AdaBoost{Rounds: 30}
 		a.Fit(X, y)

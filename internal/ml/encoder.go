@@ -75,55 +75,67 @@ func NewEncoder(train *dataset.Dataset, features []string, label, positive strin
 // Encode converts d into a feature matrix and label vector, skipping rows
 // with a NULL label. rows[i] is the dataset row behind X[i] and y[i], for
 // joining predictions back to the dataset (e.g. group fairness metrics).
-// The dataset must contain all encoder attributes.
+// The dataset must contain all encoder attributes. The rows of X share one
+// backing array.
 func (e *Encoder) Encode(d *dataset.Dataset) (X [][]float64, y, rows []int, err error) {
 	lc := d.Column(e.label)
 	if lc == nil {
 		return nil, nil, nil, fmt.Errorf("ml: label attribute %q not found", e.label)
 	}
-	for _, s := range e.specs {
-		if d.Column(s.attr) == nil {
+	cols := make([]*dataset.Column, len(e.specs))
+	for k, s := range e.specs {
+		if cols[k] = d.Column(s.attr); cols[k] == nil {
 			return nil, nil, nil, fmt.Errorf("ml: feature attribute %q not found", s.attr)
 		}
 	}
+	n := 0
+	for r := 0; r < d.NumRows(); r++ {
+		if !lc.NullAt(r) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, nil, nil, nil
+	}
+	// A column that changed kind is an error only when a row is encoded.
+	for k, s := range e.specs {
+		if s.numeric != (cols[k].Kind == dataset.Numeric) {
+			return nil, nil, nil, fmt.Errorf("ml: attribute %q changed kind", s.attr)
+		}
+	}
+	cells := make([]float64, n*e.width)
+	X = make([][]float64, n)
+	y = make([]int, n)
+	rows = make([]int, n)
+	i := 0
 	for r := 0; r < d.NumRows(); r++ {
 		if lc.NullAt(r) {
 			continue
 		}
-		x := make([]float64, e.width)
-		for _, s := range e.specs {
-			c := d.Column(s.attr)
-			if s.numeric {
-				if c.Kind != dataset.Numeric {
-					return nil, nil, nil, fmt.Errorf("ml: attribute %q changed kind", s.attr)
-				}
-				if c.NullAt(r) {
-					x[s.offset] = s.mean
-				} else {
-					x[s.offset] = c.NumAt(r)
-				}
-				continue
-			}
-			if c.Kind == dataset.Numeric {
-				return nil, nil, nil, fmt.Errorf("ml: attribute %q changed kind", s.attr)
-			}
-			if !c.NullAt(r) {
-				if i, ok := s.index[c.StrAt(r)]; ok {
-					x[s.offset+i] = 1
+		x := cells[i*e.width : (i+1)*e.width : (i+1)*e.width]
+		for k, s := range e.specs {
+			c := cols[k]
+			switch {
+			case s.numeric && c.NullAt(r):
+				x[s.offset] = s.mean
+			case s.numeric:
+				x[s.offset] = c.NumAt(r)
+			case !c.NullAt(r):
+				if l, ok := s.index[c.StrAt(r)]; ok {
+					x[s.offset+l] = 1
 				}
 			}
 		}
-		X = append(X, x)
-		var cls int
+		X[i] = x
 		if lc.Kind == dataset.Numeric {
 			if lc.NumAt(r) > 0.5 {
-				cls = 1
+				y[i] = 1
 			}
 		} else if lc.StrAt(r) == e.positive {
-			cls = 1
+			y[i] = 1
 		}
-		y = append(y, cls)
-		rows = append(rows, r)
+		rows[i] = r
+		i++
 	}
 	return X, y, rows, nil
 }

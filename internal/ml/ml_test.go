@@ -146,10 +146,28 @@ func xorData(n int, seed int64) (X [][]float64, y []int) {
 	return X, y
 }
 
+// fitTree trains t on X and y, every row counted once, as a forest trains
+// a tree on a bootstrap sample's counts. Nil Features means all of them.
+func fitTree(t *DecisionTree, X [][]float64, y []int) {
+	c := newCART(X, y)
+	for r := range c.w {
+		c.w[r] = 1
+	}
+	tree := *t
+	if tree.Features == nil {
+		tree.Features = make([]int, len(c.cols))
+		for j := range tree.Features {
+			tree.Features[j] = j
+		}
+	}
+	c.train(&tree)
+	t.root = tree.root
+}
+
 func TestDecisionTreeXOR(t *testing.T) {
 	X, y := xorData(400, 3)
 	tr := &DecisionTree{MaxDepth: 4}
-	tr.Fit(X, y)
+	fitTree(tr, X, y)
 	if acc := accuracy(PredictAll(tr, X), y); acc < 0.95 {
 		t.Errorf("tree XOR accuracy = %g", acc)
 	}
@@ -162,8 +180,8 @@ func TestDecisionTreeXOR(t *testing.T) {
 func TestDecisionTreePureLeaf(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}}
 	y := []int{1, 1, 1}
-	tr := &DecisionTree{}
-	tr.Fit(X, y)
+	tr := &DecisionTree{MaxDepth: 6}
+	fitTree(tr, X, y)
 	if tr.Predict([]float64{99}) != 1 {
 		t.Error("pure-class training should predict that class everywhere")
 	}

@@ -1,17 +1,17 @@
 package ml
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // DecisionTree is a CART binary classifier: axis-aligned threshold splits
-// chosen by Gini impurity.
+// chosen by Gini impurity. RandomForest trains its trees.
 type DecisionTree struct {
-	// MaxDepth bounds the tree depth (default 6).
+	// MaxDepth bounds the tree depth.
 	MaxDepth int
-	// Features optionally restricts splits to a feature subset (used by
-	// random forests); nil means all features.
+	// Features are the features splits may use.
 	Features []int
 
 	root *treeNode
@@ -35,127 +35,255 @@ type treeNode struct {
 	class     int
 }
 
-func (t *DecisionTree) fillDefaults() {
-	if t.MaxDepth == 0 {
-		t.MaxDepth = 6
-	}
-}
-
-// Fit trains the tree on a feature matrix and binary labels.
-func (t *DecisionTree) Fit(X [][]float64, y []int) {
-	t.fillDefaults()
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = t.build(X, y, idx, 0)
-}
-
-// gini returns the Gini impurity of the label multiset at idx.
-func gini(y []int, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	ones := 0
-	for _, i := range idx {
-		ones += y[i]
-	}
-	p := float64(ones) / float64(len(idx))
+// gini returns the Gini impurity of n labels of which ones are class 1.
+func gini(ones, n int) float64 {
+	p := float64(ones) / float64(n)
 	return 2 * p * (1 - p)
 }
 
-// majority returns the majority class at idx (ties → class 1).
-func majority(y []int, idx []int) int {
-	ones := 0
-	for _, i := range idx {
-		ones += y[i]
-	}
-	if 2*ones >= len(idx) {
+// majority returns the majority class of n labels of which ones are class 1
+// (ties → class 1).
+func majority(ones, n int) int {
+	if 2*ones >= n {
 		return 1
 	}
 	return 0
 }
 
-func (t *DecisionTree) build(X [][]float64, y []int, idx []int, depth int) *treeNode {
-	node := &treeNode{leaf: true, class: majority(y, idx)}
-	if depth >= t.MaxDepth || len(idx) < 2*minLeaf || gini(y, idx) == 0 {
-		return node
-	}
-	features := t.Features
-	if features == nil {
-		features = make([]int, len(X[0]))
-		for j := range features {
-			features[j] = j
-		}
-	}
-	bestGain := 1e-12
-	bestFeature, bestThreshold := -1, 0.0
-	parentImpurity := gini(y, idx)
-	for _, j := range features {
-		thresholds := t.candidateThresholds(X, idx, j)
-		for _, thr := range thresholds {
-			var lOnes, lN, rOnes, rN int
-			for _, i := range idx {
-				if X[i][j] <= thr {
-					lN++
-					lOnes += y[i]
-				} else {
-					rN++
-					rOnes += y[i]
-				}
-			}
-			if lN < minLeaf || rN < minLeaf {
-				continue
-			}
-			pl := float64(lOnes) / float64(lN)
-			pr := float64(rOnes) / float64(rN)
-			impurity := (float64(lN)*2*pl*(1-pl) + float64(rN)*2*pr*(1-pr)) / float64(len(idx))
-			if gain := parentImpurity - impurity; gain > bestGain {
-				bestGain, bestFeature, bestThreshold = gain, j, thr
-			}
-		}
-	}
-	if bestFeature < 0 {
-		return node
-	}
-	var li, ri []int
-	for _, i := range idx {
-		if X[i][bestFeature] <= bestThreshold {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
-		}
-	}
-	node.leaf = false
-	node.feature = bestFeature
-	node.threshold = bestThreshold
-	node.left = t.build(X, y, li, depth+1)
-	node.right = t.build(X, y, ri, depth+1)
-	return node
+// cart is the training workspace of the trees of one RandomForest.Fit. A
+// tree trains on a multiset of rows: w[r] copies of row r, a bootstrap
+// sample's counts. Each feature's rows are sorted once; a tree keeps, per
+// feature it may split on, its rows in that sorted order, and every split
+// partitions those orders stably, so each node owns the same range
+// [lo, hi) of all of them, still sorted. A node then scores every
+// candidate threshold of a feature in one pass over its range, from
+// running label counts.
+type cart struct {
+	cols   [][]float64 // cols[j][r] is X[r][j]
+	y      []int
+	sorted [][]int32 // sorted[j]: every row by ascending cols[j], NaNs first
+	w      []int32
+
+	// The tree being grown.
+	features []int
+	maxDepth int
+	slot     []int     // slot[j]: the index in order of feature j's rows, or -1
+	order    [][]int32 // order[:active]: the tree's rows (w > 0) per split feature
+	active   int
+	left     []uint8 // left[r]: 1 if row r goes to the left child of the split being made
+	spill    []int32 // the right-going rows of one partition
+
+	// One feature's scan of one node: its distinct non-NaN values ascending,
+	// and the row copies and class-1 copies below each (plus the total).
+	vals        []float64
+	below, ones []int
 }
 
-// candidateThresholds returns midpoints between consecutive distinct values
-// of feature j at idx, subsampled to maxThresholds by quantile.
-func (t *DecisionTree) candidateThresholds(X [][]float64, idx []int, j int) []float64 {
-	vals := make([]float64, 0, len(idx))
-	for _, i := range idx {
-		vals = append(vals, X[i][j])
+func newCART(X [][]float64, y []int) *cart {
+	n, d := len(X), 0
+	if n > 0 {
+		d = len(X[0])
 	}
-	sort.Float64s(vals)
-	var mids []float64
-	for i := 1; i < len(vals); i++ {
-		if vals[i] != vals[i-1] {
-			mids = append(mids, (vals[i]+vals[i-1])/2)
+	c := &cart{
+		cols:   make([][]float64, d),
+		y:      y,
+		sorted: make([][]int32, d),
+		w:      make([]int32, n),
+		slot:   make([]int, d),
+		left:   make([]uint8, n),
+		spill:  make([]int32, n),
+		vals:   make([]float64, 0, n),
+		below:  make([]int, 0, n+1),
+		ones:   make([]int, 0, n+1),
+	}
+	cells := make([]float64, n*d)
+	orders := make([]int32, n*d)
+	for j := range c.cols {
+		col := cells[j*n : (j+1)*n : (j+1)*n]
+		for r, x := range X {
+			col[r] = x[j]
+		}
+		// The order sort.Float64s gives the values: NaNs first, -0 = +0.
+		o := orders[j*n : (j+1)*n : (j+1)*n]
+		for r := range o {
+			o[r] = int32(r)
+		}
+		slices.SortFunc(o, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+		c.cols[j], c.sorted[j] = col, o
+	}
+	return c
+}
+
+// train grows t on w[r] copies of each row r.
+func (c *cart) train(t *DecisionTree) {
+	c.features, c.maxDepth = t.Features, t.MaxDepth
+	rows, n, ones := 0, 0, 0
+	for r, k := range c.w {
+		if k > 0 {
+			rows++
+			n += int(k)
+			ones += int(k) * c.y[r]
 		}
 	}
-	if len(mids) <= maxThresholds {
-		return mids
+	for j := range c.slot {
+		c.slot[j] = -1
 	}
-	out := make([]float64, maxThresholds)
-	for k := 0; k < maxThresholds; k++ {
-		out[k] = mids[k*(len(mids)-1)/(maxThresholds-1)]
+	c.active = 0
+	if n >= 2*minLeaf { // a smaller root is a leaf, which reads no order
+		for _, j := range t.Features {
+			if c.slot[j] >= 0 {
+				continue
+			}
+			if c.active == len(c.order) {
+				c.order = append(c.order, make([]int32, 0, len(c.w)))
+			}
+			o := c.order[c.active][:0]
+			for _, r := range c.sorted[j] {
+				if c.w[r] > 0 {
+					o = append(o, r)
+				}
+			}
+			c.order[c.active] = o
+			c.slot[j] = c.active
+			c.active++
+		}
 	}
-	return out
+	t.root = c.node(0, rows, n, ones, 0)
+}
+
+// split is the best split of a node found so far: its Gini gain, and the
+// row copies and class-1 copies it sends left.
+type split struct {
+	gain      float64
+	feature   int
+	threshold float64
+	n, ones   int
+}
+
+// node grows the subtree over [lo, hi) of the tree's row orders, which
+// hold n row copies, ones of them class 1.
+func (c *cart) node(lo, hi, n, ones, depth int) *treeNode {
+	nd := &treeNode{leaf: true, class: majority(ones, n)}
+	if depth >= c.maxDepth || n < 2*minLeaf {
+		return nd
+	}
+	parent := gini(ones, n)
+	if parent == 0 {
+		return nd
+	}
+	best := split{gain: 1e-12, feature: -1}
+	for _, j := range c.features {
+		c.scan(j, c.order[c.slot[j]][lo:hi], n, ones, parent, &best)
+	}
+	if best.feature < 0 {
+		return nd
+	}
+	nl := 0
+	col := c.cols[best.feature]
+	for _, r := range c.order[0][lo:hi] { // every order holds the node's rows
+		c.left[r] = 0
+		if col[r] <= best.threshold {
+			c.left[r] = 1
+		}
+		nl += int(c.left[r])
+	}
+	if depth+1 < c.maxDepth {
+		// Only children that may split read their ranges.
+		for _, o := range c.order[:c.active] {
+			c.partition(o[lo:hi])
+		}
+	}
+	nd.leaf = false
+	nd.feature = best.feature
+	nd.threshold = best.threshold
+	nd.left = c.node(lo, lo+nl, best.n, best.ones, depth+1)
+	nd.right = c.node(lo+nl, hi, n-best.n, ones-best.ones, depth+1)
+	return nd
+}
+
+// scan scores feature j's candidate thresholds on a node whose rows, in
+// ascending order of feature j, are seg, and records any that beats best.
+// The candidates are the midpoints between consecutive values of the
+// node's sorted column, subsampled to maxThresholds by quantile; a NaN
+// differs from every value, itself included, and sorts first, so n NaNs
+// contribute n NaN midpoints (n-1 when the node holds nothing else). Each
+// candidate's left side is the rows with x <= threshold, counted from the
+// values: a midpoint can round onto its upper value, or overflow.
+func (c *cart) scan(j int, seg []int32, n, ones int, parent float64, best *split) {
+	col := c.cols[j]
+	k, nan := 0, 0
+	for k < len(seg) && col[seg[k]] != col[seg[k]] {
+		nan += int(c.w[seg[k]])
+		k++
+	}
+	vals, below, belowOnes := c.vals[:0], c.below[:0], c.ones[:0]
+	cn, co := 0, 0
+	for _, r := range seg[k:] {
+		if x := col[r]; len(vals) == 0 || x != vals[len(vals)-1] {
+			vals = append(vals, x)
+			below = append(below, cn)
+			belowOnes = append(belowOnes, co)
+		}
+		cn += int(c.w[r])
+		co += int(c.w[r]) * c.y[r]
+	}
+	below = append(below, cn)
+	belowOnes = append(belowOnes, co)
+
+	nanMids := 0
+	if nan > 0 {
+		nanMids = nan - 1
+		if len(vals) > 0 {
+			nanMids++
+		}
+	}
+	mids := nanMids
+	if len(vals) > 1 {
+		mids += len(vals) - 1
+	}
+	p := 0 // vals[:p] are <= the current threshold
+	for q := 0; q < min(mids, maxThresholds); q++ {
+		m := q
+		if mids > maxThresholds {
+			m = q * (mids - 1) / (maxThresholds - 1)
+		}
+		if m < nanMids {
+			continue // a NaN threshold sends every row right
+		}
+		b := m - nanMids + 1
+		thr := (vals[b] + vals[b-1]) / 2
+		// Thresholds ascend, so p only moves forward. The one NaN midpoint
+		// among values, of -Inf and +Inf, comes first and keeps p at 0.
+		for p < len(vals) && vals[p] <= thr {
+			p++
+		}
+		lN, lOnes := below[p], belowOnes[p]
+		rN, rOnes := n-lN, ones-lOnes
+		if lN < minLeaf || rN < minLeaf {
+			continue
+		}
+		pl := float64(lOnes) / float64(lN)
+		pr := float64(rOnes) / float64(rN)
+		impurity := (float64(lN)*2*pl*(1-pl) + float64(rN)*2*pr*(1-pr)) / float64(n)
+		if gain := parent - impurity; gain > best.gain {
+			*best = split{gain: gain, feature: j, threshold: thr, n: lN, ones: lOnes}
+		}
+	}
+}
+
+// partition reorders seg stably so that the rows marked left come first.
+// Every row is written to both sides and only its own side's end advances,
+// which the processor does not have to predict.
+func (c *cart) partition(seg []int32) {
+	l, s := 0, 0
+	for _, r := range seg {
+		k := int(c.left[r])
+		seg[l] = r // l never passes the row being read
+		c.spill[s] = r
+		l += k
+		s += 1 - k
+	}
+	copy(seg[l:], c.spill[:s])
 }
 
 // Predict implements Classifier.
@@ -189,7 +317,9 @@ type RandomForest struct {
 	ensemble []*DecisionTree
 }
 
-// Fit trains the forest on a feature matrix and binary labels.
+// Fit trains the forest on a feature matrix and binary labels. Each tree
+// trains on a bootstrap sample, kept as per-row copy counts, and all trees
+// share one workspace, whose per-feature row orders are sorted once.
 func (f *RandomForest) Fit(X [][]float64, y []int) {
 	if f.Trees == 0 {
 		f.Trees = 20
@@ -212,21 +342,15 @@ func (f *RandomForest) Fit(X [][]float64, y []int) {
 	if mtry > d {
 		mtry = d
 	}
+	c := newCART(X, y)
 	f.ensemble = nil
 	for b := 0; b < f.Trees; b++ {
-		bi := make([]int, n)
-		for i := range bi {
-			bi[i] = rng.Intn(n)
+		clear(c.w)
+		for i := 0; i < n; i++ {
+			c.w[rng.Intn(n)]++
 		}
-		bx := make([][]float64, n)
-		by := make([]int, n)
-		for i, src := range bi {
-			bx[i] = X[src]
-			by[i] = y[src]
-		}
-		features := rng.Perm(d)[:mtry]
-		tree := &DecisionTree{MaxDepth: f.MaxDepth, Features: features}
-		tree.Fit(bx, by)
+		tree := &DecisionTree{MaxDepth: f.MaxDepth, Features: rng.Perm(d)[:mtry]}
+		c.train(tree)
 		f.ensemble = append(f.ensemble, tree)
 	}
 }

@@ -58,3 +58,32 @@ func BenchmarkDiscriminative100k(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkIncomeScore times one oracle call of the Income case study on
+// its 3k-row failing dataset: encoding, the 15-tree forest's training and
+// prediction, and the disparate impact of the predictions.
+func BenchmarkIncomeScore(b *testing.B) {
+	sc := NewIncomeScenario(3000, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchScore = sc.System.MalfunctionScore(sc.Fail)
+	}
+}
+
+// BenchmarkCardioPretrain times the Cardio case study's set-up on a
+// 10k-row training sample: encoding and 40 rounds of AdaBoost.
+func BenchmarkCardioPretrain(b *testing.B) {
+	train := genPatients(10_000, 4, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSystem = newCardioSystem(train)
+	}
+}
+
+// benchScore and benchSystem keep the benchmarks' results alive.
+var (
+	benchScore  float64
+	benchSystem *cardioSystem
+)
