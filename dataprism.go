@@ -40,7 +40,6 @@ package dataprism
 import (
 	"context"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -80,7 +79,9 @@ type (
 
 	// PVT is a Profile-Violation-Transformation triplet.
 	PVT = core.PVT
-	// Explainer configures and runs the root-cause search.
+	// Explainer configures and runs every root-cause search: GRD, GT and
+	// the decision tree, and the BugDoc, Anchor and GrpTest baselines
+	// (GrpTest is GT with RandomBisection).
 	Explainer = core.Explainer
 	// Result is the outcome of a root-cause search.
 	Result = core.Result
@@ -127,9 +128,6 @@ type (
 	// interventions, memo-cache hits/misses, parallel batches, and the
 	// oracle-latency histogram.
 	EngineStats = engine.Stats
-
-	// BaselineConfig parameterizes the BugDoc / Anchor / GrpTest baselines.
-	BaselineConfig = baselines.Config
 )
 
 // Column kinds.
@@ -152,7 +150,8 @@ const (
 var ErrNoExplanation = core.ErrNoExplanation
 
 // ErrBudgetExhausted is returned (possibly wrapped) when a search stops
-// because it hit its MaxInterventions budget.
+// because it hit its MaxInterventions budget — with the explanation found
+// when the budget ran out during Make-Minimal (see Result.Explanation).
 var ErrBudgetExhausted = engine.ErrBudgetExhausted
 
 // ErrTransient marks (via errors.Is) a measurement failure that a retry may
@@ -200,9 +199,10 @@ func DiscoverProfiles(d *Dataset, opts DiscoveryOptions) []Profile {
 func ProfileFitBound(p Profile) *ProfileBound { return profile.FitBoundOf(p) }
 
 // DiscriminativeProfiles returns the profiles of the passing dataset that
-// the failing dataset violates — the candidate root causes of Definition 10.
-func DiscriminativeProfiles(pass, fail *Dataset, opts DiscoveryOptions, eps float64) []Profile {
-	return profile.Discriminative(pass, fail, opts, eps)
+// the failing dataset violates (by more than 1e-9, a rounding margin) —
+// the candidate root causes of Definition 10.
+func DiscriminativeProfiles(pass, fail *Dataset, opts DiscoveryOptions) []Profile {
+	return profile.Discriminative(pass, fail, opts, core.DiscriminativeEps)
 }
 
 // TransformationsFor builds the intervention mechanisms for a profile.
@@ -280,8 +280,8 @@ func ClassDefaultEnabled(c PVTClass) bool { return pvt.DefaultEnabled(c) }
 func ClassOf(p Profile) string { return pvt.ClassOf(p) }
 
 // DiscoverPVTs pairs the discriminative profiles with their transformations.
-func DiscoverPVTs(pass, fail *Dataset, opts DiscoveryOptions, eps float64) []*PVT {
-	return core.DiscoverPVTs(pass, fail, opts, eps)
+func DiscoverPVTs(pass, fail *Dataset, opts DiscoveryOptions) []*PVT {
+	return core.DiscoverPVTs(pass, fail, opts)
 }
 
 // Explain is the one-call entry point: it runs the greedy DataPrismGRD
@@ -297,19 +297,4 @@ func Explain(ctx context.Context, sys ContextSystem, tau float64, pass, fail *Da
 // and (with checkMinimal) no proper subset may suffice.
 func VerifyExplanation(ctx context.Context, sys ContextSystem, tau float64, fail *Dataset, expl []*PVT, seed int64, checkMinimal bool) (ok bool, oracleCalls int) {
 	return core.VerifyExplanationContext(ctx, sys, tau, fail, expl, seed, checkMinimal)
-}
-
-// BugDoc runs the BugDoc baseline on pre-discovered PVT candidates.
-func BugDoc(ctx context.Context, cfg BaselineConfig, pvts []*PVT, fail *Dataset) (*Result, error) {
-	return baselines.BugDocContext(ctx, cfg, pvts, fail)
-}
-
-// Anchor runs the Anchor baseline on pre-discovered PVT candidates.
-func Anchor(ctx context.Context, cfg BaselineConfig, pvts []*PVT, fail *Dataset) (*Result, error) {
-	return baselines.AnchorContext(ctx, cfg, pvts, fail)
-}
-
-// GrpTest runs the traditional adaptive group-testing baseline.
-func GrpTest(ctx context.Context, cfg BaselineConfig, pvts []*PVT, fail *Dataset) (*Result, error) {
-	return baselines.GrpTestContext(ctx, cfg, pvts, fail)
 }

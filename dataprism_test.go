@@ -32,7 +32,7 @@ func TestPublicAPIDiscovery(t *testing.T) {
 	if len(profiles) == 0 {
 		t.Fatal("no profiles discovered")
 	}
-	disc := dataprism.DiscriminativeProfiles(pass, fail, opts, 1e-9)
+	disc := dataprism.DiscriminativeProfiles(pass, fail, opts)
 	if len(disc) == 0 {
 		t.Fatal("no discriminative profiles on the paper's tables")
 	}
@@ -41,7 +41,7 @@ func TestPublicAPIDiscovery(t *testing.T) {
 			t.Errorf("profile %s has no transformations", p)
 		}
 	}
-	pvts := dataprism.DiscoverPVTs(pass, fail, opts, 1e-9)
+	pvts := dataprism.DiscoverPVTs(pass, fail, opts)
 	if len(pvts) != len(disc) {
 		t.Errorf("PVTs = %d, discriminative profiles = %d", len(pvts), len(disc))
 	}
@@ -49,14 +49,15 @@ func TestPublicAPIDiscovery(t *testing.T) {
 
 func TestPublicAPIBaselines(t *testing.T) {
 	s := workload.NewSentimentScenario(300, 2)
-	pvts := dataprism.DiscoverPVTs(s.Pass, s.Fail, s.Options, 1e-9)
-	cfg := dataprism.BaselineConfig{System: s.System, Tau: s.Tau, Seed: 2}
-	for name, run := range map[string]func(context.Context, dataprism.BaselineConfig, []*dataprism.PVT, *dataprism.Dataset) (*dataprism.Result, error){
-		"bugdoc":  dataprism.BugDoc,
-		"anchor":  dataprism.Anchor,
-		"grptest": dataprism.GrpTest,
+	pvts := dataprism.DiscoverPVTs(s.Pass, s.Fail, s.Options)
+	e := &dataprism.Explainer{System: s.System, Tau: s.Tau, Seed: 2}
+	grpTest := &dataprism.Explainer{System: s.System, Tau: s.Tau, Seed: 2, RandomBisection: true}
+	for name, run := range map[string]func(context.Context, []*dataprism.PVT, *dataprism.Dataset) (*dataprism.Result, error){
+		"bugdoc":  e.ExplainBugDocPVTsContext,
+		"anchor":  e.ExplainAnchorPVTsContext,
+		"grptest": grpTest.ExplainGroupTestPVTsContext,
 	} {
-		res, err := run(context.Background(), cfg, pvts, s.Fail)
+		res, err := run(context.Background(), pvts, s.Fail)
 		if err != nil {
 			t.Errorf("%s failed: %v", name, err)
 			continue

@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("failing dataset:  normalized disparate impact %.3f\n", sc.System.MalfunctionScore(sc.Fail))
 	fmt.Printf("threshold tau = %.2f\n\n", sc.Tau)
 
-	pvts := dataprism.DiscoverPVTs(sc.Pass, sc.Fail, sc.Options, 1e-9)
+	pvts := dataprism.DiscoverPVTs(sc.Pass, sc.Fail, sc.Options)
 	fmt.Printf("discriminative PVT candidates: %d\n", len(pvts))
 	// Attribute degrees in the PVT-attribute graph drive prioritization.
 	degree := map[string]int{}

@@ -26,7 +26,7 @@ func main() {
 	fmt.Print(pass9)
 
 	opts := dataprism.DefaultDiscoveryOptions()
-	disc := dataprism.DiscriminativeProfiles(pass9, fail10, opts, 1e-9)
+	disc := dataprism.DiscriminativeProfiles(pass9, fail10, opts)
 	fmt.Printf("\nDiscriminative profiles between the two tables (cf. Figure 5): %d\n", len(disc))
 	for i, p := range disc {
 		if i == 8 {

@@ -35,7 +35,7 @@ func benchData(rows int) (pass, fail *dataset.Dataset, pvts []*PVT) {
 
 	opts := profile.DefaultOptions()
 	opts.Workers = 1
-	pvts = DiscoverPVTs(pass, fail, opts, 1e-9)
+	pvts = DiscoverPVTs(pass, fail, opts)
 	return pass, fail, pvts
 }
 

@@ -102,7 +102,7 @@ func checkComposition(t testing.TB, label string, d *dataset.Dataset, pvts []*PV
 
 	g := buildGraph(pvts)
 	x := rand.New(rand.NewSource(seed)).Perm(len(pvts))
-	st := &gtGroupState{pvts: pvts, g: g, rng: rg}
+	st := &gtGroupState{search: &search{pvts: pvts, rng: rg}, g: g}
 	sameComposition(t, label+"/group", applyGroupSequential(d, pvts, g, x, rw), st.applyGroup(d, x), rw, rg)
 	if d.Fingerprint() != before {
 		t.Fatalf("%s: composition mutated its input", label)
@@ -244,6 +244,40 @@ func TestCompositionMatchesSequential(t *testing.T) {
 			rng.Shuffle(len(mixed), func(i, j int) { mixed[i], mixed[j] = mixed[j], mixed[i] })
 			checkComposition(t, fmt.Sprintf("hand/chunk%d/mixed%d", csize, s), fail, mixed, int64(s))
 		}
+	}
+}
+
+// TestConfigsMatchSequential pins the baselines' on/off configurations,
+// composed through ComposeAll over the enabled PVTs, to the sequential
+// composition: all on, all off and random configurations, in candidate
+// order, over the case studies' candidate sets at 600 rows and over
+// generated instances with in-place transformations.
+func TestConfigsMatchSequential(t *testing.T) {
+	check := func(label string, fail *dataset.Dataset, pvts []*PVT, configs int, seed int64) {
+		t.Helper()
+		before := fail.Fingerprint()
+		pick := rand.New(rand.NewSource(seed))
+		rw, rg := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for c := 0; c < configs+2; c++ {
+			on := make([]bool, len(pvts))
+			for i := range on {
+				on[i] = c == 0 || (c > 1 && pick.Float64() < 0.5)
+			}
+			sub := pvtsAt(pvts, onIDs(on))
+			sameComposition(t, fmt.Sprintf("%s/config%d", label, c), composeSequential(fail, sub, nil, rw), ComposeAll(fail, sub, nil, rg), rw, rg)
+		}
+		if fail.Fingerprint() != before {
+			t.Fatalf("%s: composition mutated the failing dataset", label)
+		}
+	}
+	for label, c := range scenarioCandidates(t, 600) {
+		check(label, c.fail, c.pvts, 12, 1)
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		plan := make([]byte, 48)
+		rand.New(rand.NewSource(seed)).Read(plan)
+		d, pvts := fuzzComposition(seed, 40, 7, plan)
+		check(fmt.Sprintf("generated%d", seed), d, pvts, 8, seed)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -25,68 +24,53 @@ import (
 // examples are the known datasets (typically at least one passing and one
 // failing), labeled through the engine like any other evaluation; fail is
 // the failing dataset to explain. Candidates builds pvts from a passing
-// example and fail.
+// example and fail. When the budget runs out during Make-Minimal, it
+// returns the explanation with an error wrapping engine.ErrBudgetExhausted
+// (see Result.Explanation).
 func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts []*PVT, examples []*dataset.Dataset, fail *dataset.Dataset) (*Result, error) {
-	//lint:ignore seededrand wall-clock stamp for Result.Runtime reporting; never feeds scoring
-	start := time.Now()
-	ev, err := e.newEval()
-	if err != nil {
-		return nil, err
-	}
-	rng := e.rng()
+	return e.run(ctx, pvts, fail, dataPrismStream, func(s *search) error { return s.decisionTree(examples) })
+}
 
-	res := &Result{Discriminative: len(pvts), Candidates: pvts}
-	res.InitialScore, err = ev.Baseline(ctx, fail)
-	if err != nil {
-		finish(res, ev, start)
-		return res, err
-	}
-	res.FinalScore = res.InitialScore
-	if res.InitialScore <= e.Tau {
-		res.Found = true
-		res.Transformed = fail.Clone()
-		finish(res, ev, start)
-		return res, nil
-	}
+// decisionTree is Algorithm 5's exploration over the labeled examples.
+func (s *search) decisionTree(examples []*dataset.Dataset) error {
+	pvts := s.pvts
 	if len(pvts) == 0 {
-		finish(res, ev, start)
-		return res, ErrNoExplanation
+		return ErrNoExplanation
 	}
 
 	// Training instances: binary violation vector + pass/fail outcome.
 	featurize := func(d *dataset.Dataset) []bool {
 		v := make([]bool, len(pvts))
 		for i, p := range pvts {
-			v[i] = p.Profile.Violation(d) > eps
+			v[i] = p.Profile.Violation(d) > DiscriminativeEps
 		}
 		return v
 	}
 	var train []violationInstance
 	for _, d := range examples {
-		s, bErr := ev.Baseline(ctx, d)
+		sc, bErr := s.ev.Baseline(s.ctx, d)
 		if bErr != nil {
 			if engine.Fatal(bErr) {
-				finish(res, ev, start)
-				return res, bErr
+				return bErr
 			}
 			continue // unlabelable example: skip rather than mislabel
 		}
-		train = append(train, violationInstance{violated: featurize(d), pass: s <= e.Tau})
+		train = append(train, violationInstance{violated: featurize(d), pass: sc <= s.e.Tau})
 	}
-	train = append(train, violationInstance{violated: featurize(fail), pass: false})
+	train = append(train, violationInstance{violated: featurize(s.fail), pass: false})
 
 	tried := make(map[string]bool)
 	cov := newCoverageCache(len(pvts))
 	// Algorithm 5 main loop: extract candidate conjunctions from the tree's
 	// pure pass paths, verify by intervention, retrain on failures. The
 	// loop is inherently sequential — each verification reshapes the tree.
-	for iter := 0; iter < 16 && !ev.Exhausted(); iter++ {
+	for iter := 0; iter < 16 && !s.ev.Exhausted(); iter++ {
 		tree := buildViolationTree(train, len(pvts))
 		paths := collectPassPaths(tree, nil)
 		// Sort candidate conjunctions by total benefit on the failing
 		// dataset, descending (Algorithm 5 line 3).
 		sort.SliceStable(paths, func(a, b int) bool {
-			return conjunctionBenefit(pvts, paths[a], fail, cov) > conjunctionBenefit(pvts, paths[b], fail, cov)
+			return conjunctionBenefit(pvts, paths[a], s.fail, cov) > conjunctionBenefit(pvts, paths[b], s.fail, cov)
 		})
 		progressed := false
 		for _, conj := range paths {
@@ -99,38 +83,21 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 			}
 			tried[key] = true
 			progressed = true
-			dt := ComposeAll(fail, pvtsAt(pvts, conj), nil, rng)
-			s, evalErr := ev.Score(ctx, dt)
+			dt := ComposeAll(s.fail, pvtsAt(pvts, conj), nil, s.rng)
+			sc, evalErr := s.ev.Score(s.ctx, dt)
 			if evalErr != nil {
 				if errors.Is(evalErr, engine.ErrBudgetExhausted) {
 					break
 				}
 				if engine.Fatal(evalErr) {
-					finish(res, ev, start)
-					return res, evalErr
+					return evalErr
 				}
 				continue // transient measurement failure: try the next conjunction
 			}
-			accepted := s <= e.Tau
-			res.Trace = append(res.Trace, Step{PVTs: conj, Transform: "decision-tree conjunction", Score: s, Accepted: accepted})
+			accepted := sc <= s.e.Tau
+			s.res.Trace = append(s.res.Trace, Step{PVTs: conj, Transform: "decision-tree conjunction", Score: sc, Accepted: accepted})
 			if accepted {
-				expl, final, mmErr := e.makeMinimal(ctx, ev, fail, dt, pvts, conj, nil, rng, &res.Trace)
-				if mmErr != nil {
-					finish(res, ev, start)
-					return res, mmErr
-				}
-				res.Found = true
-				res.Explanation = expl
-				res.Transformed = final
-				// Cache hit in the common case; keep the verified conjunction
-				// score if the measurement fails.
-				if fs, fsErr := ev.Baseline(ctx, final); fsErr == nil {
-					res.FinalScore = fs
-				} else {
-					res.FinalScore = s
-				}
-				finish(res, ev, start)
-				return res, nil
+				return s.conclude(dt, sc, conj, nil)
 			}
 			// Algorithm 5 line 10: add the transformed failing instance.
 			train = append(train, violationInstance{violated: featurize(dt), pass: false})
@@ -140,8 +107,7 @@ func (e *Explainer) ExplainWithDecisionTreePVTsContext(ctx context.Context, pvts
 			break
 		}
 	}
-	finish(res, ev, start)
-	return res, ErrNoExplanation
+	return ErrNoExplanation
 }
 
 // conjKey canonicalizes a conjunction for the tried-set.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -17,9 +18,8 @@ import (
 // It reports the number of oracle calls spent. The leave-one-out subset
 // checks are independent, so they are evaluated as one engine batch.
 func VerifyExplanationContext(ctx context.Context, sys pipeline.ContextSystem, tau float64, fail *dataset.Dataset, expl []*PVT, seed int64, checkMinimal bool) (ok bool, calls int) {
-	e := &Explainer{Tau: tau, Seed: seed}
 	ev := engine.New(pipeline.AsFallible(sys), engine.Config{})
-	rng := e.rng()
+	rng := rand.New(rand.NewSource(seed + dataPrismStream))
 	composed := ComposeAll(fail, expl, nil, rng)
 	s, err := ev.Score(ctx, composed)
 	if err != nil || s > tau {

@@ -20,7 +20,7 @@ import (
 func searchSignature(t *testing.T, sys pipeline.System, tau float64, pass, fail *dataset.Dataset, opts profile.Options, workers int) string {
 	t.Helper()
 	opts.Workers = workers
-	pvts := core.DiscoverPVTs(pass, fail, opts, 1e-9)
+	pvts := core.DiscoverPVTs(pass, fail, opts)
 	keys := make([]string, len(pvts))
 	for i, p := range pvts {
 		keys[i] = p.String()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -19,41 +18,28 @@ import (
 //
 // It returns ErrNoExplanation (with the partial Result) when the candidate
 // PVTs are exhausted or the intervention budget runs out before the
-// malfunction score drops below τ. Cancelling ctx aborts the search
-// promptly with the context's error and a partial Result.
+// malfunction score drops below τ. When the budget runs out during
+// Make-Minimal, it returns the explanation with an error wrapping
+// engine.ErrBudgetExhausted (see Result.Explanation). Cancelling ctx
+// aborts the search promptly with the context's error and a partial
+// Result.
 func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, fail *dataset.Dataset) (*Result, error) {
-	//lint:ignore seededrand wall-clock stamp for Result.Runtime reporting; never feeds scoring
-	start := time.Now()
-	ev, err := e.newEval()
-	if err != nil {
-		return nil, err
-	}
-	rng := e.rng()
+	return e.run(ctx, pvts, fail, dataPrismStream, (*search).greedy)
+}
 
-	res := &Result{Discriminative: len(pvts), Candidates: pvts}
-	res.InitialScore, err = ev.Baseline(ctx, fail)
-	if err != nil {
-		finish(res, ev, start)
-		return res, err
-	}
-	res.FinalScore = res.InitialScore
-	if res.InitialScore <= e.Tau {
-		res.Found = true
-		res.Transformed = fail.Clone()
-		finish(res, ev, start)
-		return res, nil
-	}
-
+// greedy is GRD's exploration, lines 5–19 of Algorithm 1.
+func (s *search) greedy() error {
+	e, pvts := s.e, s.pvts
 	// Line 5: PVT-attribute graph. Lines 7-8: initialization.
 	g := buildGraph(pvts)
-	d := fail
-	score := res.InitialScore
+	d := s.fail
+	score := s.res.InitialScore
 	var expl []int
 	chosen := make(map[*PVT]transform.Transformation)
 	cov := newCoverageCache(len(pvts))
 
 	// Line 9: iterate until the malfunction is acceptable.
-	for score > e.Tau && !ev.Exhausted() {
+	for score > e.Tau && !s.ev.Exhausted() {
 		// Line 10: PVTs adjacent to the highest-degree attributes.
 		var candidates []int
 		if e.DisableGraphPriority {
@@ -67,7 +53,7 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 		// Line 11: highest-benefit PVT among them.
 		best, bestB := -1, -1.0
 		for _, i := range candidates {
-			if b := e.benefit(i, pvts[i], d, rng, cov); b > bestB {
+			if b := e.benefit(i, pvts[i], d, s.rng, cov); b > bestB {
 				bestB, best = b, i
 			}
 		}
@@ -87,7 +73,7 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 		}
 		var probes []probe
 		for _, t := range orderTransforms(p, g) {
-			out, err := t.Apply(d, rng)
+			out, err := t.Apply(d, s.rng)
 			if err != nil {
 				continue
 			}
@@ -100,22 +86,22 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 		for i := range probes {
 			cands[i] = probes[i].out
 		}
-		scores, evalErr := ev.EvalBatch(ctx, cands)
+		scores, evalErr := s.ev.EvalBatch(s.ctx, cands)
 		pick := -1
-		for i, s := range scores {
-			if !math.IsNaN(s) && s < score {
+		for i, sc := range scores {
+			if !math.IsNaN(sc) && sc < score {
 				pick = i
 				break
 			}
 		}
-		for i, s := range scores {
-			if math.IsNaN(s) {
+		for i, sc := range scores {
+			if math.IsNaN(sc) {
 				continue
 			}
-			res.Trace = append(res.Trace, Step{
+			s.res.Trace = append(s.res.Trace, Step{
 				PVTs:      []int{best},
 				Transform: probes[i].t.Name(),
-				Score:     s,
+				Score:     sc,
 				Accepted:  i == pick,
 			})
 		}
@@ -128,36 +114,15 @@ func (e *Explainer) ExplainGreedyPVTsContext(ctx context.Context, pvts []*PVT, f
 			if errors.Is(evalErr, engine.ErrBudgetExhausted) {
 				break
 			}
-			res.FinalScore = score
-			finish(res, ev, start)
-			return res, evalErr
+			s.res.FinalScore = score
+			return evalErr
 		}
 	}
 
 	if score > e.Tau {
-		res.FinalScore = score
-		finish(res, ev, start)
-		return res, ErrNoExplanation
+		s.res.FinalScore = score
+		return ErrNoExplanation
 	}
-
 	// Line 20: minimality post-pass.
-	minimal, d, mmErr := e.makeMinimal(ctx, ev, fail, d, pvts, expl, chosen, rng, &res.Trace)
-	if mmErr != nil {
-		res.FinalScore = score
-		finish(res, ev, start)
-		return res, mmErr
-	}
-	res.Found = true
-	res.Explanation = minimal
-	res.Transformed = d
-	// The final dataset's score was evaluated (and memoized) during the
-	// search, so this is a cache hit; fall back to the last accepted score
-	// if the measurement somehow fails.
-	if fs, fsErr := ev.Baseline(ctx, d); fsErr == nil {
-		res.FinalScore = fs
-	} else {
-		res.FinalScore = score
-	}
-	finish(res, ev, start)
-	return res, nil
+	return s.conclude(d, score, expl, chosen)
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -23,107 +21,59 @@ type scoredDataset struct {
 
 // gtGroupState is the working state of Algorithm 3's recursion.
 type gtGroupState struct {
-	e     *Explainer
-	ev    *engine.Eval
-	ctx   context.Context
-	pvts  []*PVT
-	g     *graph.PVTAttr
-	rng   *rand.Rand
-	trace []Step
-	err   error // first context/engine error other than budget exhaustion
+	*search
+	g   *graph.PVTAttr
+	err error // first context/engine error other than budget exhaustion
 }
 
 // ExplainGroupTestPVTsContext runs DataPrismGT (Algorithm 2) on a
 // discriminative PVT set — Candidates builds one from a (pass, fail) pair:
 // the PVTs are recursively partitioned — by min-bisection of the
 // PVT-dependency graph, or uniformly at random when RandomBisection is set
-// (the paper's GrpTest baseline) — and intervened on as groups
+// (the paper's GrpTest baseline [21]) — and intervened on as groups
 // (Algorithm 3), followed by the Make-Minimal post-pass.
 //
 // Group testing additionally requires assumption A3 (Section 4.4); when it
 // does not hold the final composed fix may fail verification, in which case
 // ErrNoExplanation is returned with the partial Result — the paper reports
-// exactly this as "NA" for the cardiovascular case study. Cancelling ctx
-// aborts the search with the context's error and a partial Result.
+// exactly this as "NA" for the cardiovascular case study. When the budget
+// runs out during Make-Minimal, it returns the explanation with an error
+// wrapping engine.ErrBudgetExhausted (see Result.Explanation). Cancelling
+// ctx aborts the search with the context's error and a partial Result.
 func (e *Explainer) ExplainGroupTestPVTsContext(ctx context.Context, pvts []*PVT, fail *dataset.Dataset) (*Result, error) {
-	//lint:ignore seededrand wall-clock stamp for Result.Runtime reporting; never feeds scoring
-	start := time.Now()
-	ev, err := e.newEval()
-	if err != nil {
-		return nil, err
-	}
-	rng := e.rng()
+	return e.run(ctx, pvts, fail, dataPrismStream, (*search).groupTest)
+}
 
-	res := &Result{Discriminative: len(pvts), Candidates: pvts}
-	res.InitialScore, err = ev.Baseline(ctx, fail)
-	if err != nil {
-		finish(res, ev, start)
-		return res, err
-	}
-	res.FinalScore = res.InitialScore
-	if res.InitialScore <= e.Tau {
-		res.Found = true
-		res.Transformed = fail.Clone()
-		finish(res, ev, start)
-		return res, nil
-	}
-
-	// Algorithm 2, lines 5-6: dependency graph and the Group-Test recursion.
-	st := &gtGroupState{
-		e:    e,
-		ev:   ev,
-		ctx:  ctx,
-		pvts: pvts,
-		g:    buildGraph(pvts),
-		rng:  rng,
-	}
-	all := make([]int, len(pvts))
+// groupTest is GT's exploration, lines 5–6 of Algorithm 2: the
+// Group-Test recursion over the dependency graph, then the verification
+// of the composed fix.
+func (s *search) groupTest() error {
+	st := &gtGroupState{search: s, g: buildGraph(s.pvts)}
+	all := make([]int, len(s.pvts))
 	for i := range all {
 		all[i] = i
 	}
-	final, explIdx := st.run(all, &scoredDataset{d: fail, score: res.InitialScore, known: true})
-	res.Trace = st.trace
+	final, explIdx := st.run(all, &scoredDataset{d: s.fail, score: s.res.InitialScore, known: true})
 	if st.err != nil {
-		finish(res, ev, start)
-		return res, st.err
+		return st.err
 	}
 
 	// Verifying the composed fix is an intervention: when the recursion
 	// ended on a singleton it applied without scoring, this is the only
 	// oracle call that dataset gets, so it is counted and budgeted.
-	finalScore, err := ev.Score(ctx, final.d)
+	finalScore, err := s.ev.Score(s.ctx, final.d)
 	if errors.Is(err, engine.ErrBudgetExhausted) {
 		err = ErrNoExplanation
 	}
 	if err != nil {
-		finish(res, ev, start)
-		return res, err
+		return err
 	}
-	if finalScore > e.Tau {
-		res.FinalScore = finalScore
-		finish(res, ev, start)
-		return res, ErrNoExplanation
+	if finalScore > s.e.Tau {
+		s.res.FinalScore = finalScore
+		return ErrNoExplanation
 	}
-
 	// Algorithm 2, line 7: minimality post-pass.
-	expl, d, mmErr := e.makeMinimal(ctx, ev, fail, final.d, pvts, explIdx, nil, rng, &res.Trace)
-	if mmErr != nil {
-		res.FinalScore = finalScore
-		finish(res, ev, start)
-		return res, mmErr
-	}
-	res.Found = true
-	res.Explanation = expl
-	res.Transformed = d
-	// Cache hit in the common case; keep the verified pre-minimality score
-	// if the measurement fails.
-	if fs, fsErr := ev.Baseline(ctx, d); fsErr == nil {
-		res.FinalScore = fs
-	} else {
-		res.FinalScore = finalScore
-	}
-	finish(res, ev, start)
-	return res, nil
+	return s.conclude(final.d, finalScore, explIdx, nil)
 }
 
 // score lazily evaluates the dataset's malfunction, counting the call
@@ -200,12 +150,12 @@ func (st *gtGroupState) run(x []int, cur *scoredDataset) (*scoredDataset, []int)
 	if !math.IsNaN(scores[0]) {
 		d1.score, d1.known = scores[0], true
 		s1 = scores[0]
-		st.trace = append(st.trace, Step{PVTs: x1, Transform: "group", Score: s1, Accepted: s1 < m})
+		st.res.Trace = append(st.res.Trace, Step{PVTs: x1, Transform: "group", Score: s1, Accepted: s1 < m})
 	}
 	if !math.IsNaN(scores[1]) {
 		d2.score, d2.known = scores[1], true
 		s2 = scores[1]
-		st.trace = append(st.trace, Step{PVTs: x2, Transform: "group", Score: s2, Accepted: s2 < m})
+		st.res.Trace = append(st.res.Trace, Step{PVTs: x2, Transform: "group", Score: s2, Accepted: s2 < m})
 	}
 	if st.err != nil {
 		return cur, nil

@@ -2,7 +2,9 @@
 // primary contribution: greedy root-cause exploration (DataPrismGRD,
 // Algorithm 1), group-testing exploration over the PVT-dependency graph
 // (DataPrismGT, Algorithms 2–3), the Make-Minimal post-pass, and the
-// decision-tree extension for interacting PVTs (Appendix B, Algorithm 5).
+// decision-tree extension for interacting PVTs (Appendix B, Algorithm 5) —
+// and the BugDoc, Anchor and GrpTest baselines of its evaluation. All of
+// them are Explainer searches.
 //
 // Given a black-box system, a passing and a failing dataset, and a
 // malfunction threshold τ, the algorithms return a minimal explanation: a
@@ -51,10 +53,10 @@ func BuildPVTs(profiles []profile.Profile) []*PVT {
 
 // DiscoverPVTs returns the discriminative PVTs between a passing and a
 // failing dataset (Algorithm 1, lines 1–4): profiles discovered on the
-// passing dataset whose violation on the failing dataset exceeds eps,
-// paired with their transformations.
-func DiscoverPVTs(pass, fail *dataset.Dataset, opts profile.Options, eps float64) []*PVT {
-	return BuildPVTs(profile.Discriminative(pass, fail, opts, eps))
+// passing dataset whose violation on the failing dataset exceeds
+// DiscriminativeEps, paired with their transformations.
+func DiscoverPVTs(pass, fail *dataset.Dataset, opts profile.Options) []*PVT {
+	return BuildPVTs(profile.Discriminative(pass, fail, opts, DiscriminativeEps))
 }
 
 // Benefit is the likelihood proxy of Section 4.2: the product of the PVT's
@@ -191,8 +193,8 @@ func (c *composition) dataset() *dataset.Dataset {
 // composition of Definition 9), skipping PVTs whose transformations all
 // fail on the current dataset. A PVT's transformations are tried in order
 // unless chosen (which may be nil) names the one to use. d itself is never
-// mutated. It is the one composition path: the searches and the baselines
-// all apply interventions through it.
+// mutated. It is the one composition path: every search applies
+// interventions through it.
 func ComposeAll(d *dataset.Dataset, pvts []*PVT, chosen map[*PVT]transform.Transformation, rng *rand.Rand) *dataset.Dataset {
 	c := compose(d)
 	for _, p := range pvts {

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
@@ -84,18 +83,17 @@ func runAll(sys pipeline.System, tau float64, seed int64, pvts []*core.PVT, fail
 		}
 	}
 	ctx := context.Background()
-	run(0, func() (*core.Result, error) {
-		e := &core.Explainer{System: sys, Tau: tau, Seed: seed}
-		return e.ExplainGreedyPVTsContext(ctx, pvts, fail)
-	})
-	run(1, func() (*core.Result, error) {
-		e := &core.Explainer{System: sys, Tau: tau, Seed: seed}
-		return e.ExplainGroupTestPVTsContext(ctx, pvts, fail)
-	})
-	cfg := baselines.Config{System: sys, Tau: tau, Seed: seed}
-	run(2, func() (*core.Result, error) { return baselines.BugDocContext(ctx, cfg, pvts, fail) })
-	run(3, func() (*core.Result, error) { return baselines.AnchorContext(ctx, cfg, pvts, fail) })
-	run(4, func() (*core.Result, error) { return baselines.GrpTestContext(ctx, cfg, pvts, fail) })
+	e := &core.Explainer{System: sys, Tau: tau, Seed: seed}
+	run(0, func() (*core.Result, error) { return e.ExplainGreedyPVTsContext(ctx, pvts, fail) })
+	run(1, func() (*core.Result, error) { return e.ExplainGroupTestPVTsContext(ctx, pvts, fail) })
+	// The baselines run with a budget of 100,000 interventions, ten times
+	// DataPrism's default.
+	b := &core.Explainer{System: sys, Tau: tau, Seed: seed, MaxInterventions: 100000}
+	run(2, func() (*core.Result, error) { return b.ExplainBugDocPVTsContext(ctx, pvts, fail) })
+	run(3, func() (*core.Result, error) { return b.ExplainAnchorPVTsContext(ctx, pvts, fail) })
+	grpTest := *b
+	grpTest.RandomBisection = true
+	run(4, func() (*core.Result, error) { return grpTest.ExplainGroupTestPVTsContext(ctx, pvts, fail) })
 	return cells
 }
 
@@ -105,7 +103,7 @@ func Figure7(rows int, seed int64) []Row {
 	var out []Row
 	for _, name := range []string{"Sentiment", "Income", "Cardiovascular"} {
 		sc := caseStudy(name, rows, seed)
-		pvts := core.DiscoverPVTs(sc.pass, sc.fail, sc.opts, 1e-9)
+		pvts := core.DiscoverPVTs(sc.pass, sc.fail, sc.opts)
 		row := Row{
 			Scenario:       name,
 			PassScore:      sc.system.MalfunctionScore(sc.pass),

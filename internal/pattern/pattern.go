@@ -258,8 +258,10 @@ func (p *Pattern) Matches(s string) bool {
 
 // Conform minimally edits s so that it matches the pattern: characters are
 // reused where their class already agrees, substituted by the class canonical
-// otherwise, and runs are padded or truncated into their length bounds.
-// For unstructured patterns only the length bounds and alphabet are enforced.
+// otherwise, and runs are padded or truncated into their length bounds, then
+// into the pattern's total length bounds. For unstructured patterns only the
+// length bounds and alphabet are enforced. A string that already matches is
+// returned unchanged.
 func (p *Pattern) Conform(s string) string {
 	if p.Matches(s) {
 		return s
@@ -282,10 +284,9 @@ func (p *Pattern) Conform(s string) string {
 		}
 		return string(out)
 	}
-	var out []rune
-	pos := 0
-	for _, run := range p.Runs {
-		length := run.Min
+	chunks := make([][]rune, len(p.Runs))
+	total, pos := 0, 0
+	for i, run := range p.Runs {
 		// Greedily consume matching source runes up to Max.
 		var chunk []rune
 		for pos < len(src) && len(chunk) < run.Max && classOf(src[pos]) == run.Class {
@@ -296,19 +297,40 @@ func (p *Pattern) Conform(s string) string {
 			}
 			pos++
 		}
-		if len(chunk) > length {
-			length = len(chunk)
+		for len(chunk) < run.Min {
+			chunk = append(chunk, run.fill())
 		}
-		for len(chunk) < length {
-			if run.Literal != 0 {
-				chunk = append(chunk, run.Literal)
-			} else {
-				chunk = append(chunk, run.Class.canonical())
-			}
+		chunks[i] = chunk
+		total += len(chunk)
+	}
+	// Every run is within [Min, Max], but the total may be outside
+	// [MinLen, MaxLen]. Lengthening runs below their Max, or shortening runs
+	// above their Min, always reaches the bounds: the run lengths of any
+	// training example satisfy both.
+	for i, run := range p.Runs {
+		for total < p.MinLen && len(chunks[i]) < run.Max {
+			chunks[i] = append(chunks[i], run.fill())
+			total++
 		}
+		for total > p.MaxLen && len(chunks[i]) > run.Min {
+			chunks[i] = chunks[i][:len(chunks[i])-1]
+			total--
+		}
+	}
+	out := make([]rune, 0, total)
+	for _, chunk := range chunks {
 		out = append(out, chunk...)
 	}
 	return string(out)
+}
+
+// fill is the rune a run is padded with: its literal, or its class's
+// canonical rune.
+func (r Run) fill() rune {
+	if r.Literal != 0 {
+		return r.Literal
+	}
+	return r.Class.canonical()
 }
 
 // fallbackRune picks a deterministic representative from the observed classes.

@@ -162,6 +162,11 @@ func TestLearnMatchesTrainingProperty(t *testing.T) {
 		}
 		return p.Matches(p.Conform(probe.String()))
 	}
+	// This seed conforms a probe to a string shorter than the pattern allows
+	// unless Conform brings the total length into bounds.
+	if !f(-1752708899554321733) {
+		t.Error("seed -1752708899554321733: a conformed probe does not match its pattern")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}

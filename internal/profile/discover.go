@@ -257,7 +257,9 @@ func discoverSelectivity(d *dataset.Dataset, opts Options) []Profile {
 // counterpart of Discriminative: instead of re-discovering the passing
 // dataset, the caller supplies what "normal" was when the baseline was
 // pinned, so an explanation can cite the exact artifact a violated profile
-// came from. Input order is preserved.
+// came from. Input order is preserved. eps is a parameter because
+// `dataprism watch -eps` varies it; the searches pass
+// core.DiscriminativeEps.
 func DiscriminativeFrom(pinned []Profile, fail *dataset.Dataset, eps float64) []Profile {
 	var out []Profile
 	for _, p := range pinned {
@@ -271,7 +273,9 @@ func DiscriminativeFrom(pinned []Profile, fail *dataset.Dataset, eps float64) []
 // Discriminative returns the profiles discovered on pass whose violation on
 // fail exceeds eps — the discriminative PVT candidates of Definition 10
 // (X_V(D_pass, X_P) = 0 by construction, X_V(D_fail, X_P) > 0 by the filter).
-// Profiles are returned in discovery (Key) order.
+// Profiles are returned in discovery (Key) order. eps is a parameter
+// because cmd/prism-bench passes its own; every other caller passes
+// core.DiscriminativeEps.
 func Discriminative(pass, fail *dataset.Dataset, opts Options, eps float64) []Profile {
 	// The two discoveries are independent datasets, so they run concurrently
 	// (each additionally fans out per-class and per-column inside Discover).
