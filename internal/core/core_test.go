@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -366,6 +368,66 @@ func TestDecisionTreeInteractingPVTs(t *testing.T) {
 	}
 	if res.FinalScore > dt.Tau {
 		t.Errorf("final score = %g", res.FinalScore)
+	}
+}
+
+// cancelOnRepair clears a synthetic flag, as synth.Transform does, but
+// first cancels the search once the system has passed a composed repair.
+type cancelOnRepair struct {
+	t      *synth.Transform
+	passed *atomic.Bool
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnRepair) Name() string                        { return c.t.Name() }
+func (c *cancelOnRepair) Modifies() []string                  { return c.t.Modifies() }
+func (c *cancelOnRepair) Coverage(d *dataset.Dataset) float64 { return c.t.Coverage(d) }
+func (c *cancelOnRepair) Apply(d *dataset.Dataset, rng *rand.Rand) (*dataset.Dataset, error) {
+	if c.passed.Load() {
+		c.cancel()
+	}
+	return c.t.Apply(d, rng)
+}
+
+// TestDecisionTreeMakeMinimalFailureKeepsVerifiedScore cancels the decision
+// tree's search right after it verifies a conjunction, so its Make-Minimal
+// fails: the result reports the conjunction's verified score, as GRD and
+// GT do, not the failing dataset's.
+func TestDecisionTreeMakeMinimalFailureKeepsVerifiedScore(t *testing.T) {
+	const k = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var passed atomic.Bool
+	profiles := make([]*synth.Profile, k)
+	pvts := make([]*core.PVT, k)
+	for i := range pvts {
+		profiles[i] = &synth.Profile{Index: i, Attrs: []string{"a"}, Cov: 0.5}
+		pvts[i] = &core.PVT{Profile: profiles[i], Transforms: []transform.Transformation{
+			&cancelOnRepair{t: &synth.Transform{P: profiles[i]}, passed: &passed, cancel: cancel},
+		}}
+	}
+	fail := synth.FailingDataset(k)
+	pass := synth.FailingDataset(k)
+	for i := 0; i < k; i++ {
+		pass.SetNum(synth.FlagColumn, i, 0)
+	}
+	// Passes only when X1 and X2 are both repaired.
+	sys := &pipeline.TryFunc{SystemName: "and-gate", Try: func(_ context.Context, d *dataset.Dataset) pipeline.ScoreResult {
+		if profiles[0].Violation(d) == 0 && profiles[1].Violation(d) == 0 {
+			if d.Fingerprint() != pass.Fingerprint() {
+				passed.Store(true)
+			}
+			return pipeline.ScoreResult{Score: 0, Attempts: 1}
+		}
+		return pipeline.ScoreResult{Score: 0.9, Attempts: 1}
+	}}
+	e := &core.Explainer{FallibleSystem: sys, Tau: 0.1, Seed: 1}
+	res, err := e.ExplainWithDecisionTreePVTsContext(ctx, pvts, []*dataset.Dataset{pass}, fail)
+	if !errors.Is(err, context.Canceled) || !passed.Load() {
+		t.Fatalf("err = %v after a passing conjunction %v, want the cancellation during Make-Minimal", err, passed.Load())
+	}
+	if res.Found || res.InitialScore != 0.9 || res.FinalScore != 0 {
+		t.Errorf("found %v, scores %g -> %g; want not found, 0.9 -> 0 (the verified conjunction's score)", res.Found, res.InitialScore, res.FinalScore)
 	}
 }
 
