@@ -2,8 +2,8 @@
 // DataPrism debugs. It stands in for the scikit-learn / flair models of the
 // paper's case studies with stdlib-only implementations: logistic
 // regression, CART decision trees, random forests, AdaBoost, and a lexicon
-// sentiment scorer, plus the fairness and accuracy metrics the case studies
-// use as malfunction scores.
+// sentiment scorer, plus the fairness metric the Income case study uses as
+// its malfunction score.
 //
 // The systems built on this package are black boxes to DataPrism — only
 // their malfunction score's response to data interventions matters, which
@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"repro/internal/dataset"
-	"repro/internal/stats"
 )
 
 // Encoder turns dataset rows into dense numeric feature vectors. Feature
@@ -51,7 +50,7 @@ func NewEncoder(train *dataset.Dataset, features []string, label, positive strin
 		spec := featureSpec{attr: attr, offset: e.width}
 		if c.Kind == dataset.Numeric {
 			spec.numeric = true
-			spec.mean = stats.Mean(train.NumericValues(attr))
+			spec.mean = numericMean(c)
 			if math.IsNaN(spec.mean) {
 				spec.mean = 0
 			}
@@ -72,47 +71,87 @@ func NewEncoder(train *dataset.Dataset, features []string, label, positive strin
 	return e, nil
 }
 
+// numericMean returns the mean of c's non-NULL cells, or NaN when there
+// are none. It adds the cells in row order, as stats.Mean adds
+// Dataset.NumericValues', so the two give the same bits.
+func numericMean(c *dataset.Column) float64 {
+	s, n := 0.0, 0
+	for k := 0; k < c.NumChunks(); k++ {
+		ch := c.Chunk(k)
+		for i, x := range ch.Nums {
+			if !ch.Null[i] {
+				s += x
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return s / float64(n)
+}
+
 // Encode converts d into a feature matrix and label vector, skipping rows
 // with a NULL label. rows[i] is the dataset row behind X[i] and y[i], for
 // joining predictions back to the dataset (e.g. group fairness metrics).
 // The dataset must contain all encoder attributes. The rows of X share one
 // backing array.
 func (e *Encoder) Encode(d *dataset.Dataset) (X [][]float64, y, rows []int, err error) {
+	n := 0
+	if lc := d.Column(e.label); lc != nil {
+		for r := 0; r < d.NumRows(); r++ {
+			if !lc.NullAt(r) {
+				n++
+			}
+		}
+	}
+	cells := make([]float64, n*e.width)
+	X, y, rows = make([][]float64, n), make([]int, n), make([]int, n)
+	i := 0
+	err = e.EncodeEach(d, func(x []float64, cls, r int) {
+		X[i] = cells[i*e.width : (i+1)*e.width : (i+1)*e.width]
+		copy(X[i], x)
+		y[i], rows[i] = cls, r
+		i++
+	})
+	if err != nil || n == 0 {
+		return nil, nil, nil, err
+	}
+	return X, y, rows, nil
+}
+
+// EncodeEach calls fn for every row of d with a non-NULL label, in row
+// order, with the row's feature vector, class and dataset row. Every call
+// gets the same vector, overwritten for each row, so fn must copy what it
+// keeps. It returns Encode's errors.
+func (e *Encoder) EncodeEach(d *dataset.Dataset, fn func(x []float64, y, row int)) error {
 	lc := d.Column(e.label)
 	if lc == nil {
-		return nil, nil, nil, fmt.Errorf("ml: label attribute %q not found", e.label)
+		return fmt.Errorf("ml: label attribute %q not found", e.label)
 	}
 	cols := make([]*dataset.Column, len(e.specs))
 	for k, s := range e.specs {
 		if cols[k] = d.Column(s.attr); cols[k] == nil {
-			return nil, nil, nil, fmt.Errorf("ml: feature attribute %q not found", s.attr)
+			return fmt.Errorf("ml: feature attribute %q not found", s.attr)
 		}
 	}
-	n := 0
-	for r := 0; r < d.NumRows(); r++ {
-		if !lc.NullAt(r) {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, nil, nil, nil
-	}
-	// A column that changed kind is an error only when a row is encoded.
-	for k, s := range e.specs {
-		if s.numeric != (cols[k].Kind == dataset.Numeric) {
-			return nil, nil, nil, fmt.Errorf("ml: attribute %q changed kind", s.attr)
-		}
-	}
-	cells := make([]float64, n*e.width)
-	X = make([][]float64, n)
-	y = make([]int, n)
-	rows = make([]int, n)
-	i := 0
+	var x []float64
 	for r := 0; r < d.NumRows(); r++ {
 		if lc.NullAt(r) {
 			continue
 		}
-		x := cells[i*e.width : (i+1)*e.width : (i+1)*e.width]
+		if x == nil {
+			// A column that changed kind is an error only when a row is
+			// encoded.
+			for k, s := range e.specs {
+				if s.numeric != (cols[k].Kind == dataset.Numeric) {
+					return fmt.Errorf("ml: attribute %q changed kind", s.attr)
+				}
+			}
+			x = make([]float64, e.width)
+		} else {
+			clear(x)
+		}
 		for k, s := range e.specs {
 			c := cols[k]
 			switch {
@@ -126,18 +165,17 @@ func (e *Encoder) Encode(d *dataset.Dataset) (X [][]float64, y, rows []int, err 
 				}
 			}
 		}
-		X[i] = x
+		cls := 0
 		if lc.Kind == dataset.Numeric {
 			if lc.NumAt(r) > 0.5 {
-				y[i] = 1
+				cls = 1
 			}
 		} else if lc.StrAt(r) == e.positive {
-			y[i] = 1
+			cls = 1
 		}
-		rows[i] = r
-		i++
+		fn(x, cls, r)
 	}
-	return X, y, rows, nil
+	return nil
 }
 
 // Classifier is a trained binary classifier over encoded feature vectors.

@@ -34,6 +34,7 @@ func (m *LogisticRegression) fillDefaults() {
 // Fit trains the model on a feature matrix and binary labels.
 func (m *LogisticRegression) Fit(X [][]float64, y []int) {
 	m.fillDefaults()
+	m.weights, m.bias, m.means, m.scales = nil, 0, nil, nil
 	if len(X) == 0 {
 		return
 	}
@@ -64,7 +65,6 @@ func (m *LogisticRegression) Fit(X [][]float64, y []int) {
 		}
 	}
 	m.weights = make([]float64, d)
-	m.bias = 0
 	grad := make([]float64, d)
 	for it := 0; it < m.Iterations; it++ {
 		for j := range grad {

@@ -2,26 +2,6 @@ package ml
 
 import "repro/internal/dataset"
 
-// Recall returns the recall of class cls: TP / (TP + FN). It returns 1 when
-// the class never occurs (nothing to recall).
-func Recall(pred, y []int, cls int) float64 {
-	tp, fn := 0, 0
-	for i := range y {
-		if y[i] != cls {
-			continue
-		}
-		if pred[i] == cls {
-			tp++
-		} else {
-			fn++
-		}
-	}
-	if tp+fn == 0 {
-		return 1
-	}
-	return float64(tp) / float64(tp+fn)
-}
-
 // DisparateImpact returns the ratio of favorable-outcome rates between the
 // unprivileged and privileged groups [39 in the paper]: values near 1 are
 // fair, values near 0 indicate discrimination against the unprivileged

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -149,7 +150,7 @@ func xorData(n int, seed int64) (X [][]float64, y []int) {
 // fitTree trains t on X and y, every row counted once, as a forest trains
 // a tree on a bootstrap sample's counts. Nil Features means all of them.
 func fitTree(t *DecisionTree, X [][]float64, y []int) {
-	c := newCART(X, y)
+	c := newTrainSet(X, y, 1).workspace()
 	for r := range c.w {
 		c.w[r] = 1
 	}
@@ -220,6 +221,34 @@ func TestAdaBoost(t *testing.T) {
 	}
 }
 
+// TestFitOnNoRowsResets refits each model on no rows after a fit on XOR
+// data: it must then predict as a model never fitted does.
+func TestFitOnNoRowsResets(t *testing.T) {
+	X, y := xorData(200, 7)
+	for _, c := range []struct {
+		name       string
+		fit, fresh interface {
+			Classifier
+			Fit(X [][]float64, y []int)
+		}
+	}{
+		{"forest", &RandomForest{Trees: 3, MaxDepth: 4, Seed: 1}, &RandomForest{Trees: 3, MaxDepth: 4, Seed: 1}},
+		{"adaboost", &AdaBoost{Rounds: 5}, &AdaBoost{Rounds: 5}},
+		{"logistic", &LogisticRegression{Iterations: 20}, &LogisticRegression{Iterations: 20}},
+	} {
+		c.fit.Fit(X, y)
+		c.fit.Fit(nil, nil)
+		if !reflect.DeepEqual(c.fit, c.fresh) {
+			t.Errorf("%s refit on no rows = %+v, want a fresh model %+v", c.name, c.fit, c.fresh)
+		}
+		for i, x := range X[:20] {
+			if got, want := c.fit.Predict(x), c.fresh.Predict(x); got != want {
+				t.Errorf("%s refit on no rows predicts %d on row %d, a fresh model %d", c.name, got, i, want)
+			}
+		}
+	}
+}
+
 func TestSentimentLexicon(t *testing.T) {
 	s := NewSentimentLexicon()
 	cases := []struct {
@@ -239,20 +268,25 @@ func TestSentimentLexicon(t *testing.T) {
 	}
 }
 
+func TestSentimentScoreAllocations(t *testing.T) {
+	s := NewSentimentLexicon()
+	review := "An EXCELLENT, wonderful movie with a terrible ending -- isn't it? Not bad overall, but the pacing was dull."
+	if n := testing.AllocsPerRun(100, func() { sentimentSink = s.Score(review) }); n != 0 {
+		t.Errorf("Score of an ASCII review allocates %v times, want 0", n)
+	}
+}
+
+// sentimentSink keeps TestSentimentScoreAllocations' scores alive.
+var sentimentSink float64
+
 func TestMetrics(t *testing.T) {
 	pred := []int{1, 0, 1, 1, 0}
 	y := []int{1, 0, 0, 1, 1}
 	if got := accuracy(pred, y); got != 0.6 {
 		t.Errorf("Accuracy = %g", got)
 	}
-	if got := Recall(pred, y, 1); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("Recall = %g", got)
-	}
 	if accuracy(nil, nil) != 0 {
 		t.Error("empty accuracy should be 0")
-	}
-	if Recall([]int{0}, []int{0}, 1) != 1 {
-		t.Error("absent class recall should be 1")
 	}
 }
 

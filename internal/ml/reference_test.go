@@ -7,17 +7,20 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
-// The reference models below are DecisionTree, RandomForest, AdaBoost and
-// Encoder.Encode as they were before the trees trained from presorted row
-// orders, the stumps from one pass per feature and Encode into one array;
-// the code is unchanged but for names. The trained models must match them
-// bit for bit.
+// The reference models below are DecisionTree, RandomForest, AdaBoost,
+// Encoder.Encode and SentimentLexicon.Score as they were before the trees
+// trained from presorted row orders, the stumps from one pass per feature,
+// Encode into one array and Score tokenized in place; the code is
+// unchanged but for names. The trained models and the scores must match
+// them bit for bit.
 
 // refTree is the reference DecisionTree: every node copies and sorts each
 // candidate feature, then scans its rows once per threshold.
@@ -331,6 +334,50 @@ func refEncode(e *Encoder, d *dataset.Dataset) (X [][]float64, y, rows []int, er
 	return X, y, rows, nil
 }
 
+// refLexicon holds the reference SentimentLexicon's word sets.
+var refLexicon = struct{ positive, negative, negators map[string]bool }{
+	wordSet(positiveWords), wordSet(negativeWords), wordSet(negatorWords),
+}
+
+func wordSet(words []string) map[string]bool {
+	m := make(map[string]bool, len(words))
+	for _, w := range words {
+		m[w] = true
+	}
+	return m
+}
+
+// refSentimentScore is the reference SentimentLexicon.Score: the text
+// lowered and split by strings.ToLower and strings.Fields, each token
+// trimmed and stripped of apostrophes, then looked up in one map per list.
+func refSentimentScore(text string) float64 {
+	score := 0.0
+	negate := false
+	for _, raw := range strings.Fields(strings.ToLower(text)) {
+		tok := strings.Trim(raw, ".,!?;:'\"()-")
+		tok = strings.ReplaceAll(tok, "'", "")
+		switch {
+		case refLexicon.negators[tok]:
+			negate = true
+			continue
+		case refLexicon.positive[tok]:
+			if negate {
+				score--
+			} else {
+				score++
+			}
+		case refLexicon.negative[tok]:
+			if negate {
+				score++
+			} else {
+				score--
+			}
+		}
+		negate = false
+	}
+	return score
+}
+
 // treeDiff describes the first difference between two trees, or returns ""
 // when their shapes, split features, threshold bits and leaf classes match.
 func treeDiff(got, want *treeNode, path string) string {
@@ -544,30 +591,8 @@ func TestRandomForestMatchesReference(t *testing.T) {
 		want := refForestFit(&ref, X, y)
 		got := f
 		got.Fit(X, y)
-		if len(got.ensemble) != len(want) {
-			t.Fatalf("%s: %d trees, want %d", name, len(got.ensemble), len(want))
-		}
-		for b, tree := range got.ensemble {
-			if !reflect.DeepEqual(tree.Features, want[b].Features) || tree.MaxDepth != want[b].MaxDepth {
-				t.Fatalf("%s: tree %d features %v depth %d, want %v depth %d", name, b,
-					tree.Features, tree.MaxDepth, want[b].Features, want[b].MaxDepth)
-			}
-			if d := treeDiff(tree.root, want[b].root, "root"); d != "" {
-				t.Fatalf("%s: tree %d: %s", name, b, d)
-			}
-		}
-		for i, x := range X {
-			votes := 0
-			for _, tree := range want {
-				votes += predictNode(tree.root, x)
-			}
-			wantClass := 0
-			if 2*votes >= len(want) {
-				wantClass = 1
-			}
-			if c := got.Predict(x); c != wantClass {
-				t.Fatalf("%s: row %d predicts %d, want %d", name, i, c, wantClass)
-			}
+		if d := forestDiff(&got, want, X); d != "" {
+			t.Fatalf("%s: %s", name, d)
 		}
 	}
 	rng := rand.New(rand.NewSource(2))
@@ -581,6 +606,59 @@ func TestRandomForestMatchesReference(t *testing.T) {
 		X, y := incomeMatrix(t, 3000, 4, biased)
 		check(fmt.Sprintf("income, biased %v", biased), income, X, y)
 	}
+}
+
+// TestModelsIndependentOfProcs trains Income's forest under several
+// GOMAXPROCS settings: however many goroutines train its trees, each must
+// be the reference's.
+func TestModelsIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, seed := range []int64{4, 5} {
+		X, y := incomeMatrix(t, 3000, seed, true)
+		income := RandomForest{Trees: 15, MaxDepth: 7, MTry: 6, Seed: 13}
+		ref := income
+		want := refForestFit(&ref, X, y)
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := income
+			got.Fit(X, y)
+			if d := forestDiff(&got, want, X); d != "" {
+				t.Errorf("seed %d, GOMAXPROCS %d: %s", seed, procs, d)
+			}
+		}
+	}
+}
+
+// forestDiff describes the first difference between a fitted forest and
+// the reference ensemble (tree features, depth, shape, split features,
+// threshold bits and leaf classes, then each row's vote), or returns "".
+func forestDiff(got *RandomForest, want []*refTree, X [][]float64) string {
+	if len(got.ensemble) != len(want) {
+		return fmt.Sprintf("%d trees, want %d", len(got.ensemble), len(want))
+	}
+	for b, tree := range got.ensemble {
+		if !reflect.DeepEqual(tree.Features, want[b].Features) || tree.MaxDepth != want[b].MaxDepth {
+			return fmt.Sprintf("tree %d features %v depth %d, want %v depth %d", b,
+				tree.Features, tree.MaxDepth, want[b].Features, want[b].MaxDepth)
+		}
+		if d := treeDiff(tree.root, want[b].root, "root"); d != "" {
+			return fmt.Sprintf("tree %d: %s", b, d)
+		}
+	}
+	for i, x := range X {
+		votes := 0
+		for _, tree := range want {
+			votes += predictNode(tree.root, x)
+		}
+		wantClass := 0
+		if 2*votes >= len(want) {
+			wantClass = 1
+		}
+		if c := got.Predict(x); c != wantClass {
+			return fmt.Sprintf("row %d predicts %d, want %d", i, c, wantClass)
+		}
+	}
+	return ""
 }
 
 // predictNode walks a reference tree.
@@ -713,6 +791,16 @@ func TestEncodeMatchesReference(t *testing.T) {
 				t.Errorf("labels %v, kinds %s:\n got %v %v %v %v\nwant %v %v %v %v",
 					labels, kinds, X, y, rows, err, wX, wy, wrows, werr)
 			}
+			X, y, rows = nil, nil, nil
+			err = enc.EncodeEach(d, func(x []float64, cls, r int) {
+				X = append(X, append([]float64(nil), x...))
+				y, rows = append(y, cls), append(rows, r)
+			})
+			if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(X, wX) ||
+				!reflect.DeepEqual(y, wy) || !reflect.DeepEqual(rows, wrows) {
+				t.Errorf("EncodeEach, labels %v, kinds %s:\n got %v %v %v %v\nwant %v %v %v %v",
+					labels, kinds, X, y, rows, err, wX, wy, wrows, werr)
+			}
 		}
 	}
 	noX := dataset.New().
@@ -726,6 +814,95 @@ func TestEncodeMatchesReference(t *testing.T) {
 		_, _, _, werr := refEncode(enc, d)
 		if err == nil || err.Error() != werr.Error() {
 			t.Errorf("columns %v: err %v, want %v", d.ColumnNames(), err, werr)
+		}
+		if err := enc.EncodeEach(d, func([]float64, int, int) {}); err == nil || err.Error() != werr.Error() {
+			t.Errorf("EncodeEach, columns %v: err %v, want %v", d.ColumnNames(), err, werr)
+		}
+	}
+}
+
+// lexiconPieces are the fragments TestSentimentScoreMatchesReference joins
+// into texts: lexicon words and negators in mixed case, with and without
+// apostrophes; every byte of the trim set; the six ASCII spaces and the
+// two Latin-1 spaces (U+0085, U+00A0) strings.Fields splits on; letters
+// whose lower case is not ASCII or changes length; and tokens longer than
+// Score's stack buffer.
+var lexiconPieces = []string{
+	"good", "Good", "BAD", "Bad", "love", "hate", "gem", "dull",
+	"not", "Not", "NEVER", "isn't", "'didnt'", "do'n't", "x", "ok",
+	".", ",", "!", "?", ";", ":", "'", "\"", "(", ")", "-", "--",
+	" ", " ", " ", "\t", "\n", "\v", "\f", "\r", "\u0085", "\u00a0",
+	"É", "\u0130", strings.Repeat("w", 40), "g" + strings.Repeat("'", 40) + "ood",
+}
+
+func TestSentimentScoreMatchesReference(t *testing.T) {
+	s := NewSentimentLexicon()
+	rng := rand.New(rand.NewSource(5))
+	var b strings.Builder
+	for k := 0; k < 20_000; k++ {
+		b.Reset()
+		for n := rng.Intn(12); n > 0; n-- {
+			b.WriteString(lexiconPieces[rng.Intn(len(lexiconPieces))])
+		}
+		text := b.String()
+		if got, want := s.Score(text), refSentimentScore(text); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Score(%q) = %v, want %v", text, got, want)
+		}
+	}
+}
+
+func FuzzSentimentScoreMatchesReference(f *testing.F) {
+	for _, space := range []string{" ", "\t", "\n", "\v", "\f", "\r", "\u0085", "\u00a0"} {
+		f.Add("not" + space + "good" + space + "bad")
+	}
+	for _, c := range ".,!?;:'\"()-" {
+		f.Add(string(c) + "good" + string(c) + " " + string(c) + "bad" + string(c))
+	}
+	f.Add("not -- good")
+	f.Add("isn't good, didn't love it, 'not' bad, wasn't' dull, 'gem")
+	f.Add("NOT GOOD. Not Bad! never HATED")
+	f.Add("good not")
+	f.Add("not not bad")
+	f.Add("not " + strings.Repeat("w", 40) + " good " + "g" + strings.Repeat("'", 40) + "ood")
+	s := NewSentimentLexicon()
+	f.Fuzz(func(t *testing.T, text string) {
+		if got, want := s.Score(text), refSentimentScore(text); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Score(%q) = %v, want %v", text, got, want)
+		}
+	})
+}
+
+// TestEncoderMeanMatchesReference checks the NULL imputation value
+// NewEncoder learns for a numeric feature against the mean it took before,
+// stats.Mean of Dataset.NumericValues (0 when that is NaN), across chunk
+// sizes, NULLs and the special values.
+func TestEncoderMeanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for k := 0; k < 500; k++ {
+		n := rng.Intn(300)
+		vals, null, labels := make([]float64, n), make([]bool, n), make([]string, n)
+		randomColumn(rng, vals)
+		every := 1 + rng.Intn(4)
+		for i := range null {
+			null[i] = rng.Intn(every) == 0
+			labels[i] = "yes"
+		}
+		d := dataset.New()
+		if err := d.AddNumericColumn("x", vals, null); err != nil {
+			t.Fatal(err)
+		}
+		d = d.MustAddCategorical("label", labels).Rechunk(1 + rng.Intn(70))
+		enc, err := NewEncoder(d, []string{"x"}, "label", "yes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := stats.Mean(d.NumericValues("x"))
+		if math.IsNaN(want) {
+			want = 0
+		}
+		if got := enc.specs[0].mean; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("instance %d (%d rows, %d chunks): mean %v (%#x), want %v (%#x)", k, n,
+				d.Column("x").NumChunks(), got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }
@@ -771,29 +948,37 @@ func countNodes(n *treeNode) int {
 
 func TestRandomForestFitAllocations(t *testing.T) {
 	X, y := incomeMatrix(t, 3000, 4, true)
-	var f *RandomForest
-	got := allocated(func() {
-		f = &RandomForest{Trees: 15, MaxDepth: 7, MTry: 6, Seed: 13}
-		f.Fit(X, y)
-	})
-	nodes := 0
-	for _, tree := range f.ensemble {
-		nodes += countNodes(tree.root)
-	}
-	n, d := uint64(len(X)), uint64(len(X[0]))
-	// The workspace: the column-major copy and the per-feature row orders
-	// (sorted once, and one per feature a tree splits on), the row counts
-	// and marks, the partition spill and one feature's scan.
-	workspace := n*d*8 + n*d*4 + uint64(f.MTry)*n*4 + n*(4+1+4) + n*8 + 2*(n+1)*8
-	// Per tree: the DecisionTree, its feature permutation and the forest's
-	// tree list; the workspace's slice headers.
-	perTree := uint64(unsafe.Sizeof(DecisionTree{})) + d*8 + 8
-	// The allocator rounds a large allocation up to whole pages, and the
-	// forest's random source takes about 5 KB.
-	limit := uint64(nodes)*uint64(unsafe.Sizeof(treeNode{})) + workspace*17/16 + uint64(f.Trees)*perTree + 8192
-	if got > limit {
-		t.Errorf("15-tree forest on %d rows allocated %d bytes, want at most %d (%d nodes, workspace %d)",
-			n, got, limit, nodes, workspace)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var f *RandomForest
+		got := allocated(func() {
+			f = &RandomForest{Trees: 15, MaxDepth: 7, MTry: 6, Seed: 13}
+			f.Fit(X, y)
+		})
+		nodes := 0
+		for _, tree := range f.ensemble {
+			nodes += countNodes(tree.root)
+		}
+		n, d := uint64(len(X)), uint64(len(X[0]))
+		// Shared by the training goroutines: the column-major copy and the
+		// per-feature row orders, sorted once.
+		shared := n*d*8 + n*d*4
+		// One per training goroutine: the tree's row orders (one per feature
+		// it splits on), the row counts and marks, the partition spill and
+		// one feature's scan.
+		scratch := uint64(f.MTry)*n*4 + n*(4+1+4) + n*8 + 2*(n+1)*4
+		workspace := shared + uint64(min(procs, f.Trees))*scratch
+		// Per tree: the DecisionTree, its feature permutation and the forest's
+		// tree list; the workspaces' slice headers.
+		perTree := uint64(unsafe.Sizeof(DecisionTree{})) + d*8 + 8
+		// The allocator rounds a large allocation up to whole pages, and the
+		// forest's random source takes about 5 KB.
+		limit := uint64(nodes)*uint64(unsafe.Sizeof(treeNode{})) + workspace*17/16 + uint64(f.Trees)*perTree + 8192
+		if got > limit {
+			t.Errorf("GOMAXPROCS %d: 15-tree forest on %d rows allocated %d bytes, want at most %d (%d nodes, workspace %d)",
+				procs, n, got, limit, nodes, workspace)
+		}
 	}
 }
 

@@ -3,7 +3,10 @@ package ml
 import (
 	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // DecisionTree is a CART binary classifier: axis-aligned threshold splits
@@ -50,19 +53,74 @@ func majority(ones, n int) int {
 	return 0
 }
 
-// cart is the training workspace of the trees of one RandomForest.Fit. A
-// tree trains on a multiset of rows: w[r] copies of row r, a bootstrap
-// sample's counts. Each feature's rows are sorted once; a tree keeps, per
-// feature it may split on, its rows in that sorted order, and every split
-// partitions those orders stably, so each node owns the same range
-// [lo, hi) of all of them, still sorted. A node then scores every
-// candidate threshold of a feature in one pass over its range, from
-// running label counts.
-type cart struct {
+// trainSet is the training data of one RandomForest.Fit, which the
+// goroutines training its trees share read-only: X copied column-major,
+// the labels, and each feature's rows sorted once.
+type trainSet struct {
+	n      int         // rows
 	cols   [][]float64 // cols[j][r] is X[r][j]
 	y      []int
 	sorted [][]int32 // sorted[j]: every row by ascending cols[j], NaNs first
-	w      []int32
+}
+
+// newTrainSet copies X column-major and sorts each feature's rows, on up
+// to workers goroutines.
+func newTrainSet(X [][]float64, y []int, workers int) *trainSet {
+	n, d := len(X), 0
+	if n > 0 {
+		d = len(X[0])
+	}
+	s := &trainSet{n: n, cols: make([][]float64, d), y: y, sorted: make([][]int32, d)}
+	cells := make([]float64, n*d)
+	orders := make([]int32, n*d)
+	var next atomic.Int32 // the next feature to claim
+	together(min(workers, d), func() {
+		for {
+			j := int(next.Add(1)) - 1
+			if j >= d {
+				return
+			}
+			col := cells[j*n : (j+1)*n : (j+1)*n]
+			for r, x := range X {
+				col[r] = x[j]
+			}
+			// The order sort.Float64s gives the values: NaNs first, -0 = +0.
+			o := orders[j*n : (j+1)*n : (j+1)*n]
+			for r := range o {
+				o[r] = int32(r)
+			}
+			slices.SortFunc(o, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+			s.cols[j], s.sorted[j] = col, o
+		}
+	})
+	return s
+}
+
+// together runs fn on k goroutines, the caller's among them, and returns
+// once every call has returned. With k <= 1 it starts no goroutine.
+func together(k int, fn func()) {
+	var wg sync.WaitGroup
+	for i := 1; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn()
+		}()
+	}
+	fn()
+	wg.Wait()
+}
+
+// cart is one goroutine's workspace for training trees on a trainSet. A
+// tree trains on a multiset of rows: w[r] copies of row r, a bootstrap
+// sample's counts. A tree keeps, per feature it may split on, its rows in
+// that feature's sorted order, and every split partitions those orders
+// stably, so each node owns the same range [lo, hi) of all of them, still
+// sorted. A node then scores every candidate threshold of a feature in
+// one pass over its range, from running label counts.
+type cart struct {
+	*trainSet
+	w []int32
 
 	// The tree being grown.
 	features []int
@@ -76,42 +134,21 @@ type cart struct {
 	// One feature's scan of one node: its distinct non-NaN values ascending,
 	// and the row copies and class-1 copies below each (plus the total).
 	vals        []float64
-	below, ones []int
+	below, ones []int32
 }
 
-func newCART(X [][]float64, y []int) *cart {
-	n, d := len(X), 0
-	if n > 0 {
-		d = len(X[0])
+// workspace returns a fresh training workspace over s.
+func (s *trainSet) workspace() *cart {
+	return &cart{
+		trainSet: s,
+		w:        make([]int32, s.n),
+		slot:     make([]int, len(s.cols)),
+		left:     make([]uint8, s.n),
+		spill:    make([]int32, s.n),
+		vals:     make([]float64, 0, s.n),
+		below:    make([]int32, 0, s.n+1),
+		ones:     make([]int32, 0, s.n+1),
 	}
-	c := &cart{
-		cols:   make([][]float64, d),
-		y:      y,
-		sorted: make([][]int32, d),
-		w:      make([]int32, n),
-		slot:   make([]int, d),
-		left:   make([]uint8, n),
-		spill:  make([]int32, n),
-		vals:   make([]float64, 0, n),
-		below:  make([]int, 0, n+1),
-		ones:   make([]int, 0, n+1),
-	}
-	cells := make([]float64, n*d)
-	orders := make([]int32, n*d)
-	for j := range c.cols {
-		col := cells[j*n : (j+1)*n : (j+1)*n]
-		for r, x := range X {
-			col[r] = x[j]
-		}
-		// The order sort.Float64s gives the values: NaNs first, -0 = +0.
-		o := orders[j*n : (j+1)*n : (j+1)*n]
-		for r := range o {
-			o[r] = int32(r)
-		}
-		slices.SortFunc(o, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
-		c.cols[j], c.sorted[j] = col, o
-	}
-	return c
 }
 
 // train grows t on w[r] copies of each row r.
@@ -217,15 +254,15 @@ func (c *cart) scan(j int, seg []int32, n, ones int, parent float64, best *split
 		k++
 	}
 	vals, below, belowOnes := c.vals[:0], c.below[:0], c.ones[:0]
-	cn, co := 0, 0
+	var cn, co int32
 	for _, r := range seg[k:] {
 		if x := col[r]; len(vals) == 0 || x != vals[len(vals)-1] {
 			vals = append(vals, x)
 			below = append(below, cn)
 			belowOnes = append(belowOnes, co)
 		}
-		cn += int(c.w[r])
-		co += int(c.w[r]) * c.y[r]
+		cn += c.w[r]
+		co += c.w[r] * int32(c.y[r])
 	}
 	below = append(below, cn)
 	belowOnes = append(belowOnes, co)
@@ -257,7 +294,7 @@ func (c *cart) scan(j int, seg []int32, n, ones int, parent float64, best *split
 		for p < len(vals) && vals[p] <= thr {
 			p++
 		}
-		lN, lOnes := below[p], belowOnes[p]
+		lN, lOnes := int(below[p]), int(belowOnes[p])
 		rN, rOnes := n-lN, ones-lOnes
 		if lN < minLeaf || rN < minLeaf {
 			continue
@@ -318,8 +355,13 @@ type RandomForest struct {
 }
 
 // Fit trains the forest on a feature matrix and binary labels. Each tree
-// trains on a bootstrap sample, kept as per-row copy counts, and all trees
-// share one workspace, whose per-feature row orders are sorted once.
+// trains on a bootstrap sample, kept as per-row copy counts. The trees
+// train concurrently, on up to GOMAXPROCS goroutines with one workspace
+// each, from one shared column-major copy of X whose per-feature row
+// orders are sorted once. The forest's one random source is drawn from in
+// tree order: a goroutine claims the next tree and draws its counts and
+// features under one lock, so every tree is the one a sequential fit
+// would train, whatever the goroutine count.
 func (f *RandomForest) Fit(X [][]float64, y []int) {
 	if f.Trees == 0 {
 		f.Trees = 20
@@ -327,7 +369,8 @@ func (f *RandomForest) Fit(X [][]float64, y []int) {
 	if f.MaxDepth == 0 {
 		f.MaxDepth = 6
 	}
-	if len(X) == 0 {
+	f.ensemble = nil
+	if len(X) == 0 || f.Trees < 0 {
 		return
 	}
 	rng := rand.New(rand.NewSource(f.Seed + 1))
@@ -342,17 +385,33 @@ func (f *RandomForest) Fit(X [][]float64, y []int) {
 	if mtry > d {
 		mtry = d
 	}
-	c := newCART(X, y)
-	f.ensemble = nil
-	for b := 0; b < f.Trees; b++ {
-		clear(c.w)
-		for i := 0; i < n; i++ {
-			c.w[rng.Intn(n)]++
+	workers := min(runtime.GOMAXPROCS(0), f.Trees)
+	ts := newTrainSet(X, y, workers)
+	f.ensemble = make([]*DecisionTree, f.Trees)
+	var (
+		mu   sync.Mutex
+		next int // the next tree to claim
+	)
+	together(workers, func() {
+		c := ts.workspace()
+		for {
+			mu.Lock()
+			b := next
+			if b == f.Trees {
+				mu.Unlock()
+				return
+			}
+			next++
+			clear(c.w)
+			for i := 0; i < n; i++ {
+				c.w[rng.Intn(n)]++
+			}
+			tree := &DecisionTree{MaxDepth: f.MaxDepth, Features: rng.Perm(d)[:mtry]}
+			mu.Unlock()
+			c.train(tree)
+			f.ensemble[b] = tree
 		}
-		tree := &DecisionTree{MaxDepth: f.MaxDepth, Features: rng.Perm(d)[:mtry]}
-		c.train(tree)
-		f.ensemble = append(f.ensemble, tree)
-	}
+	})
 }
 
 func intSqrt(n int) int {

@@ -71,6 +71,29 @@ func BenchmarkIncomeScore(b *testing.B) {
 	}
 }
 
+// BenchmarkSentimentScore10k times one oracle call of the Sentiment case
+// study on its 10k-row failing dataset: the lexicon scores every review.
+func BenchmarkSentimentScore10k(b *testing.B) {
+	sc := NewSentimentScenario(10_000, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchScore = sc.System.MalfunctionScore(sc.Fail)
+	}
+}
+
+// BenchmarkCardioScore times one oracle call of the Cardio case study on
+// its 10k-row failing dataset: the pretrained AdaBoost predicts every
+// labelled disease row. Pretraining is set-up and not timed.
+func BenchmarkCardioScore(b *testing.B) {
+	sc := NewCardioScenario(10_000, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchScore = sc.System.MalfunctionScore(sc.Fail)
+	}
+}
+
 // BenchmarkCardioPretrain times the Cardio case study's set-up on a
 // 10k-row training sample: encoding and 40 rounds of AdaBoost.
 func BenchmarkCardioPretrain(b *testing.B) {

@@ -149,12 +149,27 @@ func newCardioSystem(train *dataset.Dataset) *cardioSystem {
 // Name implements pipeline.System.
 func (s *cardioSystem) Name() string { return "cardio-prediction" }
 
-// MalfunctionScore implements pipeline.System.
+// MalfunctionScore implements pipeline.System. Only the labelled
+// disease rows bear on recall, so only they are predicted, each from one
+// reused feature vector.
 func (s *cardioSystem) MalfunctionScore(d *dataset.Dataset) float64 {
-	X, y, _, err := s.enc.Encode(d)
-	if err != nil || len(X) == 0 {
+	labelled, tp, fn := 0, 0, 0
+	err := s.enc.EncodeEach(d, func(x []float64, y, _ int) {
+		labelled++
+		if y != 1 {
+			return
+		}
+		if s.model.Predict(x) == 1 {
+			tp++
+		} else {
+			fn++
+		}
+	})
+	if err != nil || labelled == 0 {
 		return 1
 	}
-	pred := ml.PredictAll(s.model, X)
-	return 1 - ml.Recall(pred, y, 1)
+	if tp+fn == 0 {
+		return 0 // no disease row to miss
+	}
+	return 1 - float64(tp)/float64(tp+fn)
 }

@@ -2,10 +2,14 @@ package workload
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/ml"
 	"repro/internal/profile"
 )
 
@@ -131,6 +135,132 @@ func TestCardioScenario(t *testing.T) {
 	}
 	if res.FinalScore > s.Tau {
 		t.Errorf("final score = %g", res.FinalScore)
+	}
+}
+
+// refCardioScore is the Cardio score as the case study computed it from
+// the whole encoded matrix: 1 − the recall of class 1, with recall 1 when
+// no row is class 1, and 1 when no row is labelled.
+func refCardioScore(s *cardioSystem, d *dataset.Dataset) float64 {
+	X, y, _, err := s.enc.Encode(d)
+	if err != nil || len(X) == 0 {
+		return 1
+	}
+	pred := ml.PredictAll(s.model, X)
+	tp, fn := 0, 0
+	for i := range y {
+		if y[i] != 1 {
+			continue
+		}
+		if pred[i] == 1 {
+			tp++
+		} else {
+			fn++
+		}
+	}
+	recall := 1.0
+	if tp+fn > 0 {
+		recall = float64(tp) / float64(tp+fn)
+	}
+	return 1 - recall
+}
+
+func TestCardioScoreMatchesReference(t *testing.T) {
+	sc := NewCardioScenario(2000, 4)
+	sys := sc.System.(*cardioSystem)
+	n := sc.Fail.NumRows()
+	// with returns the failing dataset with column attr dropped and
+	// whatever add adds in its place.
+	with := func(attr string, add func(d *dataset.Dataset) error) *dataset.Dataset {
+		d := dataset.New()
+		for _, c := range sc.Fail.Columns() {
+			if c.Name == attr {
+				continue
+			}
+			null, nums, strs := make([]bool, n), make([]float64, n), make([]string, n)
+			for r := range null {
+				null[r] = c.NullAt(r)
+				if c.Kind == dataset.Numeric {
+					nums[r] = c.NumAt(r)
+				} else {
+					strs[r] = c.StrAt(r)
+				}
+			}
+			var err error
+			if c.Kind == dataset.Numeric {
+				err = d.AddNumericColumn(c.Name, nums, null)
+			} else {
+				err = d.AddCategoricalColumn(c.Name, strs, null)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := add(d); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	heightCM := make([]float64, n)
+	for r := range heightCM {
+		heightCM[r] = sc.Fail.Column("height").NumAt(r) * 2.54
+	}
+	allNull, everyThird := make([]bool, n), make([]bool, n)
+	negative, asText := make([]string, n), make([]string, n)
+	for r := range allNull {
+		allNull[r], everyThird[r] = true, r%3 == 0
+		negative[r], asText[r] = "0", "170"
+	}
+	cases := map[string]*dataset.Dataset{
+		"pass": sc.Pass,
+		"fail": sc.Fail,
+		"fail, height in cm": with("height", func(d *dataset.Dataset) error {
+			return d.AddNumericColumn("height", heightCM, nil)
+		}),
+		"no labelled row": with("target", func(d *dataset.Dataset) error {
+			return d.AddCategoricalColumn("target", negative, allNull)
+		}),
+		"no disease row": with("target", func(d *dataset.Dataset) error {
+			return d.AddCategoricalColumn("target", negative, everyThird)
+		}),
+		"height changed kind": with("height", func(d *dataset.Dataset) error {
+			return d.AddCategoricalColumn("height", asText, nil)
+		}),
+		"no height": with("height", func(*dataset.Dataset) error { return nil }),
+		"no rows":   sc.Fail.Filter(func(int) bool { return false }),
+	}
+	for name, d := range cases {
+		got, want := sys.MalfunctionScore(d), refCardioScore(sys, d)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: score %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestCardioScoreAllocations bounds one Cardio oracle call on 10k rows at
+// one feature vector and a small constant: no matrix, no prediction list.
+func TestCardioScoreAllocations(t *testing.T) {
+	sc := NewCardioScenario(10_000, 4)
+	X, _, _, err := sc.System.(*cardioSystem).enc.Encode(sc.Fail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// TotalAlloc counts every goroutine's allocations, and a goroutine an
+	// earlier test left exiting may still allocate: take the least of
+	// several calls.
+	got := uint64(math.MaxUint64)
+	for k := 0; k < 5; k++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		benchScore = sc.System.MalfunctionScore(sc.Fail)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	vector := uint64(len(X[0])) * 8
+	if limit := vector + 256; got > limit {
+		t.Errorf("Cardio score of %d rows allocated %d bytes, want at most %d (a %d-byte feature vector)",
+			sc.Fail.NumRows(), got, limit, vector)
 	}
 }
 
