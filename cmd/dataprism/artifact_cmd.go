@@ -45,7 +45,7 @@ func profileCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	opts := dataprism.DefaultDiscoveryOptions()
+	var opts dataprism.DiscoveryOptions
 	if err := applyProfileSelector(&opts, *profiles); err != nil {
 		fatal(err)
 	}
@@ -144,7 +144,7 @@ func watchCmd(args []string) {
 		Source: func() (*dataset.Dataset, error) {
 			return readArtifactCSV(*dataPath, *textCols)
 		},
-		Options:   dataprism.DefaultDiscoveryOptions(),
+		Options:   dataprism.DiscoveryOptions{},
 		Eps:       *eps,
 		Threshold: *threshold,
 	}

@@ -33,6 +33,7 @@ import (
 	dataprism "repro"
 	"repro/internal/pipeline"
 	"repro/internal/pipeline/remote"
+	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/scorestore"
 	"repro/internal/workload"
@@ -101,7 +102,7 @@ func main() {
 	var (
 		pass, fail *dataprism.Dataset
 		sys        dataprism.FallibleSystem
-		opts       = dataprism.DefaultDiscoveryOptions()
+		opts       dataprism.DiscoveryOptions
 		threshold  = *tau
 	)
 	switch {
@@ -291,41 +292,35 @@ func main() {
 	}
 }
 
+// builtinScenarios maps each -scenario name to its generator.
+var builtinScenarios = map[string]func(rows int, seed int64) *workload.Scenario{
+	"sentiment": workload.NewSentimentScenario,
+	"income":    workload.NewIncomeScenario,
+	"cardio":    workload.NewCardioScenario,
+	"bias":      workload.NewBiasScenario,
+	"ezgo":      workload.NewEZGoScenario,
+}
+
 // builtinScenario generates a case-study scenario; its system is adapted
 // to the error-aware contract once, here.
 func builtinScenario(name string, rows int, seed int64) (pass, fail *dataprism.Dataset, sys dataprism.FallibleSystem, opts dataprism.DiscoveryOptions, tau float64, err error) {
-	var plain dataprism.System
-	switch name {
-	case "sentiment":
-		s := workload.NewSentimentScenario(rows, seed)
-		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
-	case "income":
-		s := workload.NewIncomeScenario(rows, seed)
-		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
-	case "cardio":
-		s := workload.NewCardioScenario(rows, seed)
-		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
-	case "bias":
-		s := workload.NewBiasScenario(rows, seed)
-		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
-	case "ezgo":
-		s := workload.NewEZGoScenario(rows, seed)
-		pass, fail, plain, opts, tau = s.Pass, s.Fail, s.System, s.Options, s.Tau
-	default:
+	gen, ok := builtinScenarios[name]
+	if !ok {
 		return nil, nil, nil, opts, 0, fmt.Errorf("unknown scenario %q", name)
 	}
-	return pass, fail, dataprism.AsFallibleSystem(dataprism.AsContextSystem(plain)), opts, tau, nil
+	s := gen(rows, seed)
+	return s.Pass, s.Fail, dataprism.AsFallibleSystem(dataprism.AsContextSystem(s.System)), s.Options, s.Tau, nil
 }
 
 // listProfileClasses prints the PVT-class catalog for -list-profiles.
 func listProfileClasses() {
 	fmt.Println("registered PVT profile classes (* = discovered by default):")
-	for _, c := range dataprism.Classes() {
+	for _, c := range profile.Discoverers() {
 		mark := "  "
-		if dataprism.ClassDefaultEnabled(c) {
+		if c.DefaultOn {
 			mark = "* "
 		}
-		fmt.Printf("  %s%-13s %s\n", mark, c.Name(), c.Describe())
+		fmt.Printf("  %s%-13s %s\n", mark, c.Name, c.Describe)
 	}
 	fmt.Println("\nselect with -profiles name,name (exact set) or -profiles +name,-name (adjust defaults)")
 }
@@ -475,7 +470,7 @@ func emitJSON(system string, tau, passScore float64, res *dataprism.Result, foun
 		if out.ExplByClass == nil {
 			out.ExplByClass = make(map[string][]string)
 		}
-		c := dataprism.ClassOf(p.Profile)
+		c := p.Profile.Type()
 		out.ExplByClass[c] = append(out.ExplByClass[c], p.String())
 	}
 	for _, s := range res.Trace {

@@ -39,13 +39,13 @@ package dataprism
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
-	"repro/internal/pvt"
 	"repro/internal/transform"
 )
 
@@ -65,7 +65,8 @@ type (
 
 	// Profile is a parameterized data property with violation semantics.
 	Profile = profile.Profile
-	// DiscoveryOptions configures profile discovery.
+	// DiscoveryOptions configures profile discovery; the zero value is the
+	// paper's configuration.
 	DiscoveryOptions = profile.Options
 	// SampleOptions configures sampled profile fitting with error bounds
 	// (DiscoveryOptions.Sample).
@@ -184,10 +185,6 @@ func ReadCSVFile(path string, opts dataset.InferOptions) (*Dataset, error) {
 // CSVInferOptions configures CSV type inference.
 type CSVInferOptions = dataset.InferOptions
 
-// DefaultDiscoveryOptions returns the paper's default profile-discovery
-// configuration.
-func DefaultDiscoveryOptions() DiscoveryOptions { return profile.DefaultOptions() }
-
 // DiscoverProfiles learns the minimal profiles a dataset satisfies.
 func DiscoverProfiles(d *Dataset, opts DiscoveryOptions) []Profile {
 	return profile.Discover(d, opts)
@@ -212,29 +209,46 @@ func TransformationsFor(p Profile) []Transformation { return transform.ForProfil
 // class bundling discovery (Discover) and repair (Transforms). Implement it
 // on your own type and RegisterClass it — discovery, transformation
 // routing, the CLI's -profiles selector, and report grouping all pick the
-// class up without touching any internal package. Implementations may also
-// provide DefaultEnabled() bool to require an explicit opt-in via
-// DiscoveryOptions.Classes (absent means enabled).
-type PVTClass = pvt.Class
+// class up without touching any internal package. They find the class by
+// name, so every profile it discovers must return Name() from Type().
+// Implementations may also provide DefaultEnabled() bool to require an
+// explicit opt-in via DiscoveryOptions.Classes (absent means enabled).
+type PVTClass interface {
+	// Name is the registry key, e.g. "domain"; it is the selector used by
+	// DiscoveryOptions.Classes and the CLI's -profiles flag.
+	Name() string
+	// Describe returns a one-line human-readable summary of the class.
+	Describe() string
+	// Discover learns the class's profiles on d. It must be deterministic
+	// and safe for concurrent use.
+	Discover(d *Dataset, opts DiscoveryOptions) []Profile
+	// Transforms returns the candidate repairs for a profile of this class.
+	Transforms(p Profile) []Transformation
+}
 
 // ProfileCodec is the optional codec half of a PVTClass: classes
 // implementing it alongside PVTClass can persist their profiles into
 // versioned profile artifacts (the `dataprism profile` / `diff` / `watch`
-// CLI surface) and reconstruct them later. EncodeProfile must claim only
-// the class's own profiles — return (nil, nil) for others — and produce a
-// canonical JSON-encodable value (equal profiles marshal to identical
-// bytes); DecodeProfile must invert it.
-type ProfileCodec = pvt.ProfileCodec
+// CLI surface) and reconstruct them later. EncodeProfile receives the
+// class's own profiles and must produce a canonical JSON-encodable value
+// (equal profiles marshal to identical bytes); DecodeProfile must invert
+// it, yielding a profile with the same Key whose SameParams holds.
+type ProfileCodec interface {
+	EncodeProfile(p Profile) (any, error)
+	DecodeProfile(data []byte) (Profile, error)
+}
 
 // ProfileDrifter is the optional drift half of a PVTClass: a normalized
 // [0,1] magnitude for how far the parameters of the "same" profile (same
 // Key) moved between two artifacts. Without it, any parameter change
 // reports the generic magnitude 1.
-type ProfileDrifter = pvt.ProfileDrifter
+type ProfileDrifter interface {
+	ProfileDrift(old, new Profile) float64
+}
 
-// EncodeProfile serializes a profile through its owning class's codec,
-// returning the class name and canonical JSON bytes. It fails when no
-// registered class with a codec claims the profile.
+// EncodeProfile serializes a profile through the codec of the class its
+// Type() names, returning the class name and canonical JSON bytes. It
+// fails when that class is not registered or has no codec.
 func EncodeProfile(p Profile) (class string, data []byte, err error) {
 	return profile.EncodeProfile(p)
 }
@@ -251,33 +265,50 @@ func ProfileDriftMagnitude(class string, old, new Profile) float64 {
 	return profile.DriftMagnitude(class, old, new)
 }
 
-// RegisterClass adds a PVT class to the process-wide catalog. It fails on a
-// duplicate name, leaving the catalog unchanged. Classes additionally
-// implementing ProfileCodec (and optionally ProfileDrifter) become
-// persistable into profile artifacts.
-func RegisterClass(c PVTClass) error { return pvt.Register(c) }
+// RegisterClass adds a PVT class to the process-wide catalog under
+// c.Name(): its discovery half, with the codec and drift metric when the
+// class implements ProfileCodec and ProfileDrifter, and its transformation
+// builder. It fails on a duplicate name, leaving the catalog unchanged.
+func RegisterClass(c PVTClass) error {
+	name := c.Name()
+	disc := profile.Discoverer{Name: name, Describe: c.Describe(), DefaultOn: true, Discover: c.Discover}
+	if t, ok := c.(interface{ DefaultEnabled() bool }); ok {
+		disc.DefaultOn = t.DefaultEnabled()
+	}
+	if codec, ok := c.(ProfileCodec); ok {
+		disc.Encode = codec.EncodeProfile
+		disc.Decode = codec.DecodeProfile
+	}
+	if drifter, ok := c.(ProfileDrifter); ok {
+		disc.Drift = drifter.ProfileDrift
+	}
+	if err := profile.RegisterDiscoverer(disc); err != nil {
+		return fmt.Errorf("dataprism: %w", err)
+	}
+	if err := transform.RegisterBuilder(name, c.Transforms); err != nil {
+		profile.UnregisterDiscoverer(name) // keep the two halves in step
+		return fmt.Errorf("dataprism: %w", err)
+	}
+	return nil
+}
 
 // MustRegisterClass is RegisterClass panicking on error — for registration
 // from package init.
-func MustRegisterClass(c PVTClass) { pvt.MustRegister(c) }
-
-// Classes returns the full PVT-class catalog (built-in and registered), in
-// deterministic name order.
-func Classes() []PVTClass { return pvt.All() }
+func MustRegisterClass(c PVTClass) {
+	if err := RegisterClass(c); err != nil {
+		panic(err)
+	}
+}
 
 // ClassNames returns the registered PVT-class names, sorted.
-func ClassNames() []string { return pvt.Names() }
-
-// LookupClass returns the catalog class registered under name.
-func LookupClass(name string) (PVTClass, bool) { return pvt.Lookup(name) }
-
-// ClassDefaultEnabled reports whether a class is discovered without an
-// explicit opt-in in DiscoveryOptions.Classes.
-func ClassDefaultEnabled(c PVTClass) bool { return pvt.DefaultEnabled(c) }
-
-// ClassOf returns the catalog class name owning a profile, falling back to
-// the profile's Type() for unregistered classes.
-func ClassOf(p Profile) string { return pvt.ClassOf(p) }
+func ClassNames() []string {
+	ds := profile.Discoverers()
+	names := make([]string, len(ds))
+	for i, d := range ds {
+		names[i] = d.Name
+	}
+	return names
+}
 
 // DiscoverPVTs pairs the discriminative profiles with their transformations.
 func DiscoverPVTs(pass, fail *Dataset, opts DiscoveryOptions) []*PVT {

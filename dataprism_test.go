@@ -27,7 +27,7 @@ func TestPublicAPIQuickPath(t *testing.T) {
 
 func TestPublicAPIDiscovery(t *testing.T) {
 	pass, fail := workload.Peoplepass(), workload.Peoplefail()
-	opts := dataprism.DefaultDiscoveryOptions()
+	opts := dataprism.DiscoveryOptions{}
 	profiles := dataprism.DiscoverProfiles(pass, opts)
 	if len(profiles) == 0 {
 		t.Fatal("no profiles discovered")

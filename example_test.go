@@ -53,7 +53,7 @@ func ExampleDiscoverProfiles() {
 	d := dataprism.NewDataset().
 		MustAddCategorical("grade", []string{"A", "B", "A", "C"}).
 		MustAddNumeric("score", []float64{91, 82, 95, 70})
-	opts := dataprism.DefaultDiscoveryOptions()
+	opts := dataprism.DiscoveryOptions{}
 	opts.Classes = map[string]bool{"selectivity": false, "indep": false}
 	for _, p := range dataprism.DiscoverProfiles(d, opts) {
 		fmt.Println(p)

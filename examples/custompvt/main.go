@@ -3,7 +3,9 @@
 // sorted ascending — defined and registered purely through the public
 // facade, without touching any internal package. Once registered, profile
 // discovery, transformation routing, the greedy search, and report grouping
-// all pick the class up through the registry.
+// all pick the class up through the registry, under the name its profiles'
+// Type() returns. It exits 1 when the search finds no explanation or the
+// profile does not survive the codec round trip.
 //
 // The staged malfunction: a stream aggregator assumes its input arrives in
 // timestamp order. The failing window carries the same timestamp values as
@@ -18,12 +20,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 
 	dataprism "repro"
 )
 
-// MonotoneProfile asserts a numeric attribute is sorted ascending.
+// MonotoneProfile asserts a numeric attribute is sorted ascending. Its Type
+// is the name MonotoneClass registers under.
 type MonotoneProfile struct{ Attr string }
 
 func (p *MonotoneProfile) Type() string         { return "monotone" }
@@ -117,12 +121,11 @@ type monotoneWire struct {
 }
 
 // EncodeProfile makes the class persistable into profile artifacts
-// (dataprism.ProfileCodec). It claims only its own profiles, returning
-// (nil, nil) for every other class's.
+// (dataprism.ProfileCodec). It receives only the class's own profiles.
 func (MonotoneClass) EncodeProfile(p dataprism.Profile) (any, error) {
 	q, ok := p.(*MonotoneProfile)
 	if !ok {
-		return nil, nil
+		return nil, fmt.Errorf("monotone codec cannot encode %T", p)
 	}
 	return monotoneWire{Attr: q.Attr}, nil
 }
@@ -172,30 +175,34 @@ func main() {
 	e := &dataprism.Explainer{System: sys, Tau: 0.05, Seed: 1}
 	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail)
 	if err != nil {
-		fmt.Println("no explanation found:", err)
-		return
+		fmt.Fprintln(os.Stderr, "no explanation found:", err)
+		os.Exit(1)
 	}
 	fmt.Printf("DataPrismGRD: %d interventions over %d discriminative candidates\n",
 		res.Interventions, res.Discriminative)
 	fmt.Printf("minimal explanation: %s\n", res.ExplanationString())
 	for _, p := range res.Explanation {
-		fmt.Printf("  class %q owns %s\n", dataprism.ClassOf(p.Profile), p)
+		fmt.Printf("  class %q owns %s\n", p.Profile.Type(), p)
 	}
 	fmt.Printf("malfunction after repair: %.3f\n", res.FinalScore)
 
 	// Because MonotoneClass also implements ProfileCodec, its profiles
 	// survive the trip into a versioned profile artifact and back — the
-	// registry dispatches to the class that claims the profile.
-	class, wire, err := dataprism.EncodeProfile(&MonotoneProfile{Attr: "timestamp"})
+	// registry dispatches to the class the profile's Type() names.
+	orig := &MonotoneProfile{Attr: "timestamp"}
+	class, wire, err := dataprism.EncodeProfile(orig)
 	if err != nil {
-		fmt.Println("encoding custom profile:", err)
-		return
+		fmt.Fprintln(os.Stderr, "encoding custom profile:", err)
+		os.Exit(1)
 	}
 	back, err := dataprism.DecodeProfile(class, wire)
 	if err != nil {
-		fmt.Println("decoding custom profile:", err)
-		return
+		fmt.Fprintln(os.Stderr, "decoding custom profile:", err)
+		os.Exit(1)
 	}
-	fmt.Printf("\nartifact round-trip: class %q wire %s decodes to %s (params preserved: %v)\n",
-		class, wire, back, back.SameParams(&MonotoneProfile{Attr: "timestamp"}))
+	fmt.Printf("\nartifact round-trip: class %q wire %s decodes to %s\n", class, wire, back)
+	if !back.SameParams(orig) {
+		fmt.Fprintln(os.Stderr, "the decoded profile lost its parameters")
+		os.Exit(1)
+	}
 }

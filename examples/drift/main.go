@@ -68,8 +68,7 @@ func main() {
 
 	// Pin the passing window's profiles as the versioned baseline artifact —
 	// what `dataprism profile -data pass.csv -o baseline.json` does.
-	opts := profile.DefaultOptions()
-	opts.Classes = map[string]bool{"distribution": true}
+	opts := profile.Options{Classes: map[string]bool{"distribution": true}}
 	baseline, err := artifact.Build(pass, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "building baseline artifact:", err)

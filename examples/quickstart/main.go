@@ -25,8 +25,7 @@ func main() {
 	fmt.Println("Peoplepass (Figure 3):")
 	fmt.Print(pass9)
 
-	opts := dataprism.DefaultDiscoveryOptions()
-	disc := dataprism.DiscriminativeProfiles(pass9, fail10, opts)
+	disc := dataprism.DiscriminativeProfiles(pass9, fail10, dataprism.DiscoveryOptions{})
 	fmt.Printf("\nDiscriminative profiles between the two tables (cf. Figure 5): %d\n", len(disc))
 	for i, p := range disc {
 		if i == 8 {

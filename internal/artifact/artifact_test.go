@@ -57,7 +57,7 @@ func TestBuildDeterminism(t *testing.T) {
 			for _, chunk := range []int{1, 7, 64, rows - 1, dataset.DefaultChunkSize} {
 				for _, workers := range []int{1, 8} {
 					for rep := 0; rep < 2; rep++ {
-						opts := profile.DefaultOptions()
+						opts := profile.Options{}
 						opts.Workers = workers
 						cfg.tune(&opts)
 						a, err := Build(base.Rechunk(chunk), opts)
@@ -89,7 +89,7 @@ func TestBuildDeterminism(t *testing.T) {
 // TestArtifactHeader pins the header invariants downstream tooling keys on.
 func TestArtifactHeader(t *testing.T) {
 	d := sensorData(500, 1, 1, 0)
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	a, err := Build(d, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestArtifactHeader(t *testing.T) {
 // recorded key.
 func TestArtifactFileRoundTrip(t *testing.T) {
 	d := sensorData(400, 2, 1, 0)
-	a, err := Build(d, profile.DefaultOptions())
+	a, err := Build(d, profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestArtifactFileRoundTrip(t *testing.T) {
 // re-compacts entry bytes to the canonical spelling; without that, every
 // profile shows up as a magnitude-0 "change" on every watch tick.
 func TestFileBaselineComparesCleanAgainstFreshBuild(t *testing.T) {
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	a, err := Build(sensorData(500, 1, 1, 0), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestFileBaselineComparesCleanAgainstFreshBuild(t *testing.T) {
 // TestDecodeVersionGate checks stale readers fail loudly instead of
 // mis-decoding an artifact from another schema generation.
 func TestDecodeVersionGate(t *testing.T) {
-	a, err := Build(sensorData(100, 1, 1, 0), profile.DefaultOptions())
+	a, err := Build(sensorData(100, 1, 1, 0), profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestDecodeVersionGate(t *testing.T) {
 
 // TestCompatibleGates checks the two comparability preconditions.
 func TestCompatibleGates(t *testing.T) {
-	a, err := Build(sensorData(100, 1, 1, 0), profile.DefaultOptions())
+	a, err := Build(sensorData(100, 1, 1, 0), profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

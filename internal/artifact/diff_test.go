@@ -10,7 +10,7 @@ import (
 // TestDiffIdenticalIsEmpty: diffing an artifact against a rebuild of the
 // same content is empty — the `dataprism diff a a` smoke contract.
 func TestDiffIdenticalIsEmpty(t *testing.T) {
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	a, err := Build(sensorData(600, 1, 1, 0), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestDiffIdenticalIsEmpty(t *testing.T) {
 // TestDiffDriftedContent: a shifted feed yields Changed entries with
 // magnitudes in (0, 1], and the gate trips.
 func TestDiffDriftedContent(t *testing.T) {
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	opts.Classes = map[string]bool{"distribution": true}
 	old, err := Build(sensorData(600, 1, 1, 0), opts)
 	if err != nil {
@@ -82,8 +82,8 @@ func TestDiffDriftedContent(t *testing.T) {
 // any structural appearance/disappearance trips every threshold.
 func TestDiffAddedRemoved(t *testing.T) {
 	d := sensorData(600, 1, 1, 0)
-	lean := profile.DefaultOptions()
-	full := profile.DefaultOptions()
+	lean := profile.Options{}
+	full := profile.Options{}
 	full.Classes = map[string]bool{"distribution": true}
 	a, err := Build(d, lean)
 	if err != nil {
@@ -124,7 +124,7 @@ func TestDiffAddedRemoved(t *testing.T) {
 
 // TestDiffIncompatible: artifacts from different generations refuse to diff.
 func TestDiffIncompatible(t *testing.T) {
-	a, err := Build(sensorData(100, 1, 1, 0), profile.DefaultOptions())
+	a, err := Build(sensorData(100, 1, 1, 0), profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // DecodedProfiles may panic, and an artifact that decodes must re-encode to
 // bytes that decode to an equal artifact.
 func FuzzDecodeArtifact(f *testing.F) {
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	opts.Workers = 1
 	ext := opts
 	ext.Classes = map[string]bool{"distribution": true, "fd": true, "unique": true, "frequency": true, "inclusion": true, "conditional": true}

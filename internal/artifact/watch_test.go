@@ -15,7 +15,7 @@ import (
 // a drifted one: the stable tick must not escalate, the drifted tick must
 // raise discriminative alerts whose violations exceed epsilon.
 func TestWatcherTick(t *testing.T) {
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	opts.Classes = map[string]bool{"distribution": true}
 	baseline, err := Build(sensorData(1500, 1, 1, 0), opts)
 	if err != nil {
@@ -85,12 +85,12 @@ func TestWatcherTick(t *testing.T) {
 // baseline's recorded class list even when its Options enable more, so
 // diffs stay like-for-like and never report spurious additions.
 func TestWatcherPinsBaselineClasses(t *testing.T) {
-	lean := profile.DefaultOptions()
+	lean := profile.Options{}
 	baseline, err := Build(sensorData(800, 1, 1, 0), lean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := profile.DefaultOptions()
+	wide := profile.Options{}
 	wide.Classes = map[string]bool{"distribution": true, "fd": true, "unique": true}
 	w := &Watcher{
 		Baseline: baseline,
@@ -115,7 +115,7 @@ func TestWatcherPinsBaselineClasses(t *testing.T) {
 // TestWatcherThresholdGate: with a drift threshold set, non-discriminative
 // drift alone escalates once its magnitude crosses the gate.
 func TestWatcherThresholdGate(t *testing.T) {
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	opts.Classes = map[string]bool{"distribution": true}
 	baseline, err := Build(sensorData(1500, 1, 1, 0), opts)
 	if err != nil {
@@ -145,7 +145,7 @@ func TestWatcherThresholdGate(t *testing.T) {
 // TestWatcherRun exercises the ticker loop: events stream until the context
 // is cancelled.
 func TestWatcherRun(t *testing.T) {
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	baseline, err := Build(sensorData(200, 1, 1, 0), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestWatcherRun(t *testing.T) {
 // ticker ready: the select between ctx.Done and a ready ticker picks at
 // random, so each of 20 runs gets a chance to show an extra tick.
 func TestWatcherRunNoTickAfterCancel(t *testing.T) {
-	baseline, err := Build(sensorData(200, 1, 1, 0), profile.DefaultOptions())
+	baseline, err := Build(sensorData(200, 1, 1, 0), profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestWatcherRunNoTickAfterCancel(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 				return feed, nil
 			},
-			Options: profile.DefaultOptions(),
+			Options: profile.Options{},
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		err := w.Run(ctx, time.Millisecond, func(*Event) { cancel() })
@@ -210,7 +210,7 @@ func TestWatcherRunNoTickAfterCancel(t *testing.T) {
 // in-flight oracle evaluation: the oracle sees the run's context, and Run
 // returns an error wrapping context.Canceled.
 func TestWatcherRunCancelsOracle(t *testing.T) {
-	baseline, err := Build(sensorData(200, 1, 1, 0), profile.DefaultOptions())
+	baseline, err := Build(sensorData(200, 1, 1, 0), profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestWatcherRunCancelsOracle(t *testing.T) {
 	w := &Watcher{
 		Baseline: baseline,
 		Source:   func() (*dataset.Dataset, error) { return sensorData(200, 1, 1, 0), nil },
-		Options:  profile.DefaultOptions(),
+		Options:  profile.Options{},
 		Oracle: &pipeline.TryFunc{SystemName: "blocking", Try: func(ctx context.Context, _ *dataset.Dataset) pipeline.ScoreResult {
 			close(started)
 			<-ctx.Done()
@@ -248,7 +248,7 @@ func TestWatcherValidation(t *testing.T) {
 	if _, err := (&Watcher{}).Tick(context.Background()); err == nil {
 		t.Error("watcher without a baseline ticked")
 	}
-	a, err := Build(sensorData(50, 1, 1, 0), profile.DefaultOptions())
+	a, err := Build(sensorData(50, 1, 1, 0), profile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func benchData(rows int) (pass, fail *dataset.Dataset, pvts []*PVT) {
 		fail.SetNull("n2", i) // missing
 	}
 
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	opts.Workers = 1
 	pvts = DiscoverPVTs(pass, fail, opts)
 	return pass, fail, pvts

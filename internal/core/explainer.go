@@ -63,8 +63,8 @@ type Explainer struct {
 	FallibleSystem pipeline.FallibleSystem
 	// Tau is the allowable malfunction threshold (Definition 10).
 	Tau float64
-	// Options configures profile discovery; the zero value means
-	// profile.DefaultOptions.
+	// Options configures profile discovery; nil means the zero
+	// profile.Options, the paper's configuration.
 	Options *profile.Options
 	// Seed drives the deterministic RNG behind sampling transformations and
 	// bisection initialization.
@@ -174,7 +174,7 @@ var ErrNoExplanation = errors.New("core: no explanation found among discriminati
 // explainer's worker budget carries over to parallel profile discovery
 // unless the options pin their own.
 func (e *Explainer) options() profile.Options {
-	o := profile.DefaultOptions()
+	var o profile.Options
 	if e.Options != nil {
 		o = *e.Options
 	}

@@ -157,7 +157,7 @@ func TestExtendedProfilesEndToEnd(t *testing.T) {
 		t.Fatal("setup: fail should score high")
 	}
 
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	opts.Classes = map[string]bool{"fd": true, "distribution": true}
 	e := &core.Explainer{System: sys, Tau: 0.05, Options: &opts, Seed: 35}
 	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail)

@@ -110,7 +110,7 @@ func TestDatasetLevelDecisionTreeNoPassingExample(t *testing.T) {
 func TestExplainerDefaults(t *testing.T) {
 	sys, pass, fail := statusScenario()
 	// Custom options thread through the dataset-level entry points.
-	opts := profile.DefaultOptions()
+	opts := profile.Options{}
 	opts.Classes = map[string]bool{"selectivity": false, "indep": false}
 	e := &core.Explainer{System: sys, Tau: 0.1, Options: &opts, Seed: 85}
 	res, err := e.ExplainGreedyPVTsContext(context.Background(), e.Candidates(pass, fail), fail)

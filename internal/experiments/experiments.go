@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
-	"repro/internal/profile"
 	"repro/internal/synth"
 	"repro/internal/transform"
 	"repro/internal/workload"
@@ -41,26 +40,14 @@ type Row struct {
 	Discriminative       int
 }
 
-// scenario bundles what every technique needs.
-type scenario struct {
-	name       string
-	pass, fail *dataset.Dataset
-	system     pipeline.System
-	tau        float64
-	opts       profile.Options
-}
-
-func caseStudy(name string, rows int, seed int64) scenario {
+func caseStudy(name string, rows int, seed int64) *workload.Scenario {
 	switch name {
 	case "Sentiment":
-		s := workload.NewSentimentScenario(rows, seed)
-		return scenario{name, s.Pass, s.Fail, s.System, s.Tau, s.Options}
+		return workload.NewSentimentScenario(rows, seed)
 	case "Income":
-		s := workload.NewIncomeScenario(rows, seed)
-		return scenario{name, s.Pass, s.Fail, s.System, s.Tau, s.Options}
+		return workload.NewIncomeScenario(rows, seed)
 	case "Cardiovascular":
-		s := workload.NewCardioScenario(rows, seed)
-		return scenario{name, s.Pass, s.Fail, s.System, s.Tau, s.Options}
+		return workload.NewCardioScenario(rows, seed)
 	default:
 		panic("unknown case study " + name)
 	}
@@ -103,13 +90,13 @@ func Figure7(rows int, seed int64) []Row {
 	var out []Row
 	for _, name := range []string{"Sentiment", "Income", "Cardiovascular"} {
 		sc := caseStudy(name, rows, seed)
-		pvts := core.DiscoverPVTs(sc.pass, sc.fail, sc.opts)
+		pvts := core.DiscoverPVTs(sc.Pass, sc.Fail, sc.Options)
 		row := Row{
 			Scenario:       name,
-			PassScore:      sc.system.MalfunctionScore(sc.pass),
-			FailScore:      sc.system.MalfunctionScore(sc.fail),
+			PassScore:      sc.System.MalfunctionScore(sc.Pass),
+			FailScore:      sc.System.MalfunctionScore(sc.Fail),
 			Discriminative: len(pvts),
-			Cells:          runAll(sc.system, sc.tau, seed, pvts, sc.fail),
+			Cells:          runAll(sc.System, sc.Tau, seed, pvts, sc.Fail),
 		}
 		out = append(out, row)
 	}

@@ -25,7 +25,7 @@ var testOnlyExemptions = map[string]string{
 	"repro/internal/dataset.Dataset.SetNull":                           "NULL half of the cell setters whose numeric half programs call",
 	"repro/internal/pipeline.FaultInjector.Calls":                      "the facade's chaos harness reports what it saw",
 	"repro/internal/pipeline.FaultInjector.Injected":                   "the facade's chaos harness reports what it injected",
-	"repro/internal/pvt.Unregister":                                    "the root package's tests undo a registration in the process-wide catalog and cannot see a pvt test helper",
+	"repro/internal/transform.UnregisterBuilder":                       "the root package's tests undo a registration in the process-wide catalog and cannot see a transform test helper",
 	"repro/internal/lint/linttest.Run":                                 "the analyzers' golden harness, a test library by design",
 }
 

@@ -62,12 +62,12 @@ func DefaultScopes(module string) map[string][]string {
 	return map[string][]string{
 		MapDeterminism.Name: {
 			p("internal/core"), p("internal/graph"), p("internal/profile"),
-			p("internal/transform"), p("internal/pvt"), p("internal/engine"),
-			p("internal/report"), p("internal/artifact"),
+			p("internal/transform"), p("internal/engine"), p("internal/report"),
+			p("internal/artifact"),
 		},
 		SeededRand.Name: {
 			p("internal/core"), p("internal/graph"), p("internal/profile"),
-			p("internal/transform"), p("internal/pvt"), p("internal/engine"),
+			p("internal/transform"), p("internal/engine"),
 			// The reservoir-sampling paths: sample draws must be a pure
 			// function of (geometry, seed), never of global rand state.
 			p("internal/dataset"), p("internal/stats"),

@@ -22,9 +22,39 @@ import (
 // a runaway process whose output must not exhaust memory.
 const maxExternalOutput = 1 << 20
 
-// failureRingSize bounds how many recent failure reasons External retains
-// for post-mortem diagnostics.
-const failureRingSize = 16
+// FailureRingSize bounds how many recent failure reasons a FailureRing
+// retains for post-mortem diagnostics.
+const FailureRingSize = 16
+
+// FailureRing retains the most recent failure reasons, for External and for
+// each fleet worker. The zero value is an empty ring; it is safe for
+// concurrent use.
+type FailureRing struct {
+	mu  sync.Mutex
+	buf [FailureRingSize]string
+	n   int // total failures ever recorded
+}
+
+// Record stores a failure reason, overwriting the oldest once the ring is
+// full.
+func (r *FailureRing) Record(reason string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.buf[r.n%FailureRingSize] = reason
+	r.n++
+}
+
+// Recent returns up to n recorded failure reasons, newest first.
+func (r *FailureRing) Recent(n int) []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n = max(min(n, r.n, FailureRingSize), 0)
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, r.buf[(r.n-1-i)%FailureRingSize])
+	}
+	return out
+}
 
 // External treats an external program as the black-box system: each
 // malfunction evaluation pipes the candidate dataset to the program as CSV
@@ -56,9 +86,7 @@ type External struct {
 	// output). Useful for surfacing misconfigured scorer commands.
 	Logf func(format string, args ...any)
 
-	mu    sync.Mutex
-	ring  [failureRingSize]string
-	ringN int // total failures ever recorded
+	failures FailureRing
 }
 
 // Name implements FallibleSystem.
@@ -134,31 +162,13 @@ func (s *External) TryMalfunctionScore(ctx context.Context, d *dataset.Dataset) 
 // ring survives successful evaluations and concurrent batches, so the tail
 // of a flaky run is available for post-mortem diagnostics even when the
 // final evaluation succeeded.
-func (s *External) RecentFailures(n int) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	stored := s.ringN
-	if stored > failureRingSize {
-		stored = failureRingSize
-	}
-	if n > stored {
-		n = stored
-	}
-	out := make([]string, 0, max(n, 0))
-	for i := 0; i < n; i++ {
-		out = append(out, s.ring[(s.ringN-1-i)%failureRingSize])
-	}
-	return out
-}
+func (s *External) RecentFailures(n int) []string { return s.failures.Recent(n) }
 
 // record stores the failure reason in the diagnostic ring and emits it
 // through Logf when configured.
 func (s *External) record(format string, args ...any) string {
 	reason := fmt.Sprintf(format, args...)
-	s.mu.Lock()
-	s.ring[s.ringN%failureRingSize] = reason
-	s.ringN++
-	s.mu.Unlock()
+	s.failures.Record(reason)
 	if s.Logf != nil {
 		s.Logf("external system %q: %s", s.Name(), reason)
 	}

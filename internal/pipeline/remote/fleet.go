@@ -19,10 +19,6 @@ import (
 // rather than burn the budget.
 var ErrFleetDown = fmt.Errorf("remote: every fleet worker unavailable: %w", pipeline.ErrBreakerOpen)
 
-// failureRingSize bounds the per-worker failure diagnostics ring, mirroring
-// pipeline.External's.
-const failureRingSize = 16
-
 // Config parameterizes a FleetSystem.
 type Config struct {
 	// Addrs lists the worker endpoints (required, host:port each).
@@ -63,35 +59,7 @@ type fleetWorker struct {
 	breaker *pipeline.Breaker
 	stack   pipeline.FallibleSystem
 
-	mu    sync.Mutex
-	ring  [failureRingSize]string
-	ringN int
-}
-
-// recordFailure appends a failure reason to the worker's bounded ring.
-func (w *fleetWorker) recordFailure(err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.ring[w.ringN%failureRingSize] = err.Error()
-	w.ringN++
-}
-
-// recentFailures returns up to n recent failure reasons, newest first.
-func (w *fleetWorker) recentFailures(n int) []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	stored := w.ringN
-	if stored > failureRingSize {
-		stored = failureRingSize
-	}
-	if n > stored {
-		n = stored
-	}
-	out := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, w.ring[(w.ringN-1-i)%failureRingSize])
-	}
-	return out
+	failures pipeline.FailureRing
 }
 
 // WorkerDiag is one worker's health and failure history, for reports.
@@ -209,7 +177,7 @@ func (f *FleetSystem) TryMalfunctionScore(ctx context.Context, d *dataset.Datase
 		go func() {
 			r := w.stack.TryMalfunctionScore(ctx, d)
 			if r.Err != nil && ctx.Err() == nil {
-				w.recordFailure(r.Err)
+				w.failures.Record(r.Err.Error())
 			}
 			results <- r
 		}()
@@ -347,7 +315,7 @@ func (f *FleetSystem) WorkerDiagnostics() []WorkerDiag {
 			Addr:           w.addr,
 			Healthy:        !w.breaker.Open(),
 			BreakerTrips:   w.breaker.BreakerTrips(),
-			RecentFailures: w.recentFailures(failureRingSize),
+			RecentFailures: w.failures.Recent(pipeline.FailureRingSize),
 		})
 	}
 	return out

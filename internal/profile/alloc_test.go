@@ -63,7 +63,7 @@ func TestViolationScratchBoundedByChunk(t *testing.T) {
 	if pass.Column("x").NumChunks() < 3 {
 		t.Fatalf("dataset spans %d chunks, want at least 3", pass.Column("x").NumChunks())
 	}
-	profiles := Discover(pass, DefaultOptions())
+	profiles := Discover(pass, Options{})
 	classes := make(map[string]bool)
 	for _, p := range profiles {
 		classes[p.Type()] = true

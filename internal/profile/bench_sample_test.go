@@ -39,7 +39,7 @@ func discoveryBenchRows() []int {
 // layer targets (fd, unique, inclusion, indep-causal, distribution) on
 // top of the default set; sampleCap > 0 turns on sampled fitting.
 func discoveryBenchOpts(sampleCap int) Options {
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{
 		"fd": true, "unique": true, "inclusion": true,
 		"indep-causal": true, "distribution": true,

@@ -31,7 +31,7 @@ func benchTable(rows, attrs int) *dataset.Dataset {
 
 func BenchmarkDiscover(b *testing.B) {
 	d := benchTable(2000, 10)
-	opts := DefaultOptions()
+	opts := Options{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,7 +43,7 @@ func BenchmarkDiscover(b *testing.B) {
 
 func BenchmarkDiscoverExtended(b *testing.B) {
 	d := benchTable(2000, 10)
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{"distribution": true, "fd": true, "indep-causal": true}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,7 +68,7 @@ func BenchmarkDiscriminative(b *testing.B) {
 	fail.SetStr("c1", 0, "CORRUPT")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := Discriminative(pass, fail, DefaultOptions(), 1e-9); len(got) == 0 {
+		if got := Discriminative(pass, fail, Options{}, 1e-9); len(got) == 0 {
 			b.Fatal("nothing discriminative")
 		}
 	}

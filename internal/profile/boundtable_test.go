@@ -27,7 +27,7 @@ func TestSampleBoundTable(t *testing.T) {
 		seeds     = 25
 	)
 	d := equivDataset(rows, 0)
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{
 		"domain": false, "missing": false, "outlier": false,
 		"selectivity": true, "fd": true, "indep": true,

@@ -11,8 +11,7 @@ import (
 
 // The built-in profile classes of Figure 1 plus the extensions. Each class
 // registers its discovery half here; the matching transformation builders
-// register in internal/transform, and internal/pvt joins the two halves
-// into the unified Class catalog.
+// register under the same names in internal/transform.
 func init() {
 	MustRegisterDiscoverer(Discoverer{
 		Name:      "domain",
@@ -144,7 +143,7 @@ func perColumn(d *dataset.Dataset, opts Options, fn func(c *dataset.Column) []Pr
 // categorical value set, numeric range, or text pattern).
 func discoverDomains(d *dataset.Dataset, opts Options) []Profile {
 	return perColumn(d, opts, func(c *dataset.Column) []Profile {
-		if p := discoverDomain(d, c, opts); p != nil {
+		if p := discoverDomain(d, c); p != nil {
 			return []Profile{p}
 		}
 		return nil
@@ -169,7 +168,7 @@ func discoverOutliers(d *dataset.Dataset, opts Options) []Profile {
 		if c.Kind != dataset.Numeric {
 			return nil
 		}
-		p := &Outlier{Attr: c.Name, K: opts.OutlierK}
+		p := &Outlier{Attr: c.Name, K: outlierK}
 		p.Theta = p.OutlierFraction(d)
 		return []Profile{p}
 	})

@@ -9,8 +9,8 @@
 //     no map iteration order can leak into artifact bytes.
 //   - faithful: Decode(Encode(p)) yields a profile with the same Key whose
 //     SameParams(p) holds, including sampling fit bounds.
-//   - claim only your own: each class's Encode returns (nil, nil) for
-//     profiles of other classes, mirroring the Transforms dispatch rule.
+//   - owned: EncodeProfile hands a profile only to the class its Type()
+//     names; an Encode that returns nil for it reports a misnamed profile.
 //
 // The per-class Drift functions score how far the parameters of the "same"
 // profile (same Key) moved between two artifacts, on a normalized [0,1]
@@ -26,28 +26,26 @@ import (
 	"repro/internal/pattern"
 )
 
-// EncodeProfile resolves the registered class owning p (the class whose
-// Encode claims it, iterating in deterministic name order) and returns the
-// class name together with p's canonical JSON encoding.
+// EncodeProfile looks up the class p.Type() names and returns the class
+// name together with p's canonical JSON encoding.
 func EncodeProfile(p Profile) (class string, data []byte, err error) {
-	for _, c := range Discoverers() {
-		if c.Encode == nil {
-			continue
-		}
-		v, err := c.Encode(p)
-		if err != nil {
-			return "", nil, fmt.Errorf("profile: encoding %s under class %q: %w", p.Key(), c.Name, err)
-		}
-		if v == nil {
-			continue
-		}
-		data, err := json.Marshal(v)
-		if err != nil {
-			return "", nil, fmt.Errorf("profile: marshaling %s under class %q: %w", p.Key(), c.Name, err)
-		}
-		return c.Name, data, nil
+	class = p.Type()
+	c, ok := LookupDiscoverer(class)
+	if !ok || c.Encode == nil {
+		return "", nil, fmt.Errorf("profile: no registered class %q with a codec can encode %s", class, p.Key())
 	}
-	return "", nil, fmt.Errorf("profile: no registered class can encode %s (type %q) — the owning class has no codec", p.Key(), p.Type())
+	v, err := c.Encode(p)
+	if err != nil {
+		return "", nil, fmt.Errorf("profile: encoding %s under class %q: %w", p.Key(), class, err)
+	}
+	if v == nil {
+		return "", nil, fmt.Errorf("profile: class %q does not encode %s (%T)", class, p.Key(), p)
+	}
+	data, err = json.Marshal(v)
+	if err != nil {
+		return "", nil, fmt.Errorf("profile: marshaling %s under class %q: %w", p.Key(), class, err)
+	}
+	return class, data, nil
 }
 
 // DecodeProfile reconstructs a profile from the named class's wire form.
@@ -560,8 +558,8 @@ func decodeConditional(data []byte) (Profile, error) {
 	return &Conditional{Cond: dataset.Predicate{Clauses: w.Cond}, Inner: inner}, nil
 }
 
-// driftConditional delegates to the inner profile's class (conditional
-// inner profiles are Domain or Missing, whose Type names their class).
+// driftConditional delegates to the inner profile's class, which its Type
+// names.
 func driftConditional(old, new Profile) float64 {
 	o, ok1 := old.(*Conditional)
 	n, ok2 := new.(*Conditional)

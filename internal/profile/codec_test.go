@@ -107,9 +107,9 @@ var codecGolden = []struct {
 }
 
 // TestCodecGoldenRoundTrip checks, for one representative profile per class
-// (and per variant of multi-type classes): the owning class claims it, the
-// wire bytes match the golden exactly, and decoding yields a profile with
-// the same Key whose SameParams holds in both directions.
+// (and per variant of multi-type classes): EncodeProfile names the owning
+// class, the wire bytes match the golden exactly, and decoding yields a
+// profile with the same Key whose SameParams holds in both directions.
 func TestCodecGoldenRoundTrip(t *testing.T) {
 	for _, tc := range codecGolden {
 		t.Run(tc.class+"/"+tc.profile.Key(), func(t *testing.T) {
@@ -145,24 +145,19 @@ func TestCodecGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecClaimOnlyOwn checks the dispatch rule: every class's Encode
-// returns (nil, nil) for a foreign profile, so registry iteration resolves
-// exactly one owner.
+// TestCodecClaimOnlyOwn checks that EncodeProfile hands a profile only to
+// the class its Type() names: a profile naming no registered class, or
+// naming a class whose codec does not encode it, is rejected.
 func TestCodecClaimOnlyOwn(t *testing.T) {
-	foreign := Profile(&Frequency{Attr: "x", MedianGap: 1})
-	for _, c := range Discoverers() {
-		if c.Encode == nil || c.Name == "frequency" {
-			continue
-		}
-		v, err := c.Encode(foreign)
-		if err != nil || v != nil {
-			t.Errorf("class %q claimed a foreign profile: (%v, %v)", c.Name, v, err)
-		}
-	}
 	if _, _, err := EncodeProfile(&fakeProfile{}); err == nil {
 		t.Error("EncodeProfile accepted a profile no class owns")
 	} else if !strings.Contains(err.Error(), "no registered class") {
 		t.Errorf("unowned-profile error unhelpful: %v", err)
+	}
+	if _, _, err := EncodeProfile(misnamedProfile{}); err == nil {
+		t.Error("EncodeProfile accepted a profile its named class does not encode")
+	} else if !strings.Contains(err.Error(), `"frequency"`) {
+		t.Errorf("misnamed-profile error does not name the class: %v", err)
 	}
 	if _, err := DecodeProfile("no-such-class", []byte("{}")); err == nil {
 		t.Error("DecodeProfile accepted an unregistered class")
@@ -178,6 +173,11 @@ func (fakeProfile) Key() string                          { return "fake()" }
 func (fakeProfile) String() string                       { return "fake" }
 func (fakeProfile) Violation(d *dataset.Dataset) float64 { return 0 }
 func (fakeProfile) SameParams(p Profile) bool            { return false }
+
+// misnamedProfile names the frequency class but is not a Frequency.
+type misnamedProfile struct{ fakeProfile }
+
+func (misnamedProfile) Type() string { return "frequency" }
 
 // TestDriftMagnitudes pins the per-class drift scales artifact diffs report.
 func TestDriftMagnitudes(t *testing.T) {
@@ -243,7 +243,7 @@ func TestDriftMagnitudes(t *testing.T) {
 // cover: arbitrary discovered parameter combinations survive the trip.
 func TestCodecDiscoveredProfiles(t *testing.T) {
 	d := peopleLike()
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{
 		"indep-causal": true, "distribution": true, "frequency": true,
 		"fd": true, "unique": true, "inclusion": true, "conditional": true,

@@ -17,7 +17,7 @@ type Conditional struct {
 }
 
 // Type implements Profile.
-func (p *Conditional) Type() string { return "conditional-" + p.Inner.Type() }
+func (p *Conditional) Type() string { return "conditional" }
 
 // Attributes returns the union of the condition's and inner profile's
 // attributes, deduplicated in first-seen order.
@@ -63,15 +63,14 @@ func (p *Conditional) String() string {
 // condition), it discovers Domain and Missing profiles of the *other*
 // attributes on the conditioned subset. This is an extension beyond the
 // paper's evaluated profile classes.
-func DiscoverConditional(d *dataset.Dataset, opts Options) []Profile {
-	opts.fill()
+func DiscoverConditional(d *dataset.Dataset, _ Options) []Profile {
 	var out []Profile
 	for _, condCol := range d.Columns() {
 		if condCol.Kind != dataset.Categorical {
 			continue
 		}
 		distinct := d.DistinctStrings(condCol.Name)
-		if len(distinct) == 0 || len(distinct) > opts.MaxCategoricalDomain {
+		if len(distinct) == 0 || len(distinct) > maxCategoricalDomain {
 			continue
 		}
 		var mask []bool
@@ -86,7 +85,7 @@ func DiscoverConditional(d *dataset.Dataset, opts Options) []Profile {
 				if c.Name == condCol.Name {
 					continue
 				}
-				if p := discoverDomain(sub, c, opts); p != nil {
+				if p := discoverDomain(sub, c); p != nil {
 					out = append(out, &Conditional{Cond: cond, Inner: p})
 				}
 				theta := float64(sub.NullCount(c.Name)) / float64(sub.NumRows())

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 
@@ -9,22 +10,25 @@ import (
 	"repro/internal/pattern"
 )
 
-// Options configures profile discovery.
+// The discovery configuration of the paper's case studies.
+const (
+	// outlierK is the standard-deviation multiplier of the outlier
+	// detector (the paper's example uses 1.5).
+	outlierK = 1.5
+	// maxCategoricalDomain bounds the distinct-value count for which
+	// categorical Domain and Selectivity profiles are enumerated.
+	maxCategoricalDomain = 20
+	// maxSelectivityClauses is the largest conjunction size of Selectivity
+	// predicates.
+	maxSelectivityClauses = 2
+	// maxSelectivityProfiles caps the number of enumerated Selectivity
+	// profiles.
+	maxSelectivityProfiles = 1000
+)
+
+// Options configures profile discovery. The zero value is the paper's
+// configuration.
 type Options struct {
-	// OutlierK is the standard-deviation multiplier of the outlier detector
-	// (the paper's example uses 1.5). Zero means 1.5.
-	OutlierK float64
-	// MaxCategoricalDomain bounds the distinct-value count for which
-	// categorical Domain and Selectivity profiles are enumerated. Zero
-	// means 20.
-	MaxCategoricalDomain int
-	// MaxSelectivityClauses is the largest conjunction size for Selectivity
-	// predicates (0 disables Selectivity discovery entirely; the default
-	// used by DefaultOptions is 2).
-	MaxSelectivityClauses int
-	// MaxSelectivityProfiles caps the number of enumerated Selectivity
-	// profiles. Zero means 1000.
-	MaxSelectivityProfiles int
 	// Classes selects profile classes by registry name (see Discoverers):
 	// true includes a class, false excludes it, and names absent from the
 	// map fall back to each class's registered default. This is the one
@@ -43,29 +47,6 @@ type Options struct {
 	Sample SampleOptions
 }
 
-// DefaultOptions returns the discovery configuration used in the paper's
-// case studies: 1.5σ outliers, selectivity conjunctions up to size 2.
-func DefaultOptions() Options {
-	return Options{
-		OutlierK:               1.5,
-		MaxCategoricalDomain:   20,
-		MaxSelectivityClauses:  2,
-		MaxSelectivityProfiles: 1000,
-	}
-}
-
-func (o *Options) fill() {
-	if o.OutlierK == 0 {
-		o.OutlierK = 1.5
-	}
-	if o.MaxCategoricalDomain == 0 {
-		o.MaxCategoricalDomain = 20
-	}
-	if o.MaxSelectivityProfiles == 0 {
-		o.MaxSelectivityProfiles = 1000
-	}
-}
-
 func (o *Options) workers() int {
 	if o.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -78,9 +59,10 @@ func (o *Options) workers() int {
 // classes (see Discoverers) that the options enable, fanning the classes
 // out on the engine worker pool — each class may additionally parallelize
 // internally (per column, per pair) with the same worker budget. The result
-// is deterministic for any worker count: sorted by profile Key.
+// is deterministic for any worker count: sorted by profile Key. Discover
+// panics when a class returns a profile whose Type is not the class's Name,
+// since every lookup of the profile's class goes through that name.
 func Discover(d *dataset.Dataset, opts Options) []Profile {
-	opts.fill()
 	enabled := opts.classSet()
 	var active []Discoverer
 	for _, c := range Discoverers() {
@@ -94,7 +76,12 @@ func Discover(d *dataset.Dataset, opts Options) []Profile {
 		perClass[i] = active[i].Discover(d, opts)
 	})
 	var out []Profile
-	for _, ps := range perClass {
+	for i, ps := range perClass {
+		for _, p := range ps {
+			if p.Type() != active[i].Name {
+				panic(fmt.Sprintf("profile: class %q discovered %s, whose Type() is %q", active[i].Name, p.Key(), p.Type()))
+			}
+		}
 		out = append(out, ps...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
@@ -151,7 +138,7 @@ func warmChunks(d *dataset.Dataset, opts Options) {
 }
 
 // discoverDomain learns the Domain profile appropriate for the column kind.
-func discoverDomain(d *dataset.Dataset, c *dataset.Column, opts Options) Profile {
+func discoverDomain(d *dataset.Dataset, c *dataset.Column) Profile {
 	switch c.Kind {
 	case dataset.Numeric:
 		// The bounds come straight off the statistics roll-up: O(#chunks)
@@ -163,7 +150,7 @@ func discoverDomain(d *dataset.Dataset, c *dataset.Column, opts Options) Profile
 		return &DomainNumeric{Attr: c.Name, Lo: r.Min(), Hi: r.Max()}
 	case dataset.Categorical:
 		distinct := d.DistinctStrings(c.Name)
-		if len(distinct) == 0 || len(distinct) > opts.MaxCategoricalDomain {
+		if len(distinct) == 0 || len(distinct) > maxCategoricalDomain {
 			return nil
 		}
 		values := make(map[string]bool, len(distinct))
@@ -184,11 +171,27 @@ func discoverDomain(d *dataset.Dataset, c *dataset.Column, opts Options) Profile
 
 // discoverSelectivity enumerates Selectivity profiles over equality clauses
 // on small-domain categorical attributes: all single clauses, plus all
-// two-clause conjunctions across distinct attributes when configured.
+// two-clause conjunctions across distinct attributes.
 func discoverSelectivity(d *dataset.Dataset, opts Options) []Profile {
-	if opts.MaxSelectivityClauses <= 0 {
-		return nil
-	}
+	// Enumerate the predicates first, then estimate their selectivities in
+	// parallel: each estimate is an independent column scan.
+	preds := selectivityPredicates(d, maxSelectivityClauses, maxSelectivityProfiles)
+	// Fit on the sample view when sampling is active: each estimated Theta
+	// is a mean of [0,1] indicators, so the Hoeffding bound applies as-is.
+	sd, bound := opts.sampleFit(d)
+	out := make([]Profile, len(preds))
+	engine.ParallelFor(opts.workers(), len(preds), func(i int) {
+		out[i] = &Selectivity{Pred: preds[i], Theta: preds[i].Selectivity(sd), Fit: bound}
+	})
+	return out
+}
+
+// selectivityPredicates enumerates the equality predicates of
+// discoverSelectivity in deterministic order: the single clauses, then, when
+// maxClauses is at least 2 and the singles fit under maxProfiles, the
+// two-clause conjunctions across distinct attributes, stopping at
+// maxProfiles predicates.
+func selectivityPredicates(d *dataset.Dataset, maxClauses, maxProfiles int) []dataset.Predicate {
 	type attrValue struct {
 		attr string
 		val  string
@@ -199,19 +202,16 @@ func discoverSelectivity(d *dataset.Dataset, opts Options) []Profile {
 			continue
 		}
 		distinct := d.DistinctStrings(c.Name)
-		if len(distinct) == 0 || len(distinct) > opts.MaxCategoricalDomain {
+		if len(distinct) == 0 || len(distinct) > maxCategoricalDomain {
 			continue
 		}
 		for _, v := range distinct {
 			singles = append(singles, attrValue{c.Name, v})
 		}
 	}
-	// Enumerate the predicates first (respecting the cap in deterministic
-	// order), then estimate their selectivities in parallel: each estimate
-	// is an independent column scan.
 	var preds []dataset.Predicate
 	add := func(pred dataset.Predicate) bool {
-		if len(preds) >= opts.MaxSelectivityProfiles {
+		if len(preds) >= maxProfiles {
 			return false
 		}
 		preds = append(preds, pred)
@@ -224,7 +224,7 @@ func discoverSelectivity(d *dataset.Dataset, opts Options) []Profile {
 			break
 		}
 	}
-	if full && opts.MaxSelectivityClauses >= 2 {
+	if full && maxClauses >= 2 {
 	pairs:
 		for i := 0; i < len(singles); i++ {
 			for j := i + 1; j < len(singles); j++ {
@@ -241,14 +241,7 @@ func discoverSelectivity(d *dataset.Dataset, opts Options) []Profile {
 			}
 		}
 	}
-	// Fit on the sample view when sampling is active: each estimated Theta
-	// is a mean of [0,1] indicators, so the Hoeffding bound applies as-is.
-	sd, bound := opts.sampleFit(d)
-	out := make([]Profile, len(preds))
-	engine.ParallelFor(opts.workers(), len(preds), func(i int) {
-		out[i] = &Selectivity{Pred: preds[i], Theta: preds[i].Selectivity(sd), Fit: bound}
-	})
-	return out
+	return preds
 }
 
 // DiscriminativeFrom filters a pinned profile set — typically decoded from

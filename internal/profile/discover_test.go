@@ -37,7 +37,7 @@ func countType(ps []Profile, typ string) int {
 
 func TestDiscoverBasics(t *testing.T) {
 	d := peopleLike()
-	ps := Discover(d, DefaultOptions())
+	ps := Discover(d, Options{})
 	if len(ps) == 0 {
 		t.Fatal("no profiles discovered")
 	}
@@ -65,7 +65,7 @@ func TestDiscoverBasics(t *testing.T) {
 		}
 	}
 	// Deterministic ordering.
-	ps2 := Discover(d, DefaultOptions())
+	ps2 := Discover(d, Options{})
 	for i := range ps {
 		if ps[i].Key() != ps2[i].Key() {
 			t.Fatal("discovery order not deterministic")
@@ -75,29 +75,24 @@ func TestDiscoverBasics(t *testing.T) {
 
 func TestDiscoverSelectivityEnumeration(t *testing.T) {
 	d := peopleLike()
-	opts := DefaultOptions()
-	ps := Discover(d, opts)
+	ps := Discover(d, Options{})
 	sel := countType(ps, "selectivity")
 	// Singles: gender(2) + race(2) + high(2) = 6.
 	// Pairs: gender×race 4 + gender×high 4 + race×high 4 = 12.
 	if sel != 18 {
 		t.Errorf("selectivity profiles = %d, want 18", sel)
 	}
-	opts.MaxSelectivityClauses = 1
-	ps1 := Discover(d, opts)
-	if got := countType(ps1, "selectivity"); got != 6 {
+	if got := len(selectivityPredicates(d, 1, maxSelectivityProfiles)); got != 6 {
 		t.Errorf("singles only = %d, want 6", got)
 	}
-	opts.MaxSelectivityProfiles = 3
-	ps3 := Discover(d, opts)
-	if got := countType(ps3, "selectivity"); got != 3 {
+	if got := len(selectivityPredicates(d, 1, 3)); got != 3 {
 		t.Errorf("capped = %d, want 3", got)
 	}
 }
 
 func TestDiscoverClassesExclude(t *testing.T) {
 	d := peopleLike()
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{"selectivity": false, "indep": false, "outlier": false}
 	ps := Discover(d, opts)
 	if countType(ps, "selectivity")+countType(ps, "indep")+countType(ps, "outlier") != 0 {
@@ -110,7 +105,7 @@ func TestDiscoverClassesExclude(t *testing.T) {
 
 func TestDiscoverCausal(t *testing.T) {
 	d := peopleLike()
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{"indep-causal": true}
 	ps := Discover(d, opts)
 	causalCount := 0
@@ -132,7 +127,7 @@ func TestDiscriminative(t *testing.T) {
 	fail.SetStr("gender", 0, "X")
 	fail.SetStr("gender", 1, "X")
 
-	disc := Discriminative(pass, fail, DefaultOptions(), 1e-9)
+	disc := Discriminative(pass, fail, Options{}, 1e-9)
 	foundGenderDomain := false
 	for _, p := range disc {
 		if p.Key() == "domain:gender" {
@@ -151,14 +146,14 @@ func TestDiscriminative(t *testing.T) {
 	}
 
 	// Identical datasets → no discriminative profiles.
-	if got := Discriminative(pass, pass.Clone(), DefaultOptions(), 1e-9); len(got) != 0 {
+	if got := Discriminative(pass, pass.Clone(), Options{}, 1e-9); len(got) != 0 {
 		t.Errorf("identical datasets produced %d discriminative profiles", len(got))
 	}
 }
 
 func TestDiscoverConditional(t *testing.T) {
 	d := peopleLike()
-	ps := DiscoverConditional(d, DefaultOptions())
+	ps := DiscoverConditional(d, Options{})
 	if len(ps) == 0 {
 		t.Fatal("no conditional profiles discovered")
 	}
@@ -166,14 +161,14 @@ func TestDiscoverConditional(t *testing.T) {
 		if v := p.Violation(d); v > 1e-9 {
 			t.Errorf("%s violates its own dataset: %g", p, v)
 		}
-		if !strings.HasPrefix(p.Type(), "conditional-") {
+		if p.Type() != "conditional" {
 			t.Errorf("unexpected type %q", p.Type())
 		}
 	}
 }
 
 func TestDiscoverEmptyDataset(t *testing.T) {
-	ps := Discover(dataset.New(), DefaultOptions())
+	ps := Discover(dataset.New(), Options{})
 	if len(ps) != 0 {
 		t.Errorf("empty dataset produced %d profiles", len(ps))
 	}
@@ -181,12 +176,12 @@ func TestDiscoverEmptyDataset(t *testing.T) {
 
 func TestDiscoverConditionalFlag(t *testing.T) {
 	d := peopleLike()
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{"conditional": true}
 	ps := Discover(d, opts)
 	conditional := 0
 	for _, p := range ps {
-		if strings.HasPrefix(p.Type(), "conditional-") {
+		if p.Type() == "conditional" {
 			conditional++
 			if v := p.Violation(d); v > 1e-9 {
 				t.Errorf("%s violates its own dataset: %g", p, v)
@@ -212,7 +207,7 @@ func TestDiscoverConditionalFlag(t *testing.T) {
 	disc := Discriminative(pass, fail, opts, 1e-9)
 	foundConditional := false
 	for _, p := range disc {
-		if strings.HasPrefix(p.Type(), "conditional-") {
+		if p.Type() == "conditional" {
 			foundConditional = true
 		}
 	}

@@ -134,7 +134,7 @@ func TestDiscoverExtendedProfiles(t *testing.T) {
 		MustAddNumeric("v", normalData(n, 10, 2, 7)).
 		MustAddCategorical("zip", zip).
 		MustAddCategorical("city", city)
-	opts := DefaultOptions()
+	opts := Options{}
 	base := Discover(d, opts)
 	opts.Classes = map[string]bool{"distribution": true, "fd": true}
 	extended := Discover(d, opts)
@@ -177,7 +177,7 @@ func TestDiscoverFDSkipsWeakDependencies(t *testing.T) {
 		b[i] = string(rune('x' + rng.Intn(3))) // independent of a
 	}
 	d := dataset.New().MustAddCategorical("a", a).MustAddCategorical("b", b)
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{"fd": true}
 	for _, p := range Discover(d, opts) {
 		if p.Type() == "fd" {
@@ -214,7 +214,7 @@ func TestDiscoverUnique(t *testing.T) {
 	d := dataset.New().
 		MustAddCategorical("id", []string{"a", "b", "c", "d"}).
 		MustAddCategorical("flag", []string{"x", "x", "x", "y"})
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{"unique": true}
 	found := map[string]bool{}
 	for _, p := range Discover(d, opts) {
@@ -257,7 +257,7 @@ func TestDiscoverInclusions(t *testing.T) {
 		MustAddCategorical("child", []string{"a", "b", "a"}).
 		MustAddCategorical("parent", []string{"a", "b", "c"}).
 		MustAddCategorical("other", []string{"x", "y", "z"})
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{"inclusion": true}
 	var found []string
 	for _, p := range Discover(d, opts) {
@@ -331,7 +331,7 @@ func TestDiscoverFrequencyFlag(t *testing.T) {
 		vals[i] = float64(i) * 7
 	}
 	d := dataset.New().MustAddNumeric("ts", vals)
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{"frequency": true}
 	found := false
 	for _, p := range Discover(d, opts) {

@@ -146,14 +146,14 @@ func discoverFDs(d *dataset.Dataset, opts Options) []Profile {
 		if cols[i].Kind != dataset.Categorical {
 			continue
 		}
-		if n := len(d.DistinctStrings(cols[i].Name)); n == 0 || n > opts.MaxCategoricalDomain {
+		if n := len(d.DistinctStrings(cols[i].Name)); n == 0 || n > maxCategoricalDomain {
 			continue
 		}
 		for j := range cols {
 			if i == j || cols[j].Kind != dataset.Categorical {
 				continue
 			}
-			if n := len(d.DistinctStrings(cols[j].Name)); n == 0 || n > opts.MaxCategoricalDomain {
+			if n := len(d.DistinctStrings(cols[j].Name)); n == 0 || n > maxCategoricalDomain {
 				continue
 			}
 			p := &FuncDep{Det: cols[i].Name, Dep: cols[j].Name, Fit: bound}

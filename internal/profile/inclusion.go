@@ -90,7 +90,7 @@ func discoverInclusions(d *dataset.Dataset, opts Options) []Profile {
 			continue
 		}
 		vals := d.DistinctStrings(c.Name)
-		if len(vals) == 0 || len(vals) > opts.MaxCategoricalDomain {
+		if len(vals) == 0 || len(vals) > maxCategoricalDomain {
 			continue
 		}
 		set := make(map[string]bool, len(vals))

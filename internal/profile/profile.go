@@ -23,7 +23,9 @@ import (
 
 // Profile is a parameterized data property with a violation semantics.
 type Profile interface {
-	// Type returns the profile class name, e.g. "domain" or "indep".
+	// Type returns the registry name of the class that owns the profile,
+	// e.g. "domain" or "indep-causal": discovery, transformation routing,
+	// codecs and report grouping all look the class up under this name.
 	Type() string
 	// Attributes returns the attributes the profile is defined over.
 	Attributes() []string
@@ -622,7 +624,7 @@ type IndepCausal struct {
 func (p *IndepCausal) FitBound() *Bound { return p.Fit }
 
 // Type implements Profile.
-func (p *IndepCausal) Type() string { return "indep" }
+func (p *IndepCausal) Type() string { return "indep-causal" }
 
 // Attributes implements Profile.
 func (p *IndepCausal) Attributes() []string { return []string{p.AttrA, p.AttrB} }

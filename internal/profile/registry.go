@@ -11,11 +11,12 @@ import (
 // Discoverer is the discovery half of a PVT class: a named, self-describing
 // strategy that learns the minimal profiles of its class a dataset
 // satisfies. The process-wide catalog of discoverers is what Discover
-// iterates — adding a profile class is one RegisterDiscoverer call (or, for
-// classes that also carry transformations, one pvt.Register call).
+// iterates; the class's transformation builder registers under the same
+// name in internal/transform.
 type Discoverer struct {
 	// Name is the registry key, e.g. "domain" or "indep". It doubles as the
-	// selector in Options.Classes and the CLI's -profiles flag.
+	// selector in Options.Classes and the CLI's -profiles flag, and every
+	// profile of the class returns it from Type.
 	Name string
 	// Describe is a one-line human-readable summary for -list-profiles.
 	Describe string
@@ -28,12 +29,12 @@ type Discoverer struct {
 	Discover func(d *dataset.Dataset, opts Options) []Profile
 	// Encode serializes a profile of this class into its canonical
 	// JSON-encodable wire value — the per-class codec surface backing
-	// profile artifacts (internal/artifact). It returns (nil, nil) for
-	// profiles of other classes (claim only your own) and an error when a
-	// claimed profile cannot be encoded. The returned value must marshal to
-	// the same bytes for equal profiles: no map-ordered or pointer-identity
-	// state may leak into it. Nil means the class has no codec and its
-	// profiles cannot be persisted.
+	// profile artifacts (internal/artifact). EncodeProfile calls it only for
+	// profiles whose Type is Name; it returns an error when such a profile
+	// cannot be encoded. The returned value must marshal to the same bytes
+	// for equal profiles: no map-ordered or pointer-identity state may leak
+	// into it. Nil means the class has no codec and its profiles cannot be
+	// persisted.
 	Encode func(p Profile) (any, error)
 	// Decode reconstructs a profile from the wire value Encode produced.
 	// Decode(Encode(p)) must yield a profile with the same Key whose
@@ -83,8 +84,8 @@ func MustRegisterDiscoverer(c Discoverer) {
 }
 
 // UnregisterDiscoverer removes a class from the catalog. It exists for
-// tests and for rolling back a partially failed pvt.Register; production
-// code should never unregister built-in classes.
+// tests and for rolling back a registration whose builder half failed;
+// production code should never unregister built-in classes.
 func UnregisterDiscoverer(name string) {
 	regMu.Lock()
 	defer regMu.Unlock()

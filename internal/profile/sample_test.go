@@ -52,7 +52,7 @@ func equivDataset(rows, csize int) *dataset.Dataset {
 
 // allClassOpts enables every registered profile class.
 func allClassOpts() Options {
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = make(map[string]bool)
 	for _, c := range Discoverers() {
 		opts.Classes[c.Name] = true
@@ -116,7 +116,7 @@ func TestSampledDiscoveryBoundsAttached(t *testing.T) {
 		t.Fatal("no profiles discovered")
 	}
 	sampledClasses := map[string]bool{
-		"selectivity": true, "indep": true, "fd": true, "unique": true, "inclusion": true,
+		"selectivity": true, "indep": true, "indep-causal": true, "fd": true, "unique": true, "inclusion": true,
 	}
 	for _, p := range ps {
 		b := FitBoundOf(p)
@@ -157,7 +157,7 @@ func TestSampledDiscoveryBoundsAttached(t *testing.T) {
 // TestSampledEpsilonDerivesCap: Sample.Epsilon alone sizes the draw via the
 // Hoeffding sample-size formula.
 func TestSampledEpsilonDerivesCap(t *testing.T) {
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Sample = SampleOptions{Epsilon: 0.05}
 	cap := opts.sampleCap()
 	// m = ln(2/0.05)/(2·0.05²) = ln(40)/0.005 ≈ 738.
@@ -196,7 +196,7 @@ func TestSampleBoundsHold(t *testing.T) {
 		seeds = 40
 	)
 	d := equivDataset(rows, csize)
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Classes = map[string]bool{
 		"domain": false, "missing": false, "outlier": false, "indep": false,
 		"selectivity": true, "fd": true,
@@ -262,7 +262,7 @@ func TestDiscriminativeSampled(t *testing.T) {
 	for i := 0; i < fail.NumRows(); i += 3 {
 		fail.SetStr("region", i, "north")
 	}
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Sample = SampleOptions{Cap: 2000, Seed: 11}
 	out := Discriminative(pass, fail, opts, 0.1)
 	found := false

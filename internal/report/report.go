@@ -11,17 +11,16 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/transform"
 )
 
-// byClass groups an explanation's PVTs by their registry class (falling
-// back to the profile's own type for unregistered classes), preserving
-// explanation order within a class; class names come out sorted.
+// byClass groups an explanation's PVTs by the class their profiles' Type()
+// names, preserving explanation order within a class; class names come out
+// sorted.
 func byClass(expl []*core.PVT) ([]string, map[string][]string) {
 	groups := make(map[string][]string)
 	var names []string
 	for _, p := range expl {
-		c := transform.ClassOf(p.Profile)
+		c := p.Profile.Type()
 		if _, ok := groups[c]; !ok {
 			names = append(names, c)
 		}

@@ -3,10 +3,9 @@ package transform
 import "repro/internal/profile"
 
 // The built-in transformation builders, one per PVT class, mirroring the
-// rightmost column of Figure 1. Each builder claims exactly the concrete
-// profile types of its class and returns the candidate repairs in the
-// paper's listed order; internal/pvt joins these with the discovery halves
-// registered in internal/profile into the unified Class catalog.
+// rightmost column of Figure 1. Each registers under the name of its class's
+// discovery half in internal/profile, which its profiles' Type() returns,
+// and returns the candidate repairs in the paper's listed order.
 func init() {
 	MustRegisterBuilder("domain", func(p profile.Profile) []Transformation {
 		switch q := p.(type) {

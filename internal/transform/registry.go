@@ -2,16 +2,14 @@ package transform
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/profile"
 )
 
-// BuildFunc is the transformation half of a PVT class: given a profile, it
-// returns the candidate repairs when the profile belongs to the class, and
-// nil otherwise. A builder must claim only its own class's profiles (via
-// type assertion), so that exactly one builder answers for any profile.
+// BuildFunc is the transformation half of a PVT class: given a profile of
+// the class, it returns the candidate repairs. ForProfile calls it for the
+// profiles whose Type() is the name it is registered under.
 type BuildFunc func(p profile.Profile) []Transformation
 
 var (
@@ -45,8 +43,8 @@ func MustRegisterBuilder(class string, build BuildFunc) {
 	}
 }
 
-// UnregisterBuilder removes a builder. It exists for tests and for rolling
-// back a partially failed pvt.Register.
+// UnregisterBuilder removes a builder. It exists for tests, which undo
+// their registrations in the process-wide catalog.
 func UnregisterBuilder(class string) {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -61,52 +59,16 @@ func LookupBuilder(class string) (BuildFunc, bool) {
 	return b, ok
 }
 
-// snapshot returns the builders in deterministic (name-sorted) order.
-func snapshot() []BuildFunc {
-	regMu.RLock()
-	names := make([]string, 0, len(builders))
-	for name := range builders {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]BuildFunc, len(names))
-	for i, name := range names {
-		out[i] = builders[name]
-	}
-	regMu.RUnlock()
-	return out
-}
-
 // ForProfile returns the candidate transformations for a profile, in the
-// order the paper lists them in Figure 1: it consults the registered
-// builders in deterministic name order and returns the first (and, by the
-// claim-only-your-own rule, only) non-empty answer. The result is empty for
+// order the paper lists them in Figure 1: the answer of the builder
+// registered under p.Type(). The result is empty for a nil profile and for
 // profile classes with no registered intervention.
 func ForProfile(p profile.Profile) []Transformation {
-	for _, build := range snapshot() {
-		if ts := build(p); len(ts) > 0 {
-			return ts
-		}
+	if p == nil {
+		return nil
+	}
+	if build, ok := LookupBuilder(p.Type()); ok {
+		return build(p)
 	}
 	return nil
-}
-
-// ClassOf returns the registry class name owning a profile — the class
-// whose builder claims it. Profiles no builder claims report their own
-// Type() as a fallback, so reports can still group them.
-func ClassOf(p profile.Profile) string {
-	regMu.RLock()
-	names := make([]string, 0, len(builders))
-	for name := range builders {
-		names = append(names, name)
-	}
-	regMu.RUnlock()
-	sort.Strings(names)
-	for _, name := range names {
-		b, ok := LookupBuilder(name)
-		if ok && len(b(p)) > 0 {
-			return name
-		}
-	}
-	return p.Type()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/pattern"
 	"repro/internal/profile"
 )
 
@@ -25,9 +26,9 @@ func TestBuilderDuplicateRejected(t *testing.T) {
 	}
 }
 
-// TestForProfileRouting checks every built-in profile class routes to its
-// own transformations through the registry, matching the pre-registry
-// type-switch arm for arm.
+// TestForProfileRouting checks every built-in profile type names its class
+// in Type() and routes to that class's transformations through the
+// registry, matching the pre-registry type-switch arm for arm.
 func TestForProfileRouting(t *testing.T) {
 	cases := []struct {
 		p     profile.Profile
@@ -36,8 +37,10 @@ func TestForProfileRouting(t *testing.T) {
 	}{
 		{&profile.DomainCategorical{Attr: "a", Values: map[string]bool{"x": true}}, "domain", []string{"map-to-domain"}},
 		{&profile.DomainNumeric{Attr: "a", Lo: 0, Hi: 1}, "domain", []string{"linear-map", "winsorize"}},
+		{&profile.DomainText{Attr: "a", Pattern: pattern.Learn([]string{"x"})}, "domain", []string{"conform-pattern"}},
 		{&profile.Outlier{Attr: "a", K: 1.5}, "outlier", []string{"replace-outliers-mean", "clamp-outliers"}},
 		{&profile.Missing{Attr: "a"}, "missing", []string{"impute"}},
+		{&profile.Selectivity{Pred: dataset.And(dataset.EqStr("a", "x"))}, "selectivity", []string{"resample"}},
 		{&profile.IndepChi{AttrA: "a", AttrB: "b"}, "indep", []string{"shuffle-b", "shuffle-a"}},
 		{&profile.IndepPearson{AttrA: "a", AttrB: "b"}, "indep", []string{"noise-b", "noise-a"}},
 		{&profile.IndepCausal{AttrA: "a", AttrB: "b"}, "indep-causal", []string{"causal-break"}},
@@ -46,8 +49,12 @@ func TestForProfileRouting(t *testing.T) {
 		{&profile.Unique{Attr: "a"}, "unique", []string{"deduplicate"}},
 		{&profile.Inclusion{Child: "a", Parent: "b"}, "inclusion", []string{"repair-inclusion"}},
 		{&profile.Frequency{Attr: "a", MedianGap: 1}, "frequency", []string{"recadence"}},
+		{&profile.Conditional{Cond: dataset.And(dataset.EqStr("c", "x")), Inner: &profile.Missing{Attr: "a"}}, "conditional", []string{"conditional-impute"}},
 	}
 	for _, tc := range cases {
+		if got := tc.p.Type(); got != tc.class {
+			t.Errorf("%s: Type() = %q, want class %q", tc.p, got, tc.class)
+		}
 		ts := ForProfile(tc.p)
 		if len(ts) != len(tc.names) {
 			t.Errorf("%s: got %d transformations, want %d", tc.p, len(ts), len(tc.names))
@@ -58,17 +65,14 @@ func TestForProfileRouting(t *testing.T) {
 				t.Errorf("%s: transform %d = %q, want %q", tc.p, i, tr.Name(), tc.names[i])
 			}
 		}
-		if got := ClassOf(tc.p); got != tc.class {
-			t.Errorf("ClassOf(%s) = %q, want %q", tc.p, got, tc.class)
-		}
 	}
 }
 
 // TestCustomBuilderExtension registers a throwaway class end to end: its
-// builder claims only its own profile type, and ForProfile routes to it.
+// profile's Type() names it, and ForProfile routes to it.
 type fakeProfile struct{ profile.Missing }
 
-func (p *fakeProfile) Type() string { return "fake" }
+func (p *fakeProfile) Type() string { return "zz-fake-test" }
 func (p *fakeProfile) Key() string  { return "fake:" + p.Attr }
 
 type fakeTransform struct{ prof *fakeProfile }
@@ -95,11 +99,8 @@ func TestCustomBuilderExtension(t *testing.T) {
 	if len(ts) != 1 || ts[0].Name() != "fake-fix" {
 		t.Fatalf("custom builder not routed: %v", ts)
 	}
-	if got := ClassOf(fp); got != "zz-fake-test" {
-		t.Errorf("ClassOf(custom) = %q, want zz-fake-test", got)
-	}
-	// A built-in profile must not be claimed by the custom builder.
-	if got := ClassOf(&profile.Missing{Attr: "a"}); got != "missing" {
-		t.Errorf("ClassOf(Missing) = %q, want missing", got)
+	// The embedded built-in profile still routes to its own class.
+	if ts := ForProfile(&fp.Missing); len(ts) != 1 || ts[0].Name() != "impute" {
+		t.Errorf("ForProfile(Missing) = %v, want impute", ts)
 	}
 }

@@ -23,10 +23,10 @@ func BenchmarkDiscriminative100k(b *testing.B) {
 	}{
 		{"sentiment", func() (*dataset.Dataset, *dataset.Dataset) {
 			return genReviews(rows, seed, "-1", "1"), genReviews(rows, seed+1, "0", "4")
-		}, profile.DefaultOptions()},
+		}, profile.Options{}},
 		{"income", func() (*dataset.Dataset, *dataset.Dataset) {
 			return genCensus(rows, seed, false), genCensus(rows, seed+1, true)
-		}, profile.DefaultOptions()},
+		}, profile.Options{}},
 		{"cardio", func() (*dataset.Dataset, *dataset.Dataset) {
 			return genPatients(rows, seed+1, false), genPatients(rows, seed+2, true)
 		}, cardioOptions()},

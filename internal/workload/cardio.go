@@ -5,33 +5,25 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
-	"repro/internal/pipeline"
 	"repro/internal/profile"
 )
 
-// CardioScenario is case study 3 (Section 5.1): a cardiovascular disease
-// prediction pipeline whose failing dataset stores height in inches instead
-// of the centimeters the (pretrained) model assumes. The ground-truth root
-// cause is the numeric Domain profile of height, fixed by a monotonic
-// linear transformation. The failing dataset additionally has a spurious
-// weight–blood-pressure correlation whose noise-adding repair *hurts* the
-// classifier, violating assumption A3 — the reason group testing is NA for
-// this case in the paper.
-type CardioScenario struct {
-	Pass, Fail *dataset.Dataset
-	System     pipeline.System
-	Tau        float64
-	Options    profile.Options
-}
-
-// NewCardioScenario generates the scenario with n-row datasets. The system
-// is trained once, at construction, on a separate cm-format training sample
-// — mirroring a deployed model with frozen format assumptions.
-func NewCardioScenario(n int, seed int64) *CardioScenario {
+// NewCardioScenario generates case study 3 (Section 5.1) with n-row
+// datasets: a cardiovascular disease prediction pipeline whose failing
+// dataset stores height in inches instead of the centimeters the
+// (pretrained) model assumes. The ground-truth root cause is the numeric
+// Domain profile of height, fixed by a monotonic linear transformation. The
+// failing dataset additionally has a spurious weight–blood-pressure
+// correlation whose noise-adding repair *hurts* the classifier, violating
+// assumption A3 — the reason group testing is NA for this case in the
+// paper. The system is trained once, at construction, on a separate
+// cm-format training sample — mirroring a deployed model with frozen format
+// assumptions.
+func NewCardioScenario(n int, seed int64) *Scenario {
 	train := genPatients(n, seed, false)
 	pass := genPatients(n, seed+1, false)
 	fail := genPatients(n, seed+2, true)
-	return &CardioScenario{
+	return &Scenario{
 		Pass:    pass,
 		Fail:    fail,
 		System:  newCardioSystem(train),
@@ -45,9 +37,7 @@ func NewCardioScenario(n int, seed int64) *CardioScenario {
 // and dependence drifts, so selectivity profiles are excluded from the
 // candidate classes for this pipeline.
 func cardioOptions() profile.Options {
-	opts := profile.DefaultOptions()
-	opts.Classes = map[string]bool{"selectivity": false}
-	return opts
+	return profile.Options{Classes: map[string]bool{"selectivity": false}}
 }
 
 // genPatients synthesizes patient records. Disease risk is driven by BMI

@@ -5,37 +5,27 @@ import (
 	"math/rand"
 
 	"repro/internal/dataset"
-	"repro/internal/pipeline"
-	"repro/internal/profile"
 )
 
-// EZGoScenario is the paper's Example 2: a toll-collection pipeline that
-// processes vehicle batches within a fixed time budget, falling back to a
-// slow OCR for vehicles without a toll pass — and the OCR is extremely slow
-// on black license plates photographed in low illumination. A batch with a
-// skewed share of such vehicles blows the deadline. The ground-truth root
-// cause is the Selectivity profile of the hard-case predicate; the fix
+// NewEZGoScenario generates the paper's Example 2 with batches of n
+// vehicles: a toll-collection pipeline that processes vehicle batches
+// within a fixed time budget, falling back to a slow OCR for vehicles
+// without a toll pass — and the OCR is extremely slow on black license
+// plates photographed in low illumination. A batch with a skewed share of
+// such vehicles blows the deadline. The passing batch has ~5% hard cases
+// (black plate, low illumination, no toll pass); the failing batch has ~35%
+// — the "significantly skewed distribution" of Example 2. The ground-truth
+// root cause is the Selectivity profile of the hard-case predicate; the fix
 // under-samples hard cases back to the expected rate (operationally: route
 // the excess to a different batch).
-type EZGoScenario struct {
-	Pass, Fail *dataset.Dataset
-	System     pipeline.System
-	Tau        float64
-	Options    profile.Options
-}
-
-// NewEZGoScenario generates batches of n vehicles. The passing batch has
-// ~5% hard cases (black plate, low illumination, no toll pass); the failing
-// batch has ~35% — the "significantly skewed distribution" of Example 2.
-func NewEZGoScenario(n int, seed int64) *EZGoScenario {
+func NewEZGoScenario(n int, seed int64) *Scenario {
 	pass := genBatch(n, seed, 0.05)
 	fail := genBatch(n, seed+1, 0.35)
-	return &EZGoScenario{
-		Pass:    pass,
-		Fail:    fail,
-		System:  newEZGoSystem(n),
-		Tau:     0.2,
-		Options: profile.DefaultOptions(),
+	return &Scenario{
+		Pass:   pass,
+		Fail:   fail,
+		System: newEZGoSystem(n),
+		Tau:    0.2,
 	}
 }
 

@@ -5,35 +5,24 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
-	"repro/internal/pipeline"
-	"repro/internal/profile"
 )
 
-// IncomeScenario is case study 2 (Section 5.1): a fairness-aware income
-// prediction pipeline whose failing dataset has an injected dependence
-// between the target and sex. The ground-truth root cause is the Indep
-// profile over (sex, target).
-type IncomeScenario struct {
-	Pass, Fail *dataset.Dataset
-	System     pipeline.System
-	Tau        float64
-	Options    profile.Options
-}
-
-// NewIncomeScenario generates census-style passing and failing datasets of
-// n rows. In both, occupation correlates with sex (as in real census data),
-// so a biased label can leak through occupation even though sex itself is
-// not a feature. The failing dataset additionally forces most women to the
-// "low" income label.
-func NewIncomeScenario(n int, seed int64) *IncomeScenario {
+// NewIncomeScenario generates case study 2 (Section 5.1) with
+// census-style passing and failing datasets of n rows: a fairness-aware
+// income prediction pipeline whose failing dataset has an injected
+// dependence between the target and sex. In both datasets, occupation
+// correlates with sex (as in real census data), so a biased label can leak
+// through occupation even though sex itself is not a feature. The failing
+// dataset additionally forces most women to the "low" income label. The
+// ground-truth root cause is the Indep profile over (sex, target).
+func NewIncomeScenario(n int, seed int64) *Scenario {
 	pass := genCensus(n, seed, false)
 	fail := genCensus(n, seed+1, true)
-	return &IncomeScenario{
-		Pass:    pass,
-		Fail:    fail,
-		System:  &incomeSystem{},
-		Tau:     0.35,
-		Options: profile.DefaultOptions(),
+	return &Scenario{
+		Pass:   pass,
+		Fail:   fail,
+		System: &incomeSystem{},
+		Tau:    0.35,
 	}
 }
 

@@ -17,6 +17,16 @@ import (
 	"repro/internal/profile"
 )
 
+// Scenario is one case study: the system under debug, its passing and
+// failing datasets, the acceptable malfunction threshold τ, and the
+// discovery configuration the case study searches with.
+type Scenario struct {
+	Pass, Fail *dataset.Dataset
+	System     pipeline.System
+	Tau        float64
+	Options    profile.Options
+}
+
 // Peoplefail returns the exact failing dataset of Figure 2: a logistic
 // regression classifier trained on it discriminates against African
 // Americans and women.
@@ -73,33 +83,23 @@ func nullMask(vals []string) []bool {
 	return mask
 }
 
-// BiasScenario is the running example at a size where a classifier's bias
-// is statistically meaningful: the discount-prediction pipeline of
-// Example 1 / Section 4.1.
-type BiasScenario struct {
-	Pass, Fail *dataset.Dataset
-	System     pipeline.System
-	Tau        float64
-	Options    profile.Options
-}
-
-// NewBiasScenario generates the scaled running example. The failing dataset
-// exhibits the two ground-truth issues of Section 4.1: high_expenditure is
-// strongly dependent on race (through zip_code, which the model uses as a
-// feature), and female high spenders are heavily under-represented. The
-// system trains a logistic regression on (age, zip_code) — the sensitive
-// attributes are dropped, as Anita does — and reports the worse of the
-// normalized disparate impacts w.r.t. race and gender.
-func NewBiasScenario(n int, seed int64) *BiasScenario {
+// NewBiasScenario generates the running example at a size where a
+// classifier's bias is statistically meaningful: the discount-prediction
+// pipeline of Example 1 / Section 4.1. The failing dataset exhibits the two
+// ground-truth issues of Section 4.1: high_expenditure is strongly
+// dependent on race (through zip_code, which the model uses as a feature),
+// and female high spenders are heavily under-represented. The system trains
+// a logistic regression on (age, zip_code) — the sensitive attributes are
+// dropped, as Anita does — and reports the worse of the normalized
+// disparate impacts w.r.t. race and gender.
+func NewBiasScenario(n int, seed int64) *Scenario {
 	pass := genPeople(n, seed, false)
 	fail := genPeople(n, seed+1, true)
-	opts := profile.DefaultOptions()
-	return &BiasScenario{
-		Pass:    pass,
-		Fail:    fail,
-		System:  &biasSystem{},
-		Tau:     0.25,
-		Options: opts,
+	return &Scenario{
+		Pass:   pass,
+		Fail:   fail,
+		System: &biasSystem{},
+		Tau:    0.25,
 	}
 }
 

@@ -7,33 +7,22 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
-	"repro/internal/pipeline"
-	"repro/internal/profile"
 )
 
-// SentimentScenario is case study 1 (Section 5.1): a pretrained sentiment
-// classifier that assumes target ∈ {-1, 1}, confronted with a dataset that
-// encodes negative/positive as {0, 4} (the sentiment140 convention). The
+// NewSentimentScenario generates case study 1 (Section 5.1) with passing
+// (IMDb-style labels {-1,1}) and failing (Twitter-style labels {0,4})
+// review datasets of n rows each: a pretrained sentiment classifier that
+// assumes target ∈ {-1, 1}, confronted with a dataset that encodes
+// negative/positive as {0, 4} (the sentiment140 convention). The
 // ground-truth root cause is the Domain profile of target.
-type SentimentScenario struct {
-	Pass, Fail *dataset.Dataset
-	System     pipeline.System
-	Tau        float64
-	Options    profile.Options
-}
-
-// NewSentimentScenario generates passing (IMDb-style labels {-1,1}) and
-// failing (Twitter-style labels {0,4}) review datasets of n rows each.
-func NewSentimentScenario(n int, seed int64) *SentimentScenario {
+func NewSentimentScenario(n int, seed int64) *Scenario {
 	pass := genReviews(n, seed, "-1", "1")
 	fail := genReviews(n, seed+1, "0", "4")
-	opts := profile.DefaultOptions()
-	return &SentimentScenario{
-		Pass:    pass,
-		Fail:    fail,
-		System:  &sentimentSystem{lexicon: ml.NewSentimentLexicon()},
-		Tau:     0.4,
-		Options: opts,
+	return &Scenario{
+		Pass:   pass,
+		Fail:   fail,
+		System: &sentimentSystem{lexicon: ml.NewSentimentLexicon()},
+		Tau:    0.4,
 	}
 }
 

@@ -32,7 +32,7 @@ func TestPeopleTablesMatchPaper(t *testing.T) {
 		t.Errorf("zip NULLs = %d/%d, want 2/1", fail.NullCount("zip_code"), pass.NullCount("zip_code"))
 	}
 	// Figure 5: the discriminative profiles include the zip Missing profile.
-	disc := profile.Discriminative(pass, fail, profile.DefaultOptions(), 1e-9)
+	disc := profile.Discriminative(pass, fail, profile.Options{}, 1e-9)
 	foundMissing := false
 	for _, p := range disc {
 		if p.Key() == "missing:zip_code" {
